@@ -1,22 +1,21 @@
-//! Interpreted-vs-compiled execution microbenchmarks.
+//! Compiled execution microbenchmarks.
 //!
-//! For the AES S-box pipeline and the GEMM tile kernel this target times
-//! four hot loops and records the two headline ratios the compiled-plan
-//! work is accountable to:
+//! For the AES S-box pipeline and the GEMM tile kernel this target times:
 //!
-//! * folded single-cycle: step-interpreting `FoldedExecutor` vs the
-//!   pre-lowered `FoldPlanExecutor` micro-op stream;
+//! * one folded cycle of the pre-lowered `FoldPlanExecutor` micro-op
+//!   stream;
 //! * per-vector netlist throughput: the reference `Evaluator` one vector
 //!   at a time vs the bit-sliced `run_batch_cycle` at every sweep width
 //!   (64, 256, and 512 lanes — the `w4`/`w8` multi-word arms).
 //!
-//! Each arm is checked for output equality before any timing, so a
-//! divergence fails the bench instead of producing a fast wrong number.
-//! Results land as `BENCH_*.json` (see the `bench` crate docs); a final
-//! `BENCH_exec_speedups.json` records the derived ratios.
+//! Each arm is checked against the reference `Evaluator` before any
+//! timing, so a divergence fails the bench instead of producing a fast
+//! wrong number. Results land as `BENCH_*.json` (see the `bench` crate
+//! docs); a final `BENCH_exec_speedups.json` records the per-vector batch
+//! speedups over the evaluator.
 
 use bench::BenchResult;
-use freac_fold::{compile_fold, schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
+use freac_fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
 use freac_kernels::KernelId;
 use freac_netlist::eval::Evaluator;
 use freac_netlist::techmap::{tech_map, TechMapOptions};
@@ -40,7 +39,6 @@ fn inputs_for(netlist: &Netlist, seed: u32) -> Vec<Value> {
 
 struct KernelSpeedups {
     label: &'static str,
-    fold: f64,
     batch: f64,
     /// Per-vector speedup of the 256-lane (4-word) sweep over the evaluator.
     batch_w4: f64,
@@ -56,14 +54,14 @@ fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
     let fold_plan = compile_fold(&mapped, &schedule).expect("kernel fold-compiles");
     let inputs = inputs_for(&mapped, 0xc0ff_ee01);
 
-    // Correctness gate: compiled fold must match the step interpreter
+    // Correctness gate: compiled fold must match the reference evaluator
     // before we time anything.
     {
-        let mut interp = FoldedExecutor::new(&mapped, &schedule);
+        let mut reference = Evaluator::new(&mapped);
         let mut compiled = fold_plan.executor();
         let mut out = Vec::new();
         for cycle in 0..3 {
-            let expect = interp.run_cycle(&inputs).expect("interpreted cycle");
+            let expect = reference.run_cycle(&inputs).expect("reference cycle");
             compiled
                 .run_cycle_into(&inputs, &mut out)
                 .expect("compiled cycle");
@@ -74,10 +72,6 @@ fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
         }
     }
 
-    let mut interp = FoldedExecutor::new(&mapped, &schedule);
-    let interp_fold = bench::bench_function(&format!("fold/{label}/interpreted"), 200, || {
-        interp.run_cycle(&inputs).expect("interpreted fold cycle")
-    });
     let mut compiled = fold_plan.executor();
     let mut compiled_out = Vec::new();
     let compiled_fold = bench::bench_function(&format!("fold/{label}/compiled"), 200, || {
@@ -183,43 +177,22 @@ fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
     };
     let speedups = KernelSpeedups {
         label,
-        fold: compiled_fold.speedup_over(&interp_fold),
         batch: batch.speedup_over(&evaluator),
         batch_w4: per_vec_speedup(&batch_w4, 4 * BATCH_LANES),
         batch_w8: per_vec_speedup(&batch_w8, MAX_BATCH_LANES),
     };
-    report(
-        label,
-        &interp_fold,
-        &compiled_fold,
-        &evaluator,
-        &batch,
-        &speedups,
-    );
-    speedups
-}
-
-fn report(
-    label: &str,
-    interp_fold: &BenchResult,
-    compiled_fold: &BenchResult,
-    evaluator: &BenchResult,
-    batch: &BenchResult,
-    s: &KernelSpeedups,
-) {
     println!(
-        "{label}: compiled fold {:.1} ns vs interpreted {:.1} ns -> {:.2}x; \
+        "{label}: compiled fold {:.1} ns/cycle; \
          batch {:.1} ns/vector vs evaluator {:.1} ns/vector -> {:.2}x per vector \
          (w4 {:.2}x, w8 {:.2}x)",
         compiled_fold.mean_ns,
-        interp_fold.mean_ns,
-        s.fold,
         batch.mean_ns / BATCH_LANES as f64,
         evaluator.mean_ns / BATCH_LANES as f64,
-        s.batch,
-        s.batch_w4,
-        s.batch_w8
+        speedups.batch,
+        speedups.batch_w4,
+        speedups.batch_w8
     );
+    speedups
 }
 
 fn main() {
@@ -232,9 +205,8 @@ fn main() {
     body.push_str(&format!("  \"smoke\": {},\n", bench::smoke_mode()));
     for (i, r) in results.iter().enumerate() {
         body.push_str(&format!(
-            "  \"{}\": {{ \"fold_compiled_vs_interpreted\": {:.2}, \"batch_per_vector_vs_evaluator\": {:.2}, \"batch_w4_per_vector_vs_evaluator\": {:.2}, \"batch_w8_per_vector_vs_evaluator\": {:.2} }}{}\n",
+            "  \"{}\": {{ \"batch_per_vector_vs_evaluator\": {:.2}, \"batch_w4_per_vector_vs_evaluator\": {:.2}, \"batch_w8_per_vector_vs_evaluator\": {:.2} }}{}\n",
             r.label,
-            r.fold,
             r.batch,
             r.batch_w4,
             r.batch_w8,

@@ -160,7 +160,7 @@ impl Accelerator {
 
     /// Functionally executes the accelerator for `cycles` original cycles
     /// via the compiled execution plan — the bit-exact model of what the
-    /// MCCs compute, proven equivalent to the step interpreter by the
+    /// MCCs compute, proven equivalent to the reference evaluator by the
     /// differential test-suite. One output buffer is reused across cycles.
     ///
     /// # Errors
@@ -259,18 +259,18 @@ mod tests {
     }
 
     #[test]
-    fn compiled_execute_matches_interpreter() {
-        use freac_fold::FoldedExecutor;
+    fn compiled_execute_matches_reference() {
+        use freac_netlist::eval::Evaluator;
         let circuit = mac_circuit();
         let tile = AcceleratorTile::new(1).unwrap();
         let acc = Accelerator::map(&circuit, &tile).unwrap();
         let inputs = [Value::Word(123), Value::Word(456), Value::Word(789)];
         for cycles in 1..4 {
             let compiled = acc.execute(&inputs, cycles).unwrap();
-            let mut fx = FoldedExecutor::new(acc.netlist(), acc.schedule());
+            let mut ev = Evaluator::new(acc.netlist());
             let mut reference = Vec::new();
             for _ in 0..cycles {
-                reference = fx.run_cycle(&inputs).unwrap();
+                reference = ev.run_cycle(&inputs).unwrap();
             }
             assert_eq!(compiled, reference, "{cycles} cycles");
         }

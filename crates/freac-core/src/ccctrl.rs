@@ -164,54 +164,33 @@ impl ReconfigCost {
 
 /// Quotes the simulated reconfiguration cost of installing `accel` on one
 /// slice split by `partition`, assuming `dirty_fraction` of the flushed
-/// lines are dirty.
+/// lines are dirty, with the ways handed over under `mode`.
 ///
 /// The quote is produced by driving a throwaway [`CcCtrl`] through the
 /// SELECT → FLUSH → LOCK → CONFIG_DATA protocol with the accelerator's
 /// actual bitstream size, so it is pinned to the same state machine the
-/// execution path pays; `reclaim_ps` reuses the flush model over the
-/// scratchpad ways with a worst-case (all-dirty) fraction.
+/// execution path pays. `reclaim_ps` prices handing the scratchpad ways
+/// back with a worst-case (all-dirty) fraction. Under
+/// [`HandoffMode::ConservativeFlush`] both the claim and the reclaim are
+/// blind flushes; the coherent mode prices each as a targeted
+/// invalidation burst plus a dirty-line drain (see
+/// [`freac_cache::coherence::handoff_charge`]).
 ///
 /// # Errors
 ///
-/// Propagates protocol/partition errors from the controller (none occur
-/// for a partition already validated by [`SlicePartition::new`]).
-///
-/// # Panics
-///
-/// Panics if `dirty_fraction` is outside `[0, 1]` (as [`CcCtrl::new`]).
+/// Returns [`CoreError::BadDirtyFraction`] if `dirty_fraction` is outside
+/// `[0, 1]` or NaN, and propagates protocol/partition errors from the
+/// controller (none occur for a partition already validated by
+/// [`SlicePartition::new`]).
 pub fn reconfig_cost(
-    accel: &crate::accel::Accelerator,
-    partition: &SlicePartition,
-    dirty_fraction: f64,
-) -> Result<ReconfigCost, CoreError> {
-    reconfig_cost_with(
-        accel,
-        partition,
-        dirty_fraction,
-        HandoffMode::ConservativeFlush,
-    )
-}
-
-/// [`reconfig_cost`] with an explicit [`HandoffMode`]: the conservative
-/// mode reproduces the blind-flush quote exactly, while the coherent mode
-/// prices the claim as a targeted invalidation burst plus a dirty-line
-/// drain (see [`freac_cache::coherence::handoff_charge`]) — both for the
-/// initial claim and for the scratchpad reclaim.
-///
-/// # Errors
-///
-/// As [`reconfig_cost`].
-///
-/// # Panics
-///
-/// As [`reconfig_cost`].
-pub fn reconfig_cost_with(
     accel: &crate::accel::Accelerator,
     partition: &SlicePartition,
     dirty_fraction: f64,
     mode: HandoffMode,
 ) -> Result<ReconfigCost, CoreError> {
+    if !(0.0..=1.0).contains(&dirty_fraction) {
+        return Err(CoreError::BadDirtyFraction(dirty_fraction));
+    }
     let dram = DramModel::ddr4_2400_x4();
     let ring = RingInterconnect::paper_edge();
     let mut ctrl = CcCtrl::with_mode(dirty_fraction, mode);
@@ -243,59 +222,29 @@ pub fn reconfig_cost_with(
     })
 }
 
-/// Simulated cost, in picoseconds, of re-splitting a slice's ways from
-/// one partition to another — the elastic way-autoscaling step that
-/// converts ways between cache service and LUT fabric/scratchpad.
+/// Quotes re-splitting a slice's ways from one partition to another — the
+/// elastic way-autoscaling step that converts ways between cache service
+/// and LUT fabric/scratchpad. `stall_ps` is the simulated cost in
+/// picoseconds; the line/message counts are what a server exports under
+/// `cache.coh.*`.
 ///
-/// Two flush charges model the conversion:
+/// Two handoff charges model the conversion, summed:
 ///
 /// * ways *claimed* from cache service (growth of `compute + scratchpad`)
-///   must be flushed of `dirty_fraction` dirty lines before they can be
-///   locked, at the same DRAM-bound rate the SELECT → FLUSH protocol
-///   walk pays;
+///   carry `dirty_fraction` dirty lines that must leave before the ways
+///   can be locked, at the same rate the SELECT → FLUSH protocol walk
+///   pays;
 /// * scratchpad ways *returned* to cache service carry all-dirty contents
-///   by definition, so handing them back costs a worst-case flush (the
-///   same model as [`ReconfigCost::reclaim_ps`]).
+///   by definition (the same model as [`ReconfigCost::reclaim_ps`]).
 ///
 /// Shrinking pure compute ways back to cache is free: LUT configuration
 /// is not architectural state, so the ways only need unlocking. The
 /// bitstream re-streaming for whatever accelerator lands on the new
-/// partition is charged separately through [`reconfig_cost`].
-///
-/// # Panics
-///
-/// Panics if `dirty_fraction` is outside `[0, 1]`.
-pub fn way_conversion_cost(
-    from: &SlicePartition,
-    to: &SlicePartition,
-    dirty_fraction: f64,
-) -> Time {
-    assert!((0.0..=1.0).contains(&dirty_fraction));
-    way_conversion_charge(from, to, dirty_fraction, HandoffMode::ConservativeFlush).stall_ps
-}
-
-/// [`way_conversion_cost`] with an explicit [`HandoffMode`].
-///
-/// # Panics
-///
-/// Panics if `dirty_fraction` is outside `[0, 1]`.
-pub fn way_conversion_cost_with(
-    from: &SlicePartition,
-    to: &SlicePartition,
-    dirty_fraction: f64,
-    mode: HandoffMode,
-) -> Time {
-    assert!((0.0..=1.0).contains(&dirty_fraction));
-    way_conversion_charge(from, to, dirty_fraction, mode).stall_ps
-}
-
-/// The full protocol-traffic quote behind [`way_conversion_cost_with`]:
-/// one charge for the ways claimed from cache service (at
-/// `dirty_fraction`), one for the scratchpad ways returned to it
-/// (all-dirty), summed. Under [`HandoffMode::ConservativeFlush`] the
-/// combined `stall_ps` equals the legacy two-flush model exactly; under
-/// the protocol it is the targeted invalidation + drain cost, and the
-/// line/message counts are what a server exports under `cache.coh.*`.
+/// partition is charged separately through [`reconfig_cost`]. Under
+/// [`HandoffMode::ConservativeFlush`] each charge is a blind flush; under
+/// the protocol it is the targeted invalidation + drain cost.
+/// `dirty_fraction` is clamped to `[0, 1]`, NaN counting as fully dirty
+/// (see [`freac_cache::flush::clamp_dirty_fraction`]).
 pub fn way_conversion_charge(
     from: &SlicePartition,
     to: &SlicePartition,
@@ -635,7 +584,7 @@ mod tests {
         let accel = Accelerator::map(&circuit, &AcceleratorTile::new(1).unwrap()).unwrap();
 
         let p = SlicePartition::end_to_end();
-        let cost = reconfig_cost(&accel, &p, 0.5).unwrap();
+        let cost = reconfig_cost(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
 
         // The quote must equal what a hand-driven protocol walk with the
         // same bitstream accumulates in SetupTiming.
@@ -670,50 +619,77 @@ mod tests {
         );
 
         // Clean ways flush for free; the bitstream still has to stream.
-        let clean = reconfig_cost(&accel, &p, 0.0).unwrap();
+        let clean = reconfig_cost(&accel, &p, 0.0, HandoffMode::ConservativeFlush).unwrap();
         assert_eq!(clean.flush_ps, 0);
         assert_eq!(clean.config_ps, cost.config_ps);
         assert_eq!(clean.reclaim_ps, cost.reclaim_ps);
     }
 
     #[test]
-    fn way_conversion_cost_is_pinned_to_the_flush_model() {
+    fn reconfig_cost_rejects_a_bad_dirty_fraction() {
+        use crate::accel::Accelerator;
+        use crate::tile::AcceleratorTile;
+        use freac_netlist::builder::CircuitBuilder;
+
+        let mut b = CircuitBuilder::new("pass");
+        let a = b.word_input("a", 8);
+        b.word_output("o", &a);
+        let accel =
+            Accelerator::map(&b.finish().unwrap(), &AcceleratorTile::new(1).unwrap()).unwrap();
+        let p = SlicePartition::end_to_end();
+        for mode in [HandoffMode::ConservativeFlush, HandoffMode::coherent()] {
+            assert_eq!(
+                reconfig_cost(&accel, &p, 1.5, mode),
+                Err(CoreError::BadDirtyFraction(1.5))
+            );
+            assert!(matches!(
+                reconfig_cost(&accel, &p, f64::NAN, mode),
+                Err(CoreError::BadDirtyFraction(f)) if f.is_nan()
+            ));
+        }
+    }
+
+    #[test]
+    fn way_conversion_charge_is_pinned_to_the_flush_model() {
         let d = dram();
         let geometry = LlcGeometry::paper_edge();
         let balanced = SlicePartition::balanced(); // (8, 12, 0)
         let maxed = SlicePartition::max_compute(); // (16, 4, 0)
         let e2e = SlicePartition::end_to_end(); // (8, 10, 2)
+        let flush = |from: &SlicePartition, to: &SlicePartition, dirty: f64| {
+            way_conversion_charge(from, to, dirty, HandoffMode::ConservativeFlush).stall_ps
+        };
 
         // Identity conversion moves nothing.
-        assert_eq!(way_conversion_cost(&balanced, &balanced, 0.5), 0);
+        assert_eq!(flush(&balanced, &balanced, 0.5), 0);
 
         // Growing compute from cache: flush exactly the claimed ways at
         // the requested dirty fraction. (8,10,2) → (10,10,0) claims 2.
         let grown = SlicePartition::new(10, 10, 0).unwrap();
         assert_eq!(
-            way_conversion_cost(&e2e, &grown, 0.5),
+            flush(&e2e, &grown, 0.5),
             flush_ways_time(&geometry, 2, 0.5, &d)
         );
-        assert!(way_conversion_cost(&e2e, &grown, 0.5) > 0);
+        assert!(flush(&e2e, &grown, 0.5) > 0);
         // Clean claimed ways convert for free.
-        assert_eq!(way_conversion_cost(&e2e, &grown, 0.0), 0);
+        assert_eq!(flush(&e2e, &grown, 0.0), 0);
 
         // Shrinking compute back to cache is free (LUT state needs no
         // writeback), but returning scratchpad ways pays an all-dirty
         // flush regardless of the claimed-way dirty fraction.
-        assert_eq!(way_conversion_cost(&grown, &e2e, 0.0), 0);
+        assert_eq!(flush(&grown, &e2e, 0.0), 0);
         let spad_heavy = SlicePartition::new(4, 12, 4).unwrap();
         let spad_light = SlicePartition::new(4, 4, 12).unwrap();
         assert_eq!(
-            way_conversion_cost(&spad_heavy, &spad_light, 0.0),
+            flush(&spad_heavy, &spad_light, 0.0),
             flush_ways_time(&geometry, 8, 1.0, &d)
         );
-        assert!(way_conversion_cost(&spad_heavy, &spad_light, 0.0) > 0);
+        assert!(flush(&spad_heavy, &spad_light, 0.0) > 0);
 
         // Balanced → max-compute claims 0 extra ways (8+12 == 16+4) but
         // returns 8 scratchpad ways, all dirty.
         assert_eq!(
-            way_conversion_cost(&balanced, &maxed, 1.0),
+            flush(&balanced, &maxed, 1.0),
             flush_ways_time(&geometry, 8, 1.0, &d)
         );
     }
@@ -735,12 +711,8 @@ mod tests {
         let accel = Accelerator::map(&circuit, &AcceleratorTile::new(1).unwrap()).unwrap();
         let p = SlicePartition::end_to_end();
 
-        let flat = reconfig_cost_with(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
-        // The mode-aware conservative quote is byte-identical to the
-        // legacy API.
-        assert_eq!(flat, reconfig_cost(&accel, &p, 0.5).unwrap());
-
-        let coh = reconfig_cost_with(&accel, &p, 0.5, HandoffMode::coherent()).unwrap();
+        let flat = reconfig_cost(&accel, &p, 0.5, HandoffMode::ConservativeFlush).unwrap();
+        let coh = reconfig_cost(&accel, &p, 0.5, HandoffMode::coherent()).unwrap();
         assert!(coh.flush_ps < flat.flush_ps, "targeted claim beats flush");
         assert!(coh.reclaim_ps < flat.reclaim_ps, "targeted reclaim too");
         assert_eq!(coh.config_ps, flat.config_ps, "bitstream cost unchanged");
@@ -765,17 +737,19 @@ mod tests {
     fn coherent_way_conversion_is_cheaper_and_quotes_traffic() {
         let e2e = SlicePartition::end_to_end(); // (8, 10, 2)
         let grown = SlicePartition::new(10, 10, 0).unwrap();
-        let flat = way_conversion_cost_with(&e2e, &grown, 0.5, HandoffMode::ConservativeFlush);
-        assert_eq!(flat, way_conversion_cost(&e2e, &grown, 0.5));
-        let coh = way_conversion_cost_with(&e2e, &grown, 0.5, HandoffMode::coherent());
-        assert!(coh < flat, "coherent {coh} must beat flush {flat}");
-        let charge = way_conversion_charge(&e2e, &grown, 0.5, HandoffMode::coherent());
-        assert_eq!(charge.stall_ps, coh);
-        assert!(charge.lines_touched > 0);
-        assert!(charge.writeback_lines <= charge.lines_touched);
+        let flat = way_conversion_charge(&e2e, &grown, 0.5, HandoffMode::ConservativeFlush);
+        let coh = way_conversion_charge(&e2e, &grown, 0.5, HandoffMode::coherent());
+        assert!(
+            coh.stall_ps < flat.stall_ps,
+            "coherent {} must beat flush {}",
+            coh.stall_ps,
+            flat.stall_ps
+        );
+        assert!(coh.lines_touched > 0);
+        assert!(coh.writeback_lines <= coh.lines_touched);
         // Identity conversion is free in both modes.
         assert_eq!(
-            way_conversion_cost_with(&e2e, &e2e, 0.5, HandoffMode::coherent()),
+            way_conversion_charge(&e2e, &e2e, 0.5, HandoffMode::coherent()).stall_ps,
             0
         );
     }

@@ -31,6 +31,9 @@ pub enum CoreError {
     },
     /// A host access targeted an address outside the reserved range.
     UnmappedAddress(u64),
+    /// A dirty-line fraction outside `[0, 1]` (or NaN) was passed to a
+    /// cost quote.
+    BadDirtyFraction(f64),
     /// The accelerator's working set does not fit the scratchpad partition.
     WorkingSetTooLarge {
         /// Bytes needed by one concurrent tile.
@@ -53,6 +56,9 @@ impl fmt::Display for CoreError {
                 write!(f, "operation '{operation}' is illegal in state '{state}'")
             }
             CoreError::UnmappedAddress(a) => write!(f, "address {a:#x} is not a FReaC register"),
+            CoreError::BadDirtyFraction(d) => {
+                write!(f, "dirty fraction {d} is outside [0, 1]")
+            }
             CoreError::WorkingSetTooLarge { needed, available } => write!(
                 f,
                 "working set of {needed} bytes exceeds the {available}-byte scratchpad"
@@ -99,6 +105,7 @@ mod tests {
                 state: "idle",
             },
             CoreError::UnmappedAddress(0xdead),
+            CoreError::BadDirtyFraction(f64::NAN),
             CoreError::WorkingSetTooLarge {
                 needed: 1 << 20,
                 available: 1 << 18,

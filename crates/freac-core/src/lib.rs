@@ -62,10 +62,7 @@ pub mod subarray;
 pub mod tile;
 
 pub use accel::Accelerator;
-pub use ccctrl::{
-    reconfig_cost, reconfig_cost_with, way_conversion_charge, way_conversion_cost,
-    way_conversion_cost_with, ReconfigCost,
-};
+pub use ccctrl::{reconfig_cost, way_conversion_charge, ReconfigCost};
 pub use error::CoreError;
 pub use exec::{run_kernel, KernelRun, KernelSpec};
 pub use freac_cache::coherence::{ClaimCharge, CoherenceStats, HandoffMode};

@@ -289,7 +289,7 @@ mod tests {
     fn cached_accelerators_share_one_compiled_plan() {
         // Two lookups of the same cell return the same Arc, so the compiled
         // fold plan inside is built once; compiled execution through the
-        // cached accelerator matches the step interpreter.
+        // cached accelerator matches the reference evaluator.
         let a = map_kernel(KernelId::Dot, 8).unwrap();
         let b = map_kernel(KernelId::Dot, 8).unwrap();
         assert!(std::sync::Arc::ptr_eq(&a, &b));
@@ -303,10 +303,10 @@ mod tests {
             })
             .collect();
         let compiled = a.execute(&inputs, 2).unwrap();
-        let mut fx = freac_fold::FoldedExecutor::new(a.netlist(), a.schedule());
+        let mut ev = freac_netlist::eval::Evaluator::new(a.netlist());
         let mut reference = Vec::new();
         for _ in 0..2 {
-            reference = fx.run_cycle(&inputs).unwrap();
+            reference = ev.run_cycle(&inputs).unwrap();
         }
         assert_eq!(compiled, reference);
     }

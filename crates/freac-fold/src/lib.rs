@@ -14,10 +14,11 @@
 //!   from the number of micro compute clusters grouped into the tile;
 //! * [`schedule_fold`] — a criticality-driven list scheduler producing a
 //!   [`FoldSchedule`];
-//! * [`FoldedExecutor`] — executes a schedule step by step, doubling as a
-//!   schedule validator (a dependency violation is an execution error), and
-//!   used by the test-suite to prove folded execution is bit-identical to
-//!   the reference evaluator.
+//! * [`compile_fold`] — validates a schedule's dependencies once and
+//!   compiles it into a [`FoldPlan`], run one lane at a time by
+//!   [`FoldPlanExecutor`] or many lanes per pass by [`FoldBatchExecutor`].
+//!   The [`plan`] module docs spell out the pass semantics; the test-suite
+//!   proves folded execution bit-identical to the reference evaluator.
 //!
 //! # Example
 //!
@@ -25,7 +26,7 @@
 //! use freac_netlist::builder::CircuitBuilder;
 //! use freac_netlist::techmap::{tech_map, TechMapOptions};
 //! use freac_netlist::Value;
-//! use freac_fold::{schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
+//! use freac_fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
 //!
 //! let mut b = CircuitBuilder::new("add");
 //! let a = b.word_input("a", 16);
@@ -37,7 +38,8 @@
 //! // One micro compute cluster in 4-LUT mode: 8 LUTs, 1 MAC, 1 bus op/step.
 //! let cons = FoldConstraints::for_tile(1, LutMode::Lut4);
 //! let schedule = schedule_fold(&mapped, &cons)?;
-//! let mut ex = FoldedExecutor::new(&mapped, &schedule);
+//! let plan = compile_fold(&mapped, &schedule)?;
+//! let mut ex = plan.executor();
 //! let out = ex.run_cycle(&[Value::Word(30_000), Value::Word(12_345)])?;
 //! assert_eq!(out[0], Value::Word((30_000 + 12_345) & 0xFFFF));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -45,14 +47,12 @@
 
 pub mod constraints;
 pub mod error;
-pub mod exec;
 pub mod plan;
 pub mod schedule;
 pub mod scheduler;
 
 pub use constraints::{FoldConstraints, LutMode};
 pub use error::FoldError;
-pub use exec::FoldedExecutor;
 pub use plan::{compile_fold, FoldBatchExecutor, FoldPlan, FoldPlanExecutor};
 pub use schedule::{FoldSchedule, FoldStep, ScheduleStats};
 pub use scheduler::{schedule_fold, schedule_fold_with, SchedulePolicy};

@@ -1,32 +1,44 @@
-//! Compilation of a fold schedule into a flat execution plan.
+//! Fold execution: a fold schedule compiled into a flat execution plan.
 //!
-//! [`FoldedExecutor`](crate::exec::FoldedExecutor) interprets the schedule
-//! step by step, re-validating dependencies on every pass: each operand read
-//! checks a `Vec<Option<Value>>`, free plumbing is resolved by recursion,
-//! and every bus read `position()`-scans the primary-input list.
-//! [`compile_fold`] performs that entire walk **once**: it simulates the
-//! schedule's availability frontier at compile time (a read of a value no
-//! earlier step produced is reported as
-//! [`FoldError::DependencyViolation`] *before* any cycle runs), resolves
-//! every operand to a dense state-plane slot, and flattens the pass into an
-//! [`ExecPlan`] micro-op stream. The resulting [`FoldPlanExecutor`] runs a
-//! pass with no per-cycle allocation and no per-operand branching, while
-//! reporting the exact same probe counters as the interpreter.
+//! One original clock cycle of a folded circuit is a *pass*: the schedule's
+//! steps run in order, one per cache cycle, with intermediate values held
+//! in the cluster state registers between steps and sequential elements
+//! latched at the end of the pass. The micro compute clusters stream one
+//! configuration row per step and decide nothing at run time (paper
+//! Sec. IV), and so does this model: [`compile_fold`] walks the schedule's
+//! availability frontier **once**, reports a read of a value no earlier
+//! step produced as [`FoldError::DependencyViolation`] *before* any cycle
+//! runs, resolves every operand to a dense state-plane slot, and flattens
+//! the pass into an [`ExecPlan`] micro-op stream. [`FoldPlanExecutor`] (one
+//! lane) and [`FoldBatchExecutor`] (many lanes) then run passes with no
+//! per-cycle allocation and no per-operand branching.
 //!
-//! Fidelity notes, mirroring the interpreter precisely:
+//! Pass semantics:
 //!
+//! * every primary input takes one caller-supplied value per pass. Bit
+//!   inputs are pre-latched parameters, readable from step 0; a word input
+//!   becomes readable at the step that bus-reads it;
 //! * within one step, work executes in the order bus-reads, LUTs, MACs,
 //!   bus-writes — a LUT may consume another LUT scheduled *earlier in the
-//!   same step*, and compile-time availability tracks that;
-//! * free plumbing (pack/unpack/bit-output chains) is emitted at its first
-//!   reference and *memoized* for the rest of the segment. The interpreter
-//!   recomputes these chains per reference, but every slot is write-once
-//!   within a pass segment (availability is enforced before any read), so
-//!   recomputation is idempotent and the memoized plan is value-identical
-//!   while executing far fewer micro-ops;
-//! * sequential latching happens before primary outputs are resolved, so
-//!   output plumbing chains observe the *new* register state — their ops
-//!   land in the plan's post-latch segment.
+//!   same step*;
+//! * LUT, MAC, input and word-output values must be produced before they
+//!   are read. Constants are always readable, and sequential nodes read as
+//!   the state latched at the end of the previous pass (power-on values
+//!   before the first);
+//! * free plumbing (pack/unpack/bit-output chains) is not scheduled: it is
+//!   evaluated at its first reference and the value is reused for the rest
+//!   of the segment. Every slot is written at most once per segment, so one
+//!   evaluation serves every later reference;
+//! * at the end of the pass every sequential element latches its D input,
+//!   computed from the old state. Only then are primary outputs resolved:
+//!   a word output holds the value its bus-write stored, and bit-output
+//!   chains observe the *new* register state — their ops land in the plan's
+//!   post-latch segment;
+//! * each pass counts once in `.passes` and adds the schedule's totals to
+//!   the other counters: its length to `.steps_executed`,
+//!   `.expected_steps` and `.config_row_reads` (one configuration row per
+//!   step), and its LUTs, MACs, bus reads and bus writes to `.lut_evals`,
+//!   `.mac_issues`, `.bus_reads` and `.bus_writes`.
 
 use freac_netlist::plan::{AnyBatchState, ExecPlan, PlanBuilder, PlanState, Segment};
 use freac_netlist::{Netlist, NodeId, NodeKind, Value};
@@ -36,7 +48,7 @@ use crate::error::FoldError;
 use crate::schedule::FoldSchedule;
 
 /// A fold schedule compiled to a flat micro-op stream, plus the per-pass
-/// counter increments that a validated schedule performs.
+/// counter increments of the schedule.
 ///
 /// The plan is immutable shared data; create a [`FoldPlanExecutor`] per
 /// concurrent execution.
@@ -66,12 +78,6 @@ impl FoldPlan {
         FoldPlanExecutor {
             plan: self,
             state: self.plan.new_state(),
-            steps_executed: 0,
-            expected_steps: 0,
-            lut_evals: 0,
-            mac_issues: 0,
-            bus_reads: 0,
-            bus_writes: 0,
         }
     }
 
@@ -83,13 +89,34 @@ impl FoldPlan {
             plan: self,
             state: self.plan.new_batch_state_for(max_lanes),
             lane_passes: 0,
-            steps_executed: 0,
-            expected_steps: 0,
-            lut_evals: 0,
-            mac_issues: 0,
-            bus_reads: 0,
-            bus_writes: 0,
         }
+    }
+
+    /// Exports the counters of `passes` completed passes under `prefix`:
+    /// `.passes`, `.steps_executed`, `.expected_steps`, `.lut_evals`,
+    /// `.mac_issues`, `.bus_reads`, `.bus_writes`, `.config_row_reads`.
+    fn export_passes(&self, reg: &mut CounterRegistry, prefix: &str, passes: u64) {
+        let steps = self.steps_per_pass.saturating_mul(passes);
+        reg.add(&format!("{prefix}.passes"), passes);
+        reg.add(&format!("{prefix}.steps_executed"), steps);
+        reg.add(&format!("{prefix}.expected_steps"), steps);
+        reg.add(
+            &format!("{prefix}.lut_evals"),
+            self.lut_evals_per_pass.saturating_mul(passes),
+        );
+        reg.add(
+            &format!("{prefix}.mac_issues"),
+            self.mac_issues_per_pass.saturating_mul(passes),
+        );
+        reg.add(
+            &format!("{prefix}.bus_reads"),
+            self.bus_reads_per_pass.saturating_mul(passes),
+        );
+        reg.add(
+            &format!("{prefix}.bus_writes"),
+            self.bus_writes_per_pass.saturating_mul(passes),
+        );
+        reg.add(&format!("{prefix}.config_row_reads"), steps);
     }
 }
 
@@ -105,12 +132,6 @@ pub struct FoldBatchExecutor<'a> {
     state: AnyBatchState,
     /// Lane-passes executed: the sum of `lanes.len()` over calls.
     lane_passes: u64,
-    steps_executed: u64,
-    expected_steps: u64,
-    lut_evals: u64,
-    mac_issues: u64,
-    bus_reads: u64,
-    bus_writes: u64,
 }
 
 impl FoldBatchExecutor<'_> {
@@ -129,29 +150,14 @@ impl FoldBatchExecutor<'_> {
 
     /// Total fold steps executed across all lanes.
     pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
-    }
-
-    /// Configuration-row reads issued across all lanes.
-    pub fn config_row_reads(&self) -> u64 {
-        self.steps_executed
+        self.plan.steps_per_pass.saturating_mul(self.lane_passes)
     }
 
     /// Exports execution counters under `prefix` with the exact key set of
     /// [`FoldPlanExecutor::export_into`]; values equal the merge of one
     /// single-lane executor per lane.
     pub fn export_into(&self, reg: &mut CounterRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.passes"), self.lane_passes);
-        reg.add(&format!("{prefix}.steps_executed"), self.steps_executed);
-        reg.add(&format!("{prefix}.expected_steps"), self.expected_steps);
-        reg.add(&format!("{prefix}.lut_evals"), self.lut_evals);
-        reg.add(&format!("{prefix}.mac_issues"), self.mac_issues);
-        reg.add(&format!("{prefix}.bus_reads"), self.bus_reads);
-        reg.add(&format!("{prefix}.bus_writes"), self.bus_writes);
-        reg.add(
-            &format!("{prefix}.config_row_reads"),
-            self.config_row_reads(),
-        );
+        self.plan.export_passes(reg, prefix, self.lane_passes);
     }
 
     /// Runs one original clock cycle for every supplied lane at once,
@@ -172,44 +178,17 @@ impl FoldBatchExecutor<'_> {
             .plan
             .run_batch_cycle_any(&mut self.state, lanes, out)
             .map_err(FoldError::Netlist)?;
-        let k = lanes.len() as u64;
-        self.lane_passes = self.lane_passes.saturating_add(k);
-        self.steps_executed = self
-            .steps_executed
-            .saturating_add(self.plan.steps_per_pass.saturating_mul(k));
-        self.expected_steps = self
-            .expected_steps
-            .saturating_add(self.plan.steps_per_pass.saturating_mul(k));
-        self.lut_evals = self
-            .lut_evals
-            .saturating_add(self.plan.lut_evals_per_pass.saturating_mul(k));
-        self.mac_issues = self
-            .mac_issues
-            .saturating_add(self.plan.mac_issues_per_pass.saturating_mul(k));
-        self.bus_reads = self
-            .bus_reads
-            .saturating_add(self.plan.bus_reads_per_pass.saturating_mul(k));
-        self.bus_writes = self
-            .bus_writes
-            .saturating_add(self.plan.bus_writes_per_pass.saturating_mul(k));
+        self.lane_passes = self.lane_passes.saturating_add(lanes.len() as u64);
         Ok(())
     }
 }
 
-/// Runs a [`FoldPlan`] cycle by cycle: the drop-in compiled replacement for
-/// [`FoldedExecutor`](crate::exec::FoldedExecutor), with an identical
-/// counter surface ([`FoldPlanExecutor::export_into`] emits the same keys
-/// with the same values for any input sequence).
+/// Runs a [`FoldPlan`] one original clock cycle at a time for a single
+/// lane, carrying its sequential state between passes.
 #[derive(Debug)]
 pub struct FoldPlanExecutor<'a> {
     plan: &'a FoldPlan,
     state: PlanState,
-    steps_executed: u64,
-    expected_steps: u64,
-    lut_evals: u64,
-    mac_issues: u64,
-    bus_reads: u64,
-    bus_writes: u64,
 }
 
 impl FoldPlanExecutor<'_> {
@@ -220,41 +199,25 @@ impl FoldPlanExecutor<'_> {
 
     /// Total fold steps executed (cache clock cycles of pure compute).
     pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
+        self.plan.steps_per_pass.saturating_mul(self.cycles())
     }
 
-    /// Configuration-row reads issued: one config row streams from the
-    /// compute sub-arrays per fold step.
-    pub fn config_row_reads(&self) -> u64 {
-        self.steps_executed
-    }
-
-    /// Exports execution counters under `prefix` with the exact key set of
-    /// the interpreter: `.passes`, `.steps_executed`, `.expected_steps`,
-    /// `.lut_evals`, `.mac_issues`, `.bus_reads`, `.bus_writes`,
-    /// `.config_row_reads`.
+    /// Exports execution counters under `prefix`: `.passes`,
+    /// `.steps_executed`, `.expected_steps`, `.lut_evals`, `.mac_issues`,
+    /// `.bus_reads`, `.bus_writes`, `.config_row_reads` — each pass's share
+    /// is listed in the [module docs](crate::plan).
     pub fn export_into(&self, reg: &mut CounterRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.passes"), self.cycles());
-        reg.add(&format!("{prefix}.steps_executed"), self.steps_executed);
-        reg.add(&format!("{prefix}.expected_steps"), self.expected_steps);
-        reg.add(&format!("{prefix}.lut_evals"), self.lut_evals);
-        reg.add(&format!("{prefix}.mac_issues"), self.mac_issues);
-        reg.add(&format!("{prefix}.bus_reads"), self.bus_reads);
-        reg.add(&format!("{prefix}.bus_writes"), self.bus_writes);
-        reg.add(
-            &format!("{prefix}.config_row_reads"),
-            self.config_row_reads(),
-        );
+        self.plan.export_passes(reg, prefix, self.cycles());
     }
 
     /// Runs one original clock cycle (a full pass over the schedule),
-    /// writing the primary outputs into `out` without allocating.
+    /// writing the primary outputs in declaration order into `out` without
+    /// allocating.
     ///
     /// # Errors
     ///
     /// Returns input-shape errors only — dependency violations were ruled
-    /// out at compile time. Counters are untouched on error, matching the
-    /// interpreter.
+    /// out at compile time. State and counters are untouched on error.
     pub fn run_cycle_into(
         &mut self,
         inputs: &[Value],
@@ -263,18 +226,7 @@ impl FoldPlanExecutor<'_> {
         self.plan
             .plan
             .run_cycle_into(&mut self.state, inputs, out)
-            .map_err(FoldError::Netlist)?;
-        self.steps_executed = self.steps_executed.saturating_add(self.plan.steps_per_pass);
-        self.expected_steps = self.expected_steps.saturating_add(self.plan.steps_per_pass);
-        self.lut_evals = self.lut_evals.saturating_add(self.plan.lut_evals_per_pass);
-        self.mac_issues = self
-            .mac_issues
-            .saturating_add(self.plan.mac_issues_per_pass);
-        self.bus_reads = self.bus_reads.saturating_add(self.plan.bus_reads_per_pass);
-        self.bus_writes = self
-            .bus_writes
-            .saturating_add(self.plan.bus_writes_per_pass);
-        Ok(())
+            .map_err(FoldError::Netlist)
     }
 
     /// Allocating convenience wrapper over
@@ -290,22 +242,24 @@ impl FoldPlanExecutor<'_> {
     }
 }
 
-/// Lowers `schedule` over `netlist` into a [`FoldPlan`], validating every
-/// dependency the interpreter would check at runtime.
+/// Lowers `schedule` over `netlist` into a [`FoldPlan`], checking every
+/// read of the pass against the availability rules in the
+/// [module docs](crate::plan).
 ///
 /// # Errors
 ///
-/// Returns [`FoldError::DependencyViolation`] — with the same
-/// consumer/operand attribution as the interpreter — if the schedule reads
-/// a value before any step produces it, and propagates structural netlist
-/// errors.
+/// Returns [`FoldError::DependencyViolation`] if the schedule reads a value
+/// before any step produces it: `node` is the consumer (a scheduled LUT,
+/// MAC or bus write, a plumbing node, a sequential element's latch, or a
+/// primary output) and `operand` the unavailable value. A word output that
+/// no step bus-writes is reported as `{ node: o, operand: o }`. Structural
+/// netlist errors are propagated.
 ///
 /// # Panics
 ///
 /// Panics if a scheduled bus read targets a node that is not a primary
 /// input, or a `luts`/`macs`/`bus_writes` entry names a node of the wrong
-/// kind — programming errors in the scheduler, and panics in the
-/// interpreter too.
+/// kind — programming errors in the scheduler.
 pub fn compile_fold(netlist: &Netlist, schedule: &FoldSchedule) -> Result<FoldPlan, FoldError> {
     let mut b = PlanBuilder::new(netlist).map_err(FoldError::Netlist)?;
     let nodes = netlist.nodes();
@@ -444,12 +398,13 @@ pub fn compile_fold(netlist: &Netlist, schedule: &FoldSchedule) -> Result<FoldPl
     })
 }
 
-/// Compile-time mirror of the interpreter's `resolve`: checks that
-/// scheduled operands are available at this point of the pass, and emits
-/// free-plumbing chains (pack/unpack/bit-output) into `segment` at their
-/// first reference, memoizing via `emitted`. The interpreter recomputes
-/// these chains per reference, but within a segment every slot is
-/// write-once, so one emission produces the identical value.
+/// Resolves the operand `id` of `consumer` at this point of the pass:
+/// scheduled values (LUTs, MACs, inputs, word outputs) must already be
+/// available, else the read is a [`FoldError::DependencyViolation`];
+/// constants and sequential state need nothing; free-plumbing chains
+/// (pack/unpack/bit-output) are emitted into `segment` at their first
+/// reference and recorded in `emitted`, since every slot is written at
+/// most once per segment and one emission serves every later reader.
 fn resolve_emit(
     id: NodeId,
     consumer: NodeId,
@@ -509,16 +464,36 @@ fn resolve_emit(
 mod tests {
     use super::*;
     use crate::constraints::{FoldConstraints, LutMode};
-    use crate::exec::FoldedExecutor;
     use crate::schedule::{FoldSchedule, FoldStep};
     use crate::scheduler::schedule_fold;
     use freac_netlist::builder::CircuitBuilder;
+    use freac_netlist::eval::Evaluator;
     use freac_netlist::techmap::{tech_map, TechMapOptions};
+    use freac_netlist::NetlistError;
 
-    /// Runs `cycles` cycles through both the interpreter and the compiled
-    /// plan, requiring bit-identical outputs AND bit-identical exported
-    /// counters.
-    fn compiled_equals_interpreted(
+    /// The `fold.*` counters `passes` passes of `schedule` must export,
+    /// in name order, summed straight off its steps.
+    fn schedule_counters(schedule: &FoldSchedule, passes: u64) -> Vec<(&'static str, u64)> {
+        let steps = schedule.steps();
+        let per_pass =
+            |f: fn(&FoldStep) -> usize| passes * steps.iter().map(f).sum::<usize>() as u64;
+        let len = passes * steps.len() as u64;
+        vec![
+            ("fold.bus_reads", per_pass(|s| s.bus_reads.len())),
+            ("fold.bus_writes", per_pass(|s| s.bus_writes.len())),
+            ("fold.config_row_reads", len),
+            ("fold.expected_steps", len),
+            ("fold.lut_evals", per_pass(|s| s.luts.len())),
+            ("fold.mac_issues", per_pass(|s| s.macs.len())),
+            ("fold.passes", passes),
+            ("fold.steps_executed", len),
+        ]
+    }
+
+    /// Runs `cycles` cycles through the compiled plan and the reference
+    /// evaluator, requiring bit-identical outputs, and checks the exported
+    /// counters against the schedule's per-pass totals.
+    fn compiled_equals_reference(
         netlist: &Netlist,
         inputs: &[Value],
         cycles: usize,
@@ -527,23 +502,22 @@ mod tests {
         let cons = FoldConstraints::for_tile(clusters, LutMode::Lut4);
         let schedule = schedule_fold(netlist, &cons).unwrap();
         let plan = compile_fold(netlist, &schedule).unwrap();
-        let mut fx = FoldedExecutor::new(netlist, &schedule);
+        let mut ev = Evaluator::new(netlist);
         let mut px = plan.executor();
         let mut out = Vec::new();
         for c in 0..cycles {
-            let reference = fx.run_cycle(inputs).unwrap();
+            let reference = ev.run_cycle(inputs).unwrap();
             px.run_cycle_into(inputs, &mut out).unwrap();
             assert_eq!(out, reference, "cycle {c} diverged");
         }
-        let mut ra = CounterRegistry::new();
-        let mut rb = CounterRegistry::new();
-        fx.export_into(&mut ra, "fold");
-        px.export_into(&mut rb, "fold");
+        let mut reg = CounterRegistry::new();
+        px.export_into(&mut reg, "fold");
         assert_eq!(
-            ra.counters().collect::<Vec<_>>(),
-            rb.counters().collect::<Vec<_>>(),
-            "compiled counters must match the interpreter"
+            reg.counters().collect::<Vec<_>>(),
+            schedule_counters(&schedule, cycles as u64),
+            "compiled counters must equal cycles x the schedule's per-pass totals"
         );
+        freac_probe::assert_ok(&reg);
     }
 
     #[test]
@@ -554,8 +528,8 @@ mod tests {
         let s = b.add(&a, &c);
         b.word_output("s", &s);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        compiled_equals_interpreted(&n, &[Value::Word(65535), Value::Word(2)], 1, 1);
-        compiled_equals_interpreted(&n, &[Value::Word(12345), Value::Word(54321 & 0xFFFF)], 2, 4);
+        compiled_equals_reference(&n, &[Value::Word(65535), Value::Word(2)], 1, 1);
+        compiled_equals_reference(&n, &[Value::Word(12345), Value::Word(54321 & 0xFFFF)], 2, 4);
     }
 
     #[test]
@@ -569,7 +543,7 @@ mod tests {
         b.word_output("v", &v);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
         for x in [0u32, 1, 127, 200, 255] {
-            compiled_equals_interpreted(&n, &[Value::Word(x)], 1, 1);
+            compiled_equals_reference(&n, &[Value::Word(x)], 1, 1);
         }
     }
 
@@ -582,7 +556,7 @@ mod tests {
         b.connect_word_reg(h, &sum);
         b.word_output("acc", &acc);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        compiled_equals_interpreted(&n, &[Value::Word(37)], 8, 1);
+        compiled_equals_reference(&n, &[Value::Word(37)], 8, 1);
     }
 
     #[test]
@@ -595,14 +569,17 @@ mod tests {
         b.connect_word_reg(h, &m);
         b.word_output("acc", &acc);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        compiled_equals_interpreted(&n, &[Value::Word(3), Value::Word(5)], 5, 1);
+        compiled_equals_reference(&n, &[Value::Word(3), Value::Word(5)], 5, 1);
     }
 
     #[test]
     fn bit_output_with_state_compiles_correctly() {
         // A bit output fed through free plumbing from sequential state
-        // exercises the post-latch segment: the interpreter resolves
-        // primary outputs *after* latching.
+        // exercises the post-latch segment: it resolves *after* latching,
+        // so it shows the state the reference evaluator (which resolves
+        // outputs before the latch) only shows one cycle later. The
+        // bus-written word output is read within the pass, before the
+        // latch, and tracks the reference cycle for cycle.
         let mut b = CircuitBuilder::new("done");
         let x = b.word_input("x", 8);
         let (cnt, h) = b.word_reg(0, 8);
@@ -611,7 +588,19 @@ mod tests {
         b.bit_output("msb", cnt.bit(7));
         b.word_output("cnt", &cnt);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        compiled_equals_interpreted(&n, &[Value::Word(100)], 6, 1);
+        let schedule = schedule_fold(&n, &FoldConstraints::for_tile(1, LutMode::Lut4)).unwrap();
+        let plan = compile_fold(&n, &schedule).unwrap();
+        let mut px = plan.executor();
+        let mut ev = Evaluator::new(&n);
+        let inputs = [Value::Word(100)];
+        let mut reference = ev.run_cycle(&inputs).unwrap();
+        for c in 0..6 {
+            let folded = px.run_cycle(&inputs).unwrap();
+            let next = ev.run_cycle(&inputs).unwrap();
+            assert_eq!(folded[1], reference[1], "cycle {c}: word output");
+            assert_eq!(folded[0], next[0], "cycle {c}: post-latch bit output");
+            reference = next;
+        }
     }
 
     #[test]
@@ -701,53 +690,118 @@ mod tests {
 
     #[test]
     fn bad_schedule_rejected_at_compile_time() {
-        // The same reversed schedule the interpreter flags at runtime must
-        // now fail in compile_fold, before any cycle runs, with identical
-        // consumer/operand attribution.
+        // A schedule that evaluates the consumer before its producer must
+        // fail in compile_fold, before any cycle runs, naming the consumer
+        // and the operand it read too early.
         let mut b = CircuitBuilder::new("t");
         let a = b.word_input("a", 2);
         let x = b.xor(a.bit(0), a.bit(1));
         let nx = b.not(x);
         b.bit_output("nx", nx);
         let n = b.finish().unwrap();
-        let mut luts: Vec<NodeId> = n
+        // The LUT nodes in creation order: xor, then not.
+        let luts: Vec<NodeId> = n
             .nodes()
             .iter()
             .enumerate()
             .filter(|(_, nd)| matches!(nd.kind, NodeKind::Lut(_)))
             .map(|(i, _)| NodeId(i as u32))
             .collect();
+        let (xor, not) = (luts[0], luts[1]);
+        assert_eq!(n.nodes()[not.index()].inputs, vec![xor]);
         let word_in = n.primary_inputs()[0];
-        luts.reverse(); // consumer first: invalid order
         let steps = vec![
             FoldStep {
-                luts: vec![luts[0]],
+                luts: vec![not],
                 macs: vec![],
                 bus_reads: vec![word_in],
                 bus_writes: vec![],
             },
             FoldStep {
-                luts: vec![luts[1]],
+                luts: vec![xor],
                 macs: vec![],
                 bus_reads: vec![],
                 bus_writes: vec![],
             },
         ];
         let bad = FoldSchedule::new(steps, 0, 8);
-        let compile_err = compile_fold(&n, &bad).unwrap_err();
-        let mut fx = FoldedExecutor::new(&n, &bad);
-        let run_err = fx.run_cycle(&[Value::Word(1)]).unwrap_err();
-        assert!(matches!(compile_err, FoldError::DependencyViolation { .. }));
         assert_eq!(
-            compile_err, run_err,
-            "compile-time report must match the interpreter's runtime report"
+            compile_fold(&n, &bad).unwrap_err(),
+            FoldError::DependencyViolation {
+                node: not,
+                operand: xor
+            }
         );
+    }
+
+    #[test]
+    fn input_count_expects_every_primary_input() {
+        // Bit inputs count toward the expected input total just like word
+        // inputs (they are pre-latched parameters, not bus reads); the
+        // error names the full primary-input count.
+        let mut b = CircuitBuilder::new("mixed");
+        let en = b.bit_input("en");
+        let a = b.word_input("a", 4);
+        let gated = b.and(a.bit(3), en);
+        b.bit_output("msb", gated);
+        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
+        assert_eq!(n.primary_inputs().len(), 2);
+        let cons = FoldConstraints::for_tile(1, LutMode::Lut4);
+        let schedule = schedule_fold(&n, &cons).unwrap();
+        let plan = compile_fold(&n, &schedule).unwrap();
+        let mut px = plan.executor();
+        assert_eq!(
+            px.run_cycle(&[Value::Word(5)]),
+            Err(FoldError::Netlist(NetlistError::InputCountMismatch {
+                expected: 2,
+                found: 1
+            }))
+        );
+        assert_eq!(
+            px.run_cycle(&[Value::Bit(true), Value::Word(12)]).unwrap(),
+            vec![Value::Bit(true)]
+        );
+    }
+
+    #[test]
+    fn steps_executed_accumulates() {
+        let mut b = CircuitBuilder::new("add");
+        let a = b.word_input("a", 8);
+        let c = b.word_input("b", 8);
+        let s = b.add(&a, &c);
+        b.word_output("s", &s);
+        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
+        let cons = FoldConstraints::for_tile(1, LutMode::Lut4);
+        let schedule = schedule_fold(&n, &cons).unwrap();
+        let plan = compile_fold(&n, &schedule).unwrap();
+        let mut px = plan.executor();
+        px.run_cycle(&[Value::Word(1), Value::Word(2)]).unwrap();
+        px.run_cycle(&[Value::Word(3), Value::Word(4)]).unwrap();
+        assert_eq!(px.steps_executed(), 2 * schedule.len() as u64);
+        assert_eq!(px.cycles(), 2);
+        let mut reg = CounterRegistry::new();
+        px.export_into(&mut reg, "fold");
+        assert_eq!(reg.counter("fold.passes"), 2);
+        assert_eq!(
+            reg.counter("fold.steps_executed"),
+            reg.counter("fold.expected_steps")
+        );
+        // Every LUT in the netlist evaluates once per pass.
+        let luts = n
+            .nodes()
+            .iter()
+            .filter(|nd| matches!(nd.kind, NodeKind::Lut(_)))
+            .count() as u64;
+        assert_eq!(reg.counter("fold.lut_evals"), 2 * luts);
+        assert_eq!(reg.counter("fold.config_row_reads"), px.steps_executed());
+        assert_eq!(reg.counter("fold.bus_reads"), 2 * 2, "two inputs per pass");
+        freac_probe::assert_ok(&reg);
     }
 
     #[test]
     fn unwritten_word_output_rejected_at_compile_time() {
         // A schedule that never bus-writes a word output must be rejected
-        // with the interpreter's {node: o, operand: o} shape.
+        // with the {node: o, operand: o} shape.
         let mut b = CircuitBuilder::new("t");
         let a = b.word_input("a", 4);
         b.word_output("o", &a);

@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn hls_output_folds_on_a_tile() {
-        use freac_fold::{schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
+        use freac_fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
         use freac_netlist::techmap::{tech_map, TechMapOptions};
 
         let k = LoopKernel::new("dot", 4)
@@ -401,7 +401,8 @@ mod tests {
         let n = k.compile().unwrap();
         let mapped = tech_map(&n, TechMapOptions::lut4()).unwrap();
         let sched = schedule_fold(&mapped, &FoldConstraints::for_tile(1, LutMode::Lut4)).unwrap();
-        let mut fx = FoldedExecutor::new(&mapped, &sched);
+        let plan = compile_fold(&mapped, &sched).unwrap();
+        let mut fx = plan.executor();
         let mut ref_ev = Evaluator::new(&n);
         for i in 0..8u32 {
             let inputs = [Value::Word(i), Value::Word(i + 1)];

@@ -2,8 +2,10 @@
 //!
 //! [`Evaluator`] executes the circuit one *original* clock cycle at a time:
 //! all combinational logic settles within the cycle and sequential elements
-//! latch at the cycle boundary. The folded executor in `freac-fold` must
-//! produce bit-identical results; that equivalence is the central functional
+//! latch at the cycle boundary. The compiled fold executors in `freac-fold`
+//! must produce bit-identical results (bit outputs fed from sequential state
+//! through free plumbing alone resolve after the latch there, see
+//! `freac_fold::plan`); that equivalence is the central functional
 //! correctness property of the reproduction and is property-tested.
 
 use std::fmt;

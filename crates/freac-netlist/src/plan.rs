@@ -77,8 +77,8 @@ impl Slot {
 }
 
 /// Which op stream an emitted micro-op joins: the main (pre-latch) stream
-/// or the post-latch stream (folded output plumbing reads *new* sequential
-/// state, mirroring the interpreter's resolve-after-latch semantics).
+/// or the post-latch stream (folded bit-output plumbing resolves after the
+/// latch and so reads *new* sequential state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Segment {
     /// Executed before sequential elements latch.
@@ -918,8 +918,7 @@ impl ExecPlan {
 ///
 /// [`compile`] drives the builder in topological order (the reference
 /// evaluator's semantics); `freac-fold` drives it in schedule order,
-/// emitting free-plumbing chains per reference exactly where the step
-/// interpreter would resolve them.
+/// emitting each free-plumbing chain at its first reference in the pass.
 #[derive(Debug)]
 pub struct PlanBuilder<'a> {
     netlist: &'a Netlist,
@@ -1358,7 +1357,7 @@ mod tests {
     #[test]
     fn wide_lut_batch_path_matches() {
         // An 8-input ROM LUT before mapping exercises the per-lane wide-LUT
-        // branch of the batch interpreter.
+        // branch of the batch sweep.
         let table: Vec<u32> = (0..256u32).map(|i| (i * i) & 1).collect();
         let mut b = CircuitBuilder::new("widelut");
         let a = b.word_input("a", 8);

@@ -27,7 +27,7 @@ pub fn shrink(case: &FoldCase) -> Vec<FoldCase> {
     super::fold::shrink(case)
 }
 
-/// Runs the compiled-vs-interpreted differential on both the raw circuit
+/// Runs the compiled-vs-reference differential on both the raw circuit
 /// and its K-LUT mapping, in single-vector and 64-lane batch form.
 ///
 /// # Errors
@@ -92,7 +92,7 @@ fn check_single(
 /// Wide lanes permute the 64 reference-checked lane inputs with a
 /// chunk-varying stride, so every wide lane's expected output is a
 /// narrow-run output that was itself checked against the reference
-/// (wide ≡ 64-lane ≡ reference, without 512 interpreted evaluators per
+/// (wide ≡ 64-lane ≡ reference, without 512 reference evaluators per
 /// case), while each 64-lane word of the wide state still packs a
 /// distinct bit pattern — a sweep reading the wrong word cannot hide.
 /// Every width must also count the same number of cycles.

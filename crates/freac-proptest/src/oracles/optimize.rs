@@ -195,7 +195,7 @@ pub fn check(case: &OptimizeCase) -> Result<(), String> {
         return Err(format!("{:?} post-mapping: {m}", case.arm));
     }
 
-    // Compiled plan over the optimized netlist vs the interpreted raw
+    // Compiled plan over the optimized netlist vs the evaluated raw
     // reference, with sequential state carried across the stimulus.
     let plan = compile(&opt).map_err(|e| format!("compile refused the optimized circuit: {e}"))?;
     let mut state = plan.new_state();

@@ -225,7 +225,7 @@ fn kernel_circuits_fold_equivalently_on_random_tiles() {
     // execution must track the direct evaluator. Kernels are much larger
     // than grammar circuits, so this property runs a quarter of the
     // configured case count.
-    use freac_fold::{schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
+    use freac_fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
     use freac_netlist::eval::Evaluator;
     use freac_netlist::techmap::{tech_map, TechMapOptions};
     use freac_netlist::Value;
@@ -262,7 +262,9 @@ fn kernel_circuits_fold_equivalently_on_random_tiles() {
             let cons = FoldConstraints::for_tile(clusters, LutMode::Lut4);
             let schedule = schedule_fold(&mapped, &cons)
                 .map_err(|e| format!("{id}: schedule_fold refused: {e}"))?;
-            let mut folded = FoldedExecutor::new(&mapped, &schedule);
+            let plan = compile_fold(&mapped, &schedule)
+                .map_err(|e| format!("{id}: compile_fold refused: {e}"))?;
+            let mut folded = plan.executor();
             let mut direct = Evaluator::new(&circuit);
             let inputs: Vec<Value> = circuit
                 .primary_inputs()

@@ -2,10 +2,11 @@
 //!
 //! The mapping/plan cache is the placement signal: a shard that served a
 //! kernel recently still holds its bitstream, so routing the kernel's
-//! traffic back there skips `reconfig_cost`. The router realizes this with
-//! rendezvous hashing — each kernel gets a stable shard ranking derived
-//! only from `(kernel name, shard index)`, so placement is independent of
-//! registration order, request order, and shard enumeration order.
+//! traffic back there skips [`freac_core::reconfig_cost`]. The router
+//! realizes this with rendezvous hashing — each kernel gets a stable shard
+//! ranking derived only from `(kernel name, shard index)`, so placement is
+//! independent of registration order, request order, and shard
+//! enumeration order.
 
 use std::collections::BTreeMap;
 

@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use freac_core::scratchpad::ScratchpadModel;
 use freac_core::{
-    reconfig_cost_with, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
+    reconfig_cost, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
     HandoffMode, ReconfigCost, SlicePartition,
 };
 use freac_kernels::{kernel, Kernel, KernelId};
@@ -440,7 +440,7 @@ impl Server {
             )));
         }
         let steps = accel.fold_cycles() as u64;
-        let cost = reconfig_cost_with(
+        let cost = reconfig_cost(
             &accel,
             &self.cfg.partition,
             self.cfg.dirty_fraction,
@@ -810,7 +810,7 @@ impl Server {
         }
         let tiles = (partition.mccs() / self.cfg.tile_mccs).max(1);
         for k in self.kernels.values_mut() {
-            k.cost = reconfig_cost_with(
+            k.cost = reconfig_cost(
                 &k.accel,
                 &partition,
                 self.cfg.dirty_fraction,

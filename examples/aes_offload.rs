@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- While "running", verify the datapath bit-exactly. ---
-    let mut ex = freac::fold::FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut ex = accel.fold_plan().executor();
     let mut checked = 0;
     for blk in 0..8u64 {
         let mut pt = [0u8; 16];

@@ -11,7 +11,6 @@
 
 use freac::core::exec::{run_kernel, ExecConfig, KernelSpec};
 use freac::core::{Accelerator, AcceleratorTile, SlicePartition};
-use freac::fold::FoldedExecutor;
 use freac::hls::{Expr, LoopKernel, Reduce};
 use freac::kernels::DataGen;
 use freac::netlist::Value;
@@ -50,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let xs = gen.words(trip as usize, 1 << 16);
     let ys = gen.words(trip as usize, 1 << 16);
     let expect = kernel.reference(&[("x", &xs), ("y", &ys)]);
-    let mut hw = FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut hw = accel.fold_plan().executor();
     let mut out = Vec::new();
     for i in 0..trip as usize {
         out = hw.run_cycle(&[Value::Word(xs[i]), Value::Word(ys[i])])?;

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pairs = [(3u32, 7u32), (10, 11), (1000, 2000)];
     let mut expect = 0u32;
     let mut out = Vec::new();
-    let mut ex = freac::fold::FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut ex = accel.fold_plan().executor();
     for (av, xv) in pairs {
         expect = expect.wrapping_add(av.wrapping_mul(xv));
         out = ex.run_cycle(&[Value::Word(av), Value::Word(xv)])?;

@@ -1,17 +1,18 @@
-//! Compiled execution plans must be indistinguishable from the
-//! interpreters on every benchmark kernel: the fold plan tracks the
-//! step-interpreting `FoldedExecutor` (outputs *and* probe counters), and
-//! the 64-wide bit-sliced batch evaluator tracks one reference `Evaluator`
-//! per lane. CI runs this test as the compiled-vs-interpreted divergence
-//! gate for the example programs.
+//! Compiled execution plans must be indistinguishable from the reference
+//! `Evaluator` on every benchmark kernel: the fold plan tracks it cycle for
+//! cycle (and exports exactly the probe counters its schedule implies), and
+//! the bit-sliced batch sweeps track one reference `Evaluator` per lane. CI
+//! runs this test as the compiled-vs-reference divergence gate for the
+//! example programs.
 
 use freac::core::{Accelerator, AcceleratorTile};
-use freac::fold::{compile_fold, schedule_fold, FoldConstraints, FoldedExecutor, LutMode};
+use freac::fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
 use freac::kernels::all_kernels;
 use freac::netlist::eval::Evaluator;
 use freac::netlist::techmap::{tech_map, TechMapOptions};
 use freac::netlist::{compile, Netlist, NodeKind, OptLevel, Value, BATCH_LANES, BATCH_WIDTHS};
 use freac::probe::CounterRegistry;
+use freac_proptest::oracles::fold::schedule_counters;
 
 /// One deterministic input vector per primary input, respecting kinds.
 fn inputs_for(netlist: &Netlist, seed: u32) -> Vec<Value> {
@@ -36,7 +37,8 @@ fn mapped_kernel(id: freac::kernels::KernelId) -> Netlist {
 }
 
 #[test]
-fn compiled_fold_matches_interpreter_on_every_kernel() {
+fn compiled_fold_matches_reference_on_every_kernel() {
+    const CYCLES: u32 = 4;
     for id in all_kernels() {
         let mapped = mapped_kernel(id);
         let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
@@ -44,29 +46,27 @@ fn compiled_fold_matches_interpreter_on_every_kernel() {
             schedule_fold(&mapped, &cons).unwrap_or_else(|e| panic!("{id}: schedule: {e}"));
         let plan =
             compile_fold(&mapped, &schedule).unwrap_or_else(|e| panic!("{id}: compile_fold: {e}"));
-        let mut interp = FoldedExecutor::new(&mapped, &schedule);
+        let mut reference = Evaluator::new(&mapped);
         let mut compiled = plan.executor();
         let mut out = Vec::new();
-        for cycle in 0..4u32 {
+        for cycle in 0..CYCLES {
             let inputs = inputs_for(&mapped, 0x5eed_0000 | cycle);
-            let expect = interp
+            let expect = reference
                 .run_cycle(&inputs)
-                .unwrap_or_else(|e| panic!("{id}: interpreted cycle {cycle}: {e}"));
+                .unwrap_or_else(|e| panic!("{id}: reference cycle {cycle}: {e}"));
             compiled
                 .run_cycle_into(&inputs, &mut out)
                 .unwrap_or_else(|e| panic!("{id}: compiled cycle {cycle}: {e}"));
             assert_eq!(out, expect, "{id}: compiled fold diverged at cycle {cycle}");
         }
-        // Counter fidelity: the compiled executor accounts for its work
-        // exactly like the interpreter, key for key and value for value.
-        let mut ra = CounterRegistry::new();
-        let mut rb = CounterRegistry::new();
-        interp.export_into(&mut ra, "fold");
-        compiled.export_into(&mut rb, "fold");
+        // Counter fidelity: every pass accounts exactly the work its
+        // schedule lists, key for key and value for value.
+        let mut reg = CounterRegistry::new();
+        compiled.export_into(&mut reg, "fold");
         assert_eq!(
-            ra.counters().collect::<Vec<_>>(),
-            rb.counters().collect::<Vec<_>>(),
-            "{id}: compiled counters diverged from the interpreter"
+            reg.counters().collect::<Vec<_>>(),
+            schedule_counters(&schedule, u64::from(CYCLES)),
+            "{id}: compiled counters diverged from the schedule"
         );
     }
 }

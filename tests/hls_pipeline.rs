@@ -5,7 +5,6 @@
 use freac::core::detailed::{roofline_item_cycles, simulate_slice_pass};
 use freac::core::exec::{run_kernel, ExecConfig, KernelSpec};
 use freac::core::{Accelerator, AcceleratorTile, OffloadSession, SlicePartition};
-use freac::fold::FoldedExecutor;
 use freac::hls::library;
 use freac::hls::{Expr, LoopKernel, Reduce};
 use freac::kernels::DataGen;
@@ -58,7 +57,7 @@ fn hls_kernel_folded_execution_matches_loop_semantics() {
     let mut gen = DataGen::with_seed(99);
     let xs = gen.words(trip as usize, 1 << 20);
     let ys = gen.words(trip as usize, 1 << 20);
-    let mut hw = FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut hw = accel.fold_plan().executor();
     let mut out = Vec::new();
     for i in 0..trip as usize {
         out = hw

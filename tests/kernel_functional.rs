@@ -3,7 +3,6 @@
 //! (tech-map → fold → folded execution) exactly as the hardware would.
 
 use freac::core::{Accelerator, AcceleratorTile};
-use freac::fold::FoldedExecutor;
 use freac::kernels::{aes, conv, dot, fc, gemm, kmp, nw, srt, stn2, stn3, vadd};
 use freac::netlist::{Netlist, Value};
 use freac_rand::Rng64;
@@ -18,7 +17,7 @@ fn folded(circuit: &Netlist) -> (Accelerator, ()) {
 }
 
 fn run_stream(accel: &Accelerator, stream: &[Vec<Value>]) -> Vec<Vec<Value>> {
-    let mut ex = FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut ex = accel.fold_plan().executor();
     stream
         .iter()
         .map(|inputs| ex.run_cycle(inputs).expect("folded execution succeeds"))
@@ -244,7 +243,7 @@ fn full_gemm_against_matrix_reference() {
         bld.finish().expect("pe builds")
     };
     let (accel, ()) = folded(&circuit);
-    let mut ex = FoldedExecutor::new(accel.netlist(), accel.schedule());
+    let mut ex = accel.fold_plan().executor();
     let mut got = vec![0u32; n * n];
     for i in 0..n {
         for j in 0..n {
