@@ -255,7 +255,7 @@ impl CounterRegistry {
     /// Raises gauge `name` to `value` if larger (the merge rule, usable
     /// directly for high-water marks).
     pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry(name.to_owned()).or_insert(f64::MIN);
+        let g = self.gauges.entry_or_insert_with(name, || f64::MIN);
         if value > *g {
             *g = value;
         }
@@ -269,8 +269,7 @@ impl CounterRegistry {
     /// Records `value` into histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
         self.histograms
-            .entry(name.to_owned())
-            .or_default()
+            .entry_or_insert_with(name, Histogram::default)
             .observe(value);
     }
 
@@ -374,16 +373,23 @@ impl CounterRegistry {
     }
 }
 
-/// `entry(name.to_owned()).or_insert(0)` without allocating on the hot
-/// (existing-key) path.
-trait EntryOrInsert {
-    fn entry_or_insert(&mut self, name: &str) -> &mut u64;
+/// `entry(name.to_owned()).or_insert_with(default)` without allocating on
+/// the hot (existing-key) path: the name is copied only on first insert.
+trait EntryOrInsert<V> {
+    fn entry_or_insert_with(&mut self, name: &str, default: impl FnOnce() -> V) -> &mut V;
+
+    fn entry_or_insert(&mut self, name: &str) -> &mut V
+    where
+        V: Default,
+    {
+        self.entry_or_insert_with(name, V::default)
+    }
 }
 
-impl EntryOrInsert for BTreeMap<String, u64> {
-    fn entry_or_insert(&mut self, name: &str) -> &mut u64 {
+impl<V> EntryOrInsert<V> for BTreeMap<String, V> {
+    fn entry_or_insert_with(&mut self, name: &str, default: impl FnOnce() -> V) -> &mut V {
         if !self.contains_key(name) {
-            self.insert(name.to_owned(), 0);
+            self.insert(name.to_owned(), default());
         }
         self.get_mut(name).expect("just inserted")
     }
@@ -689,6 +695,49 @@ mod tests {
         r.add("cache.hits", 4);
         let names: Vec<_> = r.counters_under("sim.dram").map(|(k, _)| k).collect();
         assert_eq!(names, vec!["sim.dram.reads", "sim.dram.writes"]);
+    }
+
+    #[test]
+    fn first_insert_only_allocation_keeps_registry_and_export() {
+        // The entry-API form gauge_max and observe used to spell out (one
+        // owned key per call); the borrowed-key lookup must build the same
+        // maps, including a negative or NaN first gauge value against the
+        // f64::MIN seed, and export the same metrics.json bytes.
+        let mut owned = CounterRegistry::new();
+        let mut borrowed = CounterRegistry::new();
+        let gauges = [
+            ("neg", -3.5),
+            ("neg", -7.0),
+            ("neg", -1.0),
+            ("nan", f64::NAN),
+            ("floor", f64::MIN),
+            ("pos", 2.0),
+            ("pos", 1.0),
+        ];
+        for (name, v) in gauges {
+            let g = owned.gauges.entry(name.to_owned()).or_insert(f64::MIN);
+            if v > *g {
+                *g = v;
+            }
+            borrowed.gauge_max(name, v);
+        }
+        for (i, v) in [0u64, 9, 9, 1_000, u64::MAX, 3].into_iter().enumerate() {
+            let name = ["h.a", "h.b"][i % 2];
+            owned
+                .histograms
+                .entry(name.to_owned())
+                .or_default()
+                .observe(v);
+            borrowed.observe(name, v);
+        }
+        assert_eq!(borrowed, owned);
+        assert_eq!(borrowed.gauge("neg"), Some(-1.0));
+        assert_eq!(borrowed.gauge("nan"), Some(f64::MIN));
+        assert_eq!(borrowed.histogram("h.a").unwrap().count(), 3);
+        assert_eq!(
+            crate::to_metrics_json(&borrowed),
+            crate::to_metrics_json(&owned)
+        );
     }
 
     #[test]

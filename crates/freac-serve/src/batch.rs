@@ -20,11 +20,10 @@ use crate::request::Request;
 /// the lane order of the dispatch, which makes lane assignment a pure
 /// function of queue state.
 ///
-/// Companions drain in a single stable pass
-/// ([`AdmissionQueue::drain_batchable_into`]): the whole take is
-/// O(queue length), not O(queue × cap) — it used to call
-/// [`AdmissionQueue::remove_at`] once per companion, which went quadratic
-/// exactly when queues were deep and lanes wide.
+/// Companions drain in place from the front
+/// ([`AdmissionQueue::drain_batchable_into`]): the whole take costs the
+/// anchor's removal plus the prefix it drains (companions and the
+/// exclusives skipped among them), however deep the queue.
 ///
 /// # Panics
 ///
@@ -43,7 +42,8 @@ pub fn take_batch(queue: &mut AdmissionQueue, anchor: usize, cap: usize) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ShedPolicy;
+    use crate::queue::{AdmitResult, ShedPolicy};
+    use freac_rand::Rng64;
 
     fn queue_with(reqs: Vec<Request>) -> AdmissionQueue {
         let mut q = AdmissionQueue::new(64);
@@ -105,65 +105,81 @@ mod tests {
 
     /// The pre-drain semantics, spelled out naively: anchor first, then
     /// batchable companions oldest-first, leftovers in original order.
-    fn naive_take(mut items: Vec<Request>, anchor: usize, cap: usize) -> (Vec<u64>, Vec<u64>) {
+    fn naive_take(items: &mut Vec<Request>, anchor: usize, cap: usize) -> Vec<Request> {
         let anchor_req = items.remove(anchor);
         let exclusive = anchor_req.exclusive;
-        let mut batch = vec![anchor_req.seq];
+        let mut batch = vec![anchor_req];
         let mut left = Vec::new();
-        for r in items {
+        for r in items.drain(..) {
             if !exclusive && batch.len() < cap && !r.exclusive {
-                batch.push(r.seq);
+                batch.push(r);
             } else {
-                left.push(r.seq);
+                left.push(r);
             }
         }
-        (batch, left)
+        *items = left;
+        batch
     }
 
     #[test]
     fn deep_queue_drain_preserves_batch_and_leftover_order() {
-        // A deep queue (well past any dispatch cap) with interleaved
-        // exclusives, anchors at several depths: the single-pass drain
-        // must reproduce the naive per-element semantics exactly.
-        let depth = 3_000u64;
-        let make = |anchor_excl: bool| -> Vec<Request> {
-            (0..depth)
-                .map(|s| req(s, s % 7 == 3 || (s == 100 && anchor_excl)))
-                .collect()
-        };
-        for &(anchor, cap) in &[(0usize, 512usize), (100, 512), (2_500, 64), (0, 1)] {
-            let items = make(false);
-            let mut q = AdmissionQueue::new(depth as usize);
-            for r in items.clone() {
-                q.admit(r, ShedPolicy::RejectNew);
+        // Deep queues (well past any dispatch cap) with random tenants,
+        // exclusive patterns, anchors and caps, driven to empty by takes,
+        // displacements (some re-admitting older arrivals, as a steal into
+        // the shard does) and steals: the in-place drain must reproduce
+        // the naive per-element semantics exactly, and the queue's tenant
+        // counts and sorted flag must survive a recount after every step.
+        let mut rng = Rng64::new(0xd7a1_4e11);
+        for case in 0..40 {
+            let depth = rng.range_u64(1, 3_000) as usize;
+            let exclusive_per_mille = *rng.pick(&[0u64, 31, 143, 500, 1_000]);
+            let tenants = rng.range_u64(1, 5);
+            let mut seq = 0u64;
+            let mut fresh = |rng: &mut Rng64| {
+                seq += 1;
+                let arrival = if rng.below(8) == 0 {
+                    rng.below(seq * 10)
+                } else {
+                    seq * 10
+                };
+                let tenant = ["a", "b", "c", "d"][rng.below(tenants) as usize];
+                let mut r = Request::new(tenant, seq, "k", arrival, 0);
+                r.exclusive = rng.below(1_000) < exclusive_per_mille;
+                r
+            };
+            let mut q = AdmissionQueue::new(depth);
+            let mut model: Vec<Request> = Vec::new();
+            let admit = |q: &mut AdmissionQueue, model: &mut Vec<Request>, r: Request| {
+                model.push(r.clone());
+                if let AdmitResult::Displaced(victim) = q.admit(r, ShedPolicy::DropOldest) {
+                    assert_eq!(victim, model.remove(0), "case {case}: displaced");
+                }
+            };
+            for _ in 0..rng.range_u64(1, 2 * depth as u64) {
+                let r = fresh(&mut rng);
+                admit(&mut q, &mut model, r);
             }
-            let batch: Vec<u64> = take_batch(&mut q, anchor, cap)
-                .iter()
-                .map(|r| r.seq)
-                .collect();
-            let left: Vec<u64> = q.iter().map(|r| r.seq).collect();
-            let (nb, nl) = naive_take(items, anchor, cap);
-            assert_eq!(
-                batch, nb,
-                "batch order diverged (anchor {anchor}, cap {cap})"
-            );
-            assert_eq!(
-                left, nl,
-                "leftover order diverged (anchor {anchor}, cap {cap})"
-            );
+            while !q.is_empty() {
+                q.assert_bookkeeping();
+                match rng.below(5) {
+                    0 => {
+                        let r = fresh(&mut rng);
+                        admit(&mut q, &mut model, r);
+                    }
+                    1 => assert_eq!(q.pop_newest(), model.pop(), "case {case}: steal"),
+                    _ => {
+                        let anchor = rng.index(q.len());
+                        let any = rng.index(600) + 1;
+                        let cap = *rng.pick(&[1usize, 2, 64, 512, any]);
+                        let batch = take_batch(&mut q, anchor, cap);
+                        let expected = naive_take(&mut model, anchor, cap);
+                        assert_eq!(batch, expected, "case {case}: anchor {anchor}, cap {cap}");
+                    }
+                }
+                assert!(q.iter().eq(model.iter()), "case {case}: leftover order");
+            }
+            q.assert_bookkeeping();
         }
-        // Exclusive anchor deep in a deep queue still rides alone.
-        let items = make(true);
-        let mut q = AdmissionQueue::new(depth as usize);
-        for r in items.clone() {
-            q.admit(r, ShedPolicy::RejectNew);
-        }
-        let batch = take_batch(&mut q, 100, 512);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(q.len(), depth as usize - 1);
-        let (nb, nl) = naive_take(items, 100, 512);
-        assert_eq!(batch[0].seq, nb[0]);
-        assert_eq!(q.iter().map(|r| r.seq).collect::<Vec<_>>(), nl);
     }
 
     #[test]

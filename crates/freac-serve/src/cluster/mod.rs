@@ -209,6 +209,10 @@ pub struct Cluster {
     /// Cluster-level metrics only (`cluster.*`); shard probes are merged
     /// in at report time.
     probes: CounterRegistry,
+    /// `cluster.route.shard.<i>` counter names, one per shard.
+    route_keys: Vec<String>,
+    /// Per-shard backlog snapshot, reused across routing decisions.
+    backlogs: Vec<usize>,
     router_sheds: Vec<Shed>,
     now: Time,
     steals: u64,
@@ -240,6 +244,10 @@ impl Cluster {
             tenant_weights: BTreeMap::new(),
             kernels: BTreeSet::new(),
             probes: CounterRegistry::new(),
+            route_keys: (0..cfg.shards)
+                .map(|si| format!("cluster.route.shard.{si}"))
+                .collect(),
+            backlogs: Vec::with_capacity(cfg.shards),
             router_sheds: Vec::new(),
             now: 0,
             steals: 0,
@@ -551,8 +559,10 @@ impl Cluster {
                 break;
             }
             let Reverse(Pending(req)) = self.pending.pop().expect("peeked");
-            let backlogs: Vec<usize> = self.shards.iter().map(|s| s.server.backlog()).collect();
-            if backlogs.iter().sum::<usize>() >= self.cfg.budget {
+            self.backlogs.clear();
+            self.backlogs
+                .extend(self.shards.iter().map(|s| s.server.backlog()));
+            if self.backlogs.iter().sum::<usize>() >= self.cfg.budget {
                 let at = req.arrival_ps;
                 self.probes.inc("cluster.requests.shed");
                 let shed = Shed {
@@ -568,8 +578,8 @@ impl Cluster {
                 }
                 continue;
             }
-            let si = self.router.route(&req.kernel, &backlogs);
-            self.probes.inc(&format!("cluster.route.shard.{si}"));
+            let si = self.router.route(&req.kernel, &self.backlogs);
+            self.probes.inc(&self.route_keys[si]);
             self.shards[si].server.submit(req)?;
         }
         let (hits, misses) = self.router.take_cache_stats();

@@ -29,13 +29,35 @@ pub enum AdmitResult {
 
 /// A bounded FIFO of requests for one kernel.
 ///
-/// Requests are admitted in canonical arrival order (the engine drains its
-/// pending heap by [`Request::order_key`]), so the queue is always sorted
-/// by that key and index 0 is the oldest queued request.
+/// Requests are kept in admission order. The engine admits from a pending
+/// heap keyed by [`Request::order_key`], so the queue is *usually* sorted
+/// by that key with index 0 the oldest — but not always: a request
+/// re-admitted out of order (a steal into this shard via
+/// `Server::submit_stolen` of an arrival older than what is queued here,
+/// or a submission between bounded runs) lands at the back. The queue
+/// tracks this in a `sorted` flag, which stays `false` from the first
+/// out-of-order admit until the queue next empties.
+///
+/// The scheduler asks each queue for its oldest request, or for one
+/// tenant's oldest, and gets an exact answer either way: from the head
+/// or a per-tenant index of admission stamps when the queue is sorted
+/// (O(log n)), by a full scan when it is not.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     depth: usize,
-    items: VecDeque<Request>,
+    /// Queued requests with their admission stamps. Every operation keeps
+    /// admission order, so stamps strictly increase from front to back.
+    items: VecDeque<(u64, Request)>,
+    next_stamp: u64,
+    /// Whether `items` is ascending by [`Request::order_key`].
+    sorted: bool,
+    /// Per tenant name, the stamps of its queued requests in ascending
+    /// order. Entries are never removed, so once a tenant has been seen
+    /// its bookkeeping reuses the same allocation.
+    tenants: Vec<(String, VecDeque<u64>)>,
+    /// Exclusives skipped by a drain, parked until they return to the
+    /// front (kept to reuse its allocation).
+    skipped: Vec<(u64, Request)>,
 }
 
 impl AdmissionQueue {
@@ -49,6 +71,10 @@ impl AdmissionQueue {
         AdmissionQueue {
             depth,
             items: VecDeque::new(),
+            next_stamp: 0,
+            sorted: true,
+            tenants: Vec::new(),
+            skipped: Vec::new(),
         }
     }
 
@@ -67,30 +93,128 @@ impl AdmissionQueue {
         self.items.is_empty()
     }
 
-    /// Queued requests oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.items.iter()
+    /// Whether the queued requests are in ascending
+    /// [`Request::order_key`] order, so index 0 is the oldest.
+    #[cfg(test)]
+    pub(crate) fn is_sorted(&self) -> bool {
+        self.sorted
     }
 
-    /// The request at `idx` (0 = oldest).
+    /// Queued requests in admission order (oldest-first when sorted).
+    pub fn iter(&self) -> impl Iterator<Item = &Request> {
+        self.items.iter().map(|(_, r)| r)
+    }
+
+    /// The request at `idx` (0 = first admitted).
     pub fn get(&self, idx: usize) -> Option<&Request> {
-        self.items.get(idx)
+        self.items.get(idx).map(|(_, r)| r)
+    }
+
+    /// Tenants with at least one queued request, in first-seen order.
+    pub(crate) fn queued_tenants(&self) -> impl Iterator<Item = &str> {
+        self.tenants
+            .iter()
+            .filter(|(_, stamps)| !stamps.is_empty())
+            .map(|(t, _)| t.as_str())
+    }
+
+    /// Index of the queued request with the least [`Request::order_key`]:
+    /// the head of a sorted queue, a full scan of an unsorted one.
+    pub(crate) fn oldest(&self) -> Option<usize> {
+        if self.sorted {
+            (!self.is_empty()).then_some(0)
+        } else {
+            self.min_index(|_| true)
+        }
+    }
+
+    /// Index of `tenant`'s queued request with the least
+    /// [`Request::order_key`]: in a sorted queue its first-admitted one,
+    /// found through the stamp index; a full scan otherwise.
+    pub(crate) fn oldest_of(&self, tenant: &str) -> Option<usize> {
+        let first = *self.stamps_of(tenant)?.front()?;
+        if self.sorted {
+            Some(self.index_of(first))
+        } else {
+            self.min_index(|r| r.tenant == tenant)
+        }
+    }
+
+    fn min_index(&self, keep: impl Fn(&Request) -> bool) -> Option<usize> {
+        self.iter()
+            .enumerate()
+            .filter(|(_, r)| keep(r))
+            .min_by_key(|(_, r)| r.order_key())
+            .map(|(i, _)| i)
+    }
+
+    fn stamps_of(&self, tenant: &str) -> Option<&VecDeque<u64>> {
+        self.tenants
+            .iter()
+            .find(|(t, _)| t == tenant)
+            .map(|(_, stamps)| stamps)
+    }
+
+    fn index_of(&self, stamp: u64) -> usize {
+        self.items
+            .binary_search_by_key(&stamp, |(s, _)| *s)
+            .expect("indexed stamp is queued")
     }
 
     /// Offers `req`; applies `policy` when full.
     pub fn admit(&mut self, req: Request, policy: ShedPolicy) -> AdmitResult {
         if self.items.len() < self.depth {
-            self.items.push_back(req);
+            self.push_back(req);
             return AdmitResult::Admitted;
         }
         match policy {
             ShedPolicy::RejectNew => AdmitResult::Rejected(req),
             ShedPolicy::DropOldest => {
                 let victim = self.items.pop_front().expect("full queue is non-empty");
-                self.items.push_back(req);
+                let victim = self.note_removed(victim);
+                self.push_back(req);
                 AdmitResult::Displaced(victim)
             }
         }
+    }
+
+    fn push_back(&mut self, req: Request) {
+        if self
+            .items
+            .back()
+            .is_some_and(|(_, back)| req.order_key() < back.order_key())
+        {
+            self.sorted = false;
+        }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        match self.tenants.iter_mut().find(|(t, _)| *t == req.tenant) {
+            Some((_, stamps)) => stamps.push_back(stamp),
+            None => self
+                .tenants
+                .push((req.tenant.clone(), VecDeque::from([stamp]))),
+        }
+        self.items.push_back((stamp, req));
+    }
+
+    /// Drops a request that just left `items` from the stamp index.
+    fn note_removed(&mut self, (stamp, req): (u64, Request)) -> Request {
+        let stamps = self
+            .tenants
+            .iter_mut()
+            .find(|(t, _)| *t == req.tenant)
+            .map(|(_, stamps)| stamps)
+            .expect("queued tenant is indexed");
+        let pos = stamps
+            .binary_search(&stamp)
+            .expect("queued stamp is indexed");
+        stamps.remove(pos);
+        // Mid-drain, parked exclusives are still queued: only a truly
+        // empty queue is sorted by definition.
+        if self.items.is_empty() && self.skipped.is_empty() {
+            self.sorted = true;
+        }
+        req
     }
 
     /// Removes and returns the request at `idx`, preserving the order of
@@ -100,35 +224,80 @@ impl AdmissionQueue {
     ///
     /// Panics if `idx` is out of range.
     pub fn remove_at(&mut self, idx: usize) -> Request {
-        self.items.remove(idx).expect("index in range")
+        let item = self.items.remove(idx).expect("index in range");
+        self.note_removed(item)
     }
 
-    /// Removes and returns the newest queued request — the work-stealing
+    /// Removes and returns the last-admitted request — the work-stealing
     /// victim, chosen to disturb the head-of-line service order least.
     pub fn pop_newest(&mut self) -> Option<Request> {
-        self.items.pop_back()
+        let item = self.items.pop_back()?;
+        Some(self.note_removed(item))
     }
 
-    /// Removes up to `cap` non-exclusive requests oldest-first in one
-    /// stable pass, appending them to `batch`; every request left behind
-    /// (exclusives, and the overflow past `cap`) keeps its relative
-    /// order. O(queue length), independent of `cap` — the coalescer calls
-    /// this once per dispatch instead of one `remove_at` per companion.
+    /// Removes up to `cap` non-exclusive requests front-first, appending
+    /// them to `batch`; every request left behind (exclusives, and the
+    /// overflow past `cap`) keeps its relative order. Drains in place:
+    /// the cost is the prefix taken plus the exclusives skipped inside
+    /// it, independent of queue length — the coalescer calls this once
+    /// per dispatch instead of one `remove_at` per companion.
     pub fn drain_batchable_into(&mut self, cap: usize, batch: &mut Vec<Request>) {
-        if cap == 0 || self.items.is_empty() {
-            return;
-        }
-        let mut kept = VecDeque::with_capacity(self.items.len());
         let mut taken = 0usize;
-        for r in self.items.drain(..) {
-            if taken < cap && !r.exclusive {
-                batch.push(r);
-                taken += 1;
+        while taken < cap {
+            let Some(item) = self.items.pop_front() else {
+                break;
+            };
+            if item.1.exclusive {
+                self.skipped.push(item);
             } else {
-                kept.push_back(r);
+                batch.push(self.note_removed(item));
+                taken += 1;
             }
         }
-        self.items = kept;
+        while let Some(item) = self.skipped.pop() {
+            self.items.push_front(item);
+        }
+    }
+
+    /// Rebuilds the bookkeeping from scratch and asserts it matches.
+    #[cfg(test)]
+    pub(crate) fn assert_bookkeeping(&self) {
+        assert!(self.skipped.is_empty());
+        assert!(
+            self.items
+                .iter()
+                .zip(self.items.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0),
+            "stamps ascend in admission order"
+        );
+        for (tenant, stamps) in &self.tenants {
+            let queued: Vec<u64> = self
+                .items
+                .iter()
+                .filter(|(_, r)| r.tenant == *tenant)
+                .map(|(s, _)| *s)
+                .collect();
+            assert!(
+                stamps.iter().eq(queued.iter()),
+                "stamp index of tenant {tenant}"
+            );
+        }
+        assert_eq!(
+            self.tenants.iter().map(|(_, s)| s.len()).sum::<usize>(),
+            self.items.len(),
+            "every queued request is indexed"
+        );
+        if self.sorted {
+            assert!(
+                self.iter()
+                    .zip(self.iter().skip(1))
+                    .all(|(a, b)| a.order_key() <= b.order_key()),
+                "queue flagged sorted is out of order"
+            );
+        }
+        if self.items.is_empty() {
+            assert!(self.sorted, "an empty queue is sorted");
+        }
     }
 }
 

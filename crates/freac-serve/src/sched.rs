@@ -6,6 +6,14 @@
 //! break ties by [`Request::order_key`], so the pick is a pure function of
 //! queue and tenant state — independent of tenant enumeration or
 //! submission order.
+//!
+//! The pick is the minimum of a key over the queued requests, but it need
+//! not visit all of them. `Fifo` takes each queue's oldest request and
+//! `WeightedFair` first ranks the queued tenants, then takes the winner's
+//! oldest request per queue. A queue still in canonical key order answers
+//! both from its head or its per-tenant index without a scan; an unsorted
+//! one scans in full. `DeadlineAware` ranks by deadline, which no
+//! queue order tracks, and always scans in full.
 
 use std::collections::BTreeMap;
 
@@ -58,53 +66,171 @@ pub(crate) fn pick(
     queues: &BTreeMap<String, AdmissionQueue>,
     tenants: &BTreeMap<String, TenantState>,
 ) -> Option<(String, usize)> {
-    let all = || {
-        queues
+    let anchor = match policy {
+        SchedPolicy::Fifo => oldest_across(queues, AdmissionQueue::oldest),
+        SchedPolicy::DeadlineAware => queues
             .iter()
             .flat_map(|(k, q)| q.iter().enumerate().map(move |(i, r)| (k, i, r)))
-    };
-    match policy {
-        SchedPolicy::Fifo => all()
-            .min_by_key(|(_, _, r)| key_of(r))
-            .map(|(k, i, _)| (k.clone(), i)),
-        SchedPolicy::DeadlineAware => all()
-            .min_by_key(|(_, _, r)| (r.deadline_ps.unwrap_or(Time::MAX), key_of(r)))
-            .map(|(k, i, _)| (k.clone(), i)),
+            .min_by_key(|(_, _, r)| (r.deadline_ps.unwrap_or(Time::MAX), r.order_key())),
         SchedPolicy::WeightedFair => {
-            // Oldest queued request of each tenant with anything pending.
-            let mut best: BTreeMap<&str, (&String, usize, OrderKey)> = BTreeMap::new();
-            for (k, i, r) in all() {
-                let key = key_of(r);
-                match best.get(r.tenant.as_str()) {
-                    Some((_, _, existing)) if *existing <= key => {}
-                    _ => {
-                        best.insert(r.tenant.as_str(), (k, i, key));
-                    }
-                }
-            }
-            // Least virtual service wins; ties break by tenant name, which
-            // is deterministic because tenant names are unique.
-            best.into_iter()
-                .min_by_key(|(name, _)| {
-                    let vwork = tenants.get(*name).map_or(u128::MAX, |t| t.vwork);
-                    (vwork, name.to_owned())
-                })
-                .map(|(_, (k, i, _))| (k.clone(), i))
+            // The least-served tenant with anything queued (ranking needs
+            // only which tenants are queued), then that tenant's oldest
+            // request. Ties break by tenant name, which is deterministic
+            // because tenant names are unique.
+            let winner = queues
+                .values()
+                .flat_map(AdmissionQueue::queued_tenants)
+                .min_by_key(|&name| (tenants.get(name).map_or(u128::MAX, |t| t.vwork), name))?;
+            oldest_across(queues, |q| q.oldest_of(winner))
         }
-    }
+    };
+    anchor.map(|(k, i, _)| (k.clone(), i))
 }
 
-/// Owned ordering key (the borrow-free form of [`Request::order_key`]).
-type OrderKey = (Time, String, u64, u32);
-
-fn key_of(r: &Request) -> OrderKey {
-    (r.arrival_ps, r.tenant.clone(), r.seq, r.retries)
+/// The least-keyed of each queue's candidate `oldest(queue)`.
+fn oldest_across(
+    queues: &BTreeMap<String, AdmissionQueue>,
+    oldest: impl Fn(&AdmissionQueue) -> Option<usize>,
+) -> Option<(&String, usize, &Request)> {
+    queues
+        .iter()
+        .filter_map(|(k, q)| {
+            let i = oldest(q)?;
+            Some((k, i, q.get(i).expect("index in range")))
+        })
+        .min_by_key(|(_, _, r)| r.order_key())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::queue::ShedPolicy;
+    use freac_rand::Rng64;
+
+    /// The exhaustive scan every fast path must agree with: visits every
+    /// queued request and ignores queue order and the per-tenant index.
+    fn pick_reference(
+        policy: SchedPolicy,
+        queues: &BTreeMap<String, AdmissionQueue>,
+        tenants: &BTreeMap<String, TenantState>,
+    ) -> Option<(String, usize)> {
+        let all = || {
+            queues
+                .iter()
+                .flat_map(|(k, q)| q.iter().enumerate().map(move |(i, r)| (k, i, r)))
+        };
+        match policy {
+            SchedPolicy::Fifo => all()
+                .min_by_key(|(_, _, r)| r.order_key())
+                .map(|(k, i, _)| (k.clone(), i)),
+            SchedPolicy::DeadlineAware => all()
+                .min_by_key(|(_, _, r)| (r.deadline_ps.unwrap_or(Time::MAX), r.order_key()))
+                .map(|(k, i, _)| (k.clone(), i)),
+            SchedPolicy::WeightedFair => {
+                let mut best: BTreeMap<&str, (&String, usize, &Request)> = BTreeMap::new();
+                for (k, i, r) in all() {
+                    match best.get(r.tenant.as_str()) {
+                        Some((_, _, existing)) if existing.order_key() <= r.order_key() => {}
+                        _ => {
+                            best.insert(r.tenant.as_str(), (k, i, r));
+                        }
+                    }
+                }
+                best.into_iter()
+                    .min_by_key(|(name, _)| {
+                        let vwork = tenants.get(*name).map_or(u128::MAX, |t| t.vwork);
+                        (vwork, *name)
+                    })
+                    .map(|(_, (k, i, _))| (k.clone(), i))
+            }
+        }
+    }
+
+    const POLICIES: [SchedPolicy; 3] = [
+        SchedPolicy::Fifo,
+        SchedPolicy::WeightedFair,
+        SchedPolicy::DeadlineAware,
+    ];
+    const NAMES: [&str; 6] = ["a", "b", "c", "d", "e", "f"];
+
+    /// Random queues over 1–3 kernels and 1–6 tenants with exclusives and
+    /// deadlines. Arrivals rise with the request index, so the queues are
+    /// sorted unless `shuffle`, which re-admits some requests out of
+    /// order the way a steal into this shard does.
+    fn random_queues(rng: &mut Rng64, shuffle: bool) -> BTreeMap<String, AdmissionQueue> {
+        let kernels = rng.range_u64(1, 4);
+        let tenants = rng.range_u64(1, 7);
+        let n = rng.range_u64(1, 200);
+        let mut reqs: Vec<Request> = (0..n)
+            .map(|s| {
+                let tenant = NAMES[rng.below(tenants) as usize];
+                let kernel = ["k0", "k1", "k2"][rng.below(kernels) as usize];
+                let mut r = Request::new(tenant, s, kernel, s * 10 + rng.below(3), 0);
+                r.exclusive = rng.below(10) == 0;
+                if rng.below(10) < 3 {
+                    r.deadline_ps = Some(rng.below(5_000));
+                }
+                r
+            })
+            .collect();
+        if shuffle {
+            for _ in 0..rng.range_u64(1, 4) {
+                let i = rng.index(reqs.len());
+                let r = reqs.remove(i);
+                reqs.push(r);
+            }
+        }
+        let mut queues: BTreeMap<String, AdmissionQueue> = BTreeMap::new();
+        for r in reqs {
+            queues
+                .entry(r.kernel.clone())
+                .or_insert_with(|| AdmissionQueue::new(256))
+                .admit(r, ShedPolicy::RejectNew);
+        }
+        queues
+    }
+
+    fn random_tenants(rng: &mut Rng64) -> BTreeMap<String, TenantState> {
+        NAMES
+            .iter()
+            .map(|&n| {
+                (
+                    n.to_owned(),
+                    TenantState {
+                        weight: rng.range_u64(1, 5),
+                        vwork: u128::from(rng.below(4)),
+                    },
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_paths_match_the_full_scan() {
+        let mut rng = Rng64::new(0x5eed_0013);
+        let (mut sorted, mut unsorted) = (0, 0);
+        for case in 0..600 {
+            let shuffle = case % 2 == 1;
+            let queues = random_queues(&mut rng, shuffle);
+            let tenants = random_tenants(&mut rng);
+            if queues.values().all(AdmissionQueue::is_sorted) {
+                sorted += 1;
+            } else {
+                unsorted += 1;
+            }
+            for q in queues.values() {
+                q.assert_bookkeeping();
+            }
+            for policy in POLICIES {
+                assert_eq!(
+                    pick(policy, &queues, &tenants),
+                    pick_reference(policy, &queues, &tenants),
+                    "case {case}, {policy:?}"
+                );
+            }
+        }
+        assert!(sorted > 100 && unsorted > 100, "{sorted} / {unsorted}");
+    }
 
     fn setup(reqs: Vec<Request>) -> BTreeMap<String, AdmissionQueue> {
         let mut queues: BTreeMap<String, AdmissionQueue> = BTreeMap::new();

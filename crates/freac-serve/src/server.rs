@@ -188,6 +188,35 @@ struct ServedKernel {
     tiles: usize,
 }
 
+/// A tenant's `serve.tenant.<name>.*` probe keys, formatted once when the
+/// tenant is added so per-request accounting allocates nothing.
+struct TenantKeys {
+    submitted: String,
+    completed: String,
+    shed: String,
+    latency_ps: String,
+    stolen: String,
+    stolen_in: String,
+    tlb_faults: String,
+    reconfig_ps: String,
+}
+
+impl TenantKeys {
+    fn new(name: &str) -> Self {
+        let key = |suffix: &str| format!("serve.tenant.{name}.{suffix}");
+        TenantKeys {
+            submitted: key("submitted"),
+            completed: key("completed"),
+            shed: key("shed"),
+            latency_ps: key("latency_ps"),
+            stolen: key("stolen"),
+            stolen_in: key("stolen_in"),
+            tlb_faults: key("tlb_faults"),
+            reconfig_ps: key("reconfig_ps"),
+        }
+    }
+}
+
 /// One compute slice's scheduling state.
 struct SliceState {
     resident: Option<String>,
@@ -304,6 +333,7 @@ pub struct Server {
     coh: CoherenceStats,
     kernels: BTreeMap<String, ServedKernel>,
     tenants: BTreeMap<String, TenantState>,
+    tenant_keys: BTreeMap<String, TenantKeys>,
     queues: BTreeMap<String, AdmissionQueue>,
     pending: BinaryHeap<Reverse<Pending>>,
     submitted_ids: BTreeSet<(String, u64, u32)>,
@@ -360,6 +390,7 @@ impl Server {
             coh: CoherenceStats::default(),
             kernels: BTreeMap::new(),
             tenants: BTreeMap::new(),
+            tenant_keys: BTreeMap::new(),
             queues: BTreeMap::new(),
             pending: BinaryHeap::new(),
             submitted_ids: BTreeSet::new(),
@@ -508,6 +539,8 @@ impl Server {
         }
         self.tenants
             .insert(name.to_owned(), TenantState { weight, vwork: 0 });
+        self.tenant_keys
+            .insert(name.to_owned(), TenantKeys::new(name));
         self.rebuild_tlb();
         Ok(())
     }
@@ -579,6 +612,11 @@ impl Server {
     /// Rejects unknown tenants/kernels and duplicate
     /// `(tenant, seq, retries)` identities.
     pub fn submit(&mut self, req: Request) -> Result<(), ServeError> {
+        self.submit_counted(req, false)
+    }
+
+    /// [`Server::submit`], additionally counting a steal-in when `stolen`.
+    fn submit_counted(&mut self, req: Request, stolen: bool) -> Result<(), ServeError> {
         if !self.tenants.contains_key(&req.tenant) {
             return Err(ServeError::UnknownTenant(req.tenant));
         }
@@ -593,9 +631,13 @@ impl Server {
                 retries: req.retries,
             });
         }
+        let keys = &self.tenant_keys[req.tenant.as_str()];
         self.probes.inc("serve.requests.submitted");
-        self.probes
-            .inc(&format!("serve.tenant.{}.submitted", req.tenant));
+        self.probes.inc(&keys.submitted);
+        if stolen {
+            self.probes.inc("serve.requests.stolen_in");
+            self.probes.inc(&keys.stolen_in);
+        }
         if req.retries > 0 {
             self.probes.inc("serve.requests.retried");
         }
@@ -747,7 +789,7 @@ impl Server {
                 .remove(&(req.tenant.clone(), req.seq, req.retries));
             self.probes.inc("serve.requests.stolen");
             self.probes
-                .inc(&format!("serve.tenant.{}.stolen", req.tenant));
+                .inc(&self.tenant_keys[req.tenant.as_str()].stolen);
             out.push(req);
         }
         out
@@ -761,11 +803,7 @@ impl Server {
     ///
     /// See [`Server::submit`].
     pub fn submit_stolen(&mut self, req: Request) -> Result<(), ServeError> {
-        let tenant = req.tenant.clone();
-        self.submit(req)?;
-        self.probes.inc("serve.requests.stolen_in");
-        self.probes.inc(&format!("serve.tenant.{tenant}.stolen_in"));
-        Ok(())
+        self.submit_counted(req, true)
     }
 
     /// Re-splits every slice's ways to `partition` at simulated time `at`
@@ -860,7 +898,7 @@ impl Server {
                     self.probes.inc("serve.tlb.misses");
                     self.probes.inc("serve.tlb.faults");
                     self.probes
-                        .inc(&format!("serve.tenant.{}.tlb_faults", req.tenant));
+                        .inc(&self.tenant_keys[req.tenant.as_str()].tlb_faults);
                     self.shed(req, at, ShedReason::TlbFault, hook)?;
                     continue;
                 }
@@ -905,7 +943,7 @@ impl Server {
     {
         self.probes.inc("serve.requests.shed");
         self.probes
-            .inc(&format!("serve.tenant.{}.shed", request.tenant));
+            .inc(&self.tenant_keys[request.tenant.as_str()].shed);
         let outcome = Outcome::Shed(Shed {
             request,
             at_ps,
@@ -1012,9 +1050,9 @@ impl Server {
         // is cold-start infrastructure cost and charged to nobody (a
         // one-time setup charged to one tenant would starve them for the
         // whole transient).
-        let anchor_tenant = batch[0].tenant.clone();
+        let anchor_tenant = batch[0].tenant.as_str();
         if self.slices[si].resident.is_some() && !resident {
-            if let Some(ts) = self.tenants.get_mut(&anchor_tenant) {
+            if let Some(ts) = self.tenants.get_mut(anchor_tenant) {
                 ts.charge(reconfig_ps);
             }
         }
@@ -1052,10 +1090,8 @@ impl Server {
         if !resident {
             self.probes.inc("serve.reconfigs");
             self.probes.add("serve.reconfig.total_ps", reconfig_ps);
-            self.probes.add(
-                &format!("serve.tenant.{anchor_tenant}.reconfig_ps"),
-                reconfig_ps,
-            );
+            self.probes
+                .add(&self.tenant_keys[anchor_tenant].reconfig_ps, reconfig_ps);
         }
 
         self.dispatches.push(DispatchRecord {
@@ -1088,17 +1124,15 @@ impl Server {
                 seq: req.seq,
                 kernel: req.kernel,
             };
+            let keys = &self.tenant_keys[completion.tenant.as_str()];
             self.probes.inc("serve.requests.completed");
-            self.probes
-                .inc(&format!("serve.tenant.{}.completed", completion.tenant));
+            self.probes.inc(&keys.completed);
             self.probes
                 .observe("serve.queue.wait_ps", completion.queue_wait_ps());
             self.probes
                 .observe("serve.latency_ps", completion.latency_ps());
-            self.probes.observe(
-                &format!("serve.tenant.{}.latency_ps", completion.tenant),
-                completion.latency_ps(),
-            );
+            self.probes
+                .observe(&keys.latency_ps, completion.latency_ps());
             match completion.deadline_met {
                 Some(true) => self.probes.inc("serve.deadlines.met"),
                 Some(false) => self.probes.inc("serve.deadlines.missed"),
@@ -1169,20 +1203,15 @@ impl Server {
             .tenants
             .iter()
             .map(|(name, ts)| {
-                let hist = self
-                    .probes
-                    .histogram(&format!("serve.tenant.{name}.latency_ps"));
+                let keys = &self.tenant_keys[name];
+                let hist = self.probes.histogram(&keys.latency_ps);
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
                     name: name.clone(),
                     weight: ts.weight,
-                    submitted: self
-                        .probes
-                        .counter(&format!("serve.tenant.{name}.submitted")),
-                    completed: self
-                        .probes
-                        .counter(&format!("serve.tenant.{name}.completed")),
-                    shed: self.probes.counter(&format!("serve.tenant.{name}.shed")),
+                    submitted: self.probes.counter(&keys.submitted),
+                    completed: self.probes.counter(&keys.completed),
+                    shed: self.probes.counter(&keys.shed),
                     p50_ps: q(0.5),
                     p95_ps: q(0.95),
                     p99_ps: q(0.99),
@@ -1665,6 +1694,55 @@ mod tests {
             after.len,
             SlicePartition::max_compute().scratchpad_bytes() / 2
         );
+    }
+
+    #[test]
+    fn stolen_older_arrival_anchors_through_the_full_scan() {
+        // A steal appends an arrival older than everything queued on the
+        // thief, so the thief's queue is no longer in key order. The
+        // anchor must still be the true oldest (Fifo) and the least-served
+        // tenant's true oldest (WeightedFair), not the queue head or the
+        // tenant's first request in queue order.
+        for policy in [SchedPolicy::Fifo, SchedPolicy::WeightedFair] {
+            let cfg = ServeConfig {
+                slices: 1,
+                max_lanes: 1,
+                policy,
+                ..ServeConfig::default()
+            };
+            let mut victim = server_with(cfg);
+            victim.submit(Request::new("b", 0, "k", 0, 1)).unwrap();
+            victim.submit(Request::new("b", 5, "k", 5, 2)).unwrap();
+            // b:0 occupies the slice; b:5 waits in the queue.
+            victim.run_until(5, &mut |_| Vec::new()).unwrap();
+            let stolen = victim.steal_newest(1).pop().unwrap();
+            assert_eq!((stolen.seq, stolen.arrival_ps), (5, 5));
+
+            let mut thief = server_with(cfg);
+            thief.submit(Request::new("a", 0, "k", 0, 3)).unwrap();
+            for (tenant, seq) in [("a", 1), ("a", 2), ("b", 1)] {
+                thief
+                    .submit(Request::new(tenant, seq, "k", 10, seq))
+                    .unwrap();
+            }
+            // a:0 occupies the slice; a:1, a:2, b:1 queue behind it.
+            thief.run_until(10, &mut |_| Vec::new()).unwrap();
+            assert_eq!(thief.queued(), 3);
+            thief.submit_stolen(stolen).unwrap();
+            let r = thief.run_to_completion().unwrap();
+            let anchors: Vec<(&str, u64)> = r
+                .dispatches
+                .iter()
+                .map(|d| (d.requests[0].0.as_str(), d.requests[0].1))
+                .collect();
+            assert_eq!(anchors[0], ("a", 0), "{policy:?}");
+            assert_eq!(anchors[1], ("b", 5), "{policy:?}: the stolen arrival");
+            if policy == SchedPolicy::Fifo {
+                assert_eq!(anchors[2..], [("a", 1), ("a", 2), ("b", 1)]);
+            }
+            assert_eq!(r.probes.counter("serve.tenant.b.stolen_in"), 1);
+            freac_probe::assert_ok(&r.probes);
+        }
     }
 
     #[test]
