@@ -118,10 +118,18 @@ pub fn write_bench_json(name: &str, body: &str) {
     let _ = std::fs::write(dir.join(format!("BENCH_{}.json", sanitize(name))), body);
 }
 
-/// The current git revision (short), or `"unknown"` outside a checkout.
+/// The current git revision (short), suffixed `-dirty` when the working
+/// tree has uncommitted changes, or `"unknown"` outside a checkout.
 pub fn git_rev() -> String {
+    // `--exclude=*` skips tags, so the name is always the commit hash.
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args([
+            "describe",
+            "--always",
+            "--dirty",
+            "--abbrev=7",
+            "--exclude=*",
+        ])
         .output()
         .ok()
         .filter(|o| o.status.success())

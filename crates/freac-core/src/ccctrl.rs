@@ -188,12 +188,9 @@ pub fn reconfig_cost(
     dirty_fraction: f64,
     mode: HandoffMode,
 ) -> Result<ReconfigCost, CoreError> {
-    if !(0.0..=1.0).contains(&dirty_fraction) {
-        return Err(CoreError::BadDirtyFraction(dirty_fraction));
-    }
+    let mut ctrl = CcCtrl::with_mode(dirty_fraction, mode)?;
     let dram = DramModel::ddr4_2400_x4();
     let ring = RingInterconnect::paper_edge();
-    let mut ctrl = CcCtrl::with_mode(dirty_fraction, mode);
     ctrl.store(regs::SELECT, encode_ways(partition), &dram)?;
     ctrl.store(regs::FLUSH, 1, &dram)?;
     ctrl.store(regs::LOCK, 1, &dram)?;
@@ -291,10 +288,11 @@ impl CcCtrl {
     /// `dirty_fraction` of flushed lines are dirty. Uses the conservative
     /// whole-claim flush.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `dirty_fraction` is outside `[0, 1]`.
-    pub fn new(dirty_fraction: f64) -> Self {
+    /// Returns [`CoreError::BadDirtyFraction`] if `dirty_fraction` is
+    /// outside `[0, 1]` or NaN.
+    pub fn new(dirty_fraction: f64) -> Result<Self, CoreError> {
         CcCtrl::with_mode(dirty_fraction, HandoffMode::ConservativeFlush)
     }
 
@@ -303,12 +301,15 @@ impl CcCtrl {
     /// coherent mode charges the targeted invalidation protocol instead
     /// and accumulates its traffic in [`CcCtrl::coherence_stats`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `dirty_fraction` is outside `[0, 1]`.
-    pub fn with_mode(dirty_fraction: f64, handoff: HandoffMode) -> Self {
-        assert!((0.0..=1.0).contains(&dirty_fraction));
-        CcCtrl {
+    /// Returns [`CoreError::BadDirtyFraction`] if `dirty_fraction` is
+    /// outside `[0, 1]` or NaN.
+    pub fn with_mode(dirty_fraction: f64, handoff: HandoffMode) -> Result<Self, CoreError> {
+        if !(0.0..=1.0).contains(&dirty_fraction) {
+            return Err(CoreError::BadDirtyFraction(dirty_fraction));
+        }
+        Ok(CcCtrl {
             state: CtrlState::Idle,
             partition: None,
             geometry: LlcGeometry::paper_edge(),
@@ -319,7 +320,7 @@ impl CcCtrl {
             dirty_fraction,
             handoff,
             coh: CoherenceStats::default(),
-        }
+        })
     }
 
     /// Current protocol state.
@@ -496,7 +497,7 @@ mod tests {
 
     #[test]
     fn happy_path_flow() {
-        let mut c = CcCtrl::new(0.5);
+        let mut c = CcCtrl::new(0.5).unwrap();
         drive_to_configured(&mut c);
         assert_eq!(c.state(), CtrlState::Configured);
         let d = dram();
@@ -514,7 +515,7 @@ mod tests {
 
     #[test]
     fn run_before_configure_rejected() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         let d = dram();
         assert!(matches!(
             c.store(regs::RUN, 1, &d),
@@ -527,14 +528,14 @@ mod tests {
 
     #[test]
     fn flush_requires_selection() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         let d = dram();
         assert!(c.store(regs::FLUSH, 1, &d).is_err());
     }
 
     #[test]
     fn unmapped_address() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         let d = dram();
         assert!(matches!(
             c.store(0x1000, 0, &d),
@@ -545,7 +546,7 @@ mod tests {
 
     #[test]
     fn clean_flush_is_free() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         let d = dram();
         let p = SlicePartition::max_compute();
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
@@ -555,7 +556,7 @@ mod tests {
 
     #[test]
     fn reconfiguration_after_done() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         drive_to_configured(&mut c);
         let d = dram();
         c.store(regs::RUN, 1, &d).unwrap();
@@ -589,7 +590,7 @@ mod tests {
         // The quote must equal what a hand-driven protocol walk with the
         // same bitstream accumulates in SetupTiming.
         let d = dram();
-        let mut c = CcCtrl::new(0.5);
+        let mut c = CcCtrl::new(0.5).unwrap();
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         c.store(regs::FLUSH, 1, &d).unwrap();
         c.store(regs::LOCK, 1, &d).unwrap();
@@ -623,6 +624,32 @@ mod tests {
         assert_eq!(clean.flush_ps, 0);
         assert_eq!(clean.config_ps, cost.config_ps);
         assert_eq!(clean.reclaim_ps, cost.reclaim_ps);
+    }
+
+    #[test]
+    fn controller_rejects_a_bad_dirty_fraction() {
+        for bad in [1.5, -0.1] {
+            assert_eq!(
+                CcCtrl::new(bad).err(),
+                Some(CoreError::BadDirtyFraction(bad))
+            );
+            for mode in [HandoffMode::ConservativeFlush, HandoffMode::coherent()] {
+                assert_eq!(
+                    CcCtrl::with_mode(bad, mode).err(),
+                    Some(CoreError::BadDirtyFraction(bad))
+                );
+            }
+        }
+        assert!(matches!(
+            CcCtrl::new(f64::NAN),
+            Err(CoreError::BadDirtyFraction(f)) if f.is_nan()
+        ));
+        assert!(matches!(
+            CcCtrl::with_mode(f64::NAN, HandoffMode::coherent()),
+            Err(CoreError::BadDirtyFraction(f)) if f.is_nan()
+        ));
+        // The closed interval's ends are valid.
+        assert!(CcCtrl::new(0.0).is_ok() && CcCtrl::new(1.0).is_ok());
     }
 
     #[test]
@@ -719,7 +746,7 @@ mod tests {
 
         // The controller records the protocol traffic it charged.
         let d = dram();
-        let mut c = CcCtrl::with_mode(0.5, HandoffMode::coherent());
+        let mut c = CcCtrl::with_mode(0.5, HandoffMode::coherent()).unwrap();
         c.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         c.store(regs::FLUSH, 1, &d).unwrap();
         let stats = c.coherence_stats();
@@ -727,7 +754,7 @@ mod tests {
         assert!(stats.invalidations > 0);
         assert!(stats.writeback_pulls <= stats.invalidations);
         // The conservative controller sends no messages.
-        let mut flatc = CcCtrl::new(0.5);
+        let mut flatc = CcCtrl::new(0.5).unwrap();
         flatc.store(regs::SELECT, encode_ways(&p), &d).unwrap();
         flatc.store(regs::FLUSH, 1, &d).unwrap();
         assert_eq!(flatc.coherence_stats(), CoherenceStats::default());
@@ -764,7 +791,7 @@ mod tests {
 
     #[test]
     fn status_codes_progress() {
-        let mut c = CcCtrl::new(0.0);
+        let mut c = CcCtrl::new(0.0).unwrap();
         let d = dram();
         assert_eq!(c.load(regs::STATUS).unwrap(), 0);
         let p = SlicePartition::balanced();

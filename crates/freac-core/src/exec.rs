@@ -182,7 +182,7 @@ pub fn run_kernel(
 
     // --- Setup via the host-interface protocol. ---
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(cfg.dirty_fraction);
+    let mut ctrl = CcCtrl::new(cfg.dirty_fraction)?;
     // SELECT, FLUSH, LOCK, CONFIG_DATA, RUN — plus SPAD_FILL when the
     // partition has scratchpad ways and there is input to stage.
     let mut protocol_stores: u64 = 5;

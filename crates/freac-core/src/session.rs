@@ -83,7 +83,7 @@ impl OffloadSession {
             });
         }
         let dram = DramModel::ddr4_2400_x4();
-        let mut ctrl = CcCtrl::new(cfg.dirty_fraction);
+        let mut ctrl = CcCtrl::new(cfg.dirty_fraction)?;
         ctrl.store(regs::SELECT, encode_ways(&cfg.partition), &dram)?;
         ctrl.store(regs::FLUSH, 1, &dram)?;
         ctrl.store(regs::LOCK, 1, &dram)?;

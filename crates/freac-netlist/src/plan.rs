@@ -11,19 +11,20 @@
 //! * every operand is resolved to a dense *slot* in one of two state
 //!   planes — a packed bit plane of `u64` words and a `u32` word plane —
 //!   so there is no `Option<Value>` state and no enum-tagged values;
-//! * LUT truth tables are flattened into one contiguous `u64` pool and
-//!   referenced by dense offset;
+//! * LUT truth tables are flattened into one contiguous `u64` pool,
+//!   referenced by dense offset and classified once for the batch sweep;
 //! * the circuit becomes a flat struct-of-arrays stream of micro-ops that
 //!   a branch-light loop executes with zero per-cycle allocation
 //!   ([`ExecPlan::run_cycle_into`]).
 //!
 //! On top of the packed bit plane the plan also evaluates batches of
 //! independent input vectors per pass: bit-typed logic runs *bit-sliced* —
-//! lane `l` of every bit slot belongs to input vector `l`, so one AND/OR
-//! pass over a LUT's minterms evaluates a whole chunk of lanes at once —
-//! while word-typed ops iterate the lanes of a widened word plane. The
-//! chunk is a `[u64; N]` array ([`BatchState`] is generic over `N`), so
-//! the same plan sweeps 64 lanes per word (`N = 1`,
+//! lane `l` of every bit slot belongs to input vector `l`, so one chain of
+//! chunk XORs (parity tables) or one Shannon mux tree (any other table,
+//! its form decoded once at compile time) evaluates a LUT for a whole
+//! chunk of lanes at once — while word-typed ops iterate the lanes of a
+//! widened word plane. The chunk is a `[u64; N]` array ([`BatchState`] is
+//! generic over `N`), so the same plan sweeps 64 lanes per word (`N = 1`,
 //! [`ExecPlan::run_batch_cycle`]), or 256/512 lanes (`N = 4` / `N = 8`,
 //! [`ExecPlan::run_wide_batch_cycle`]) with straight-line inner loops the
 //! autovectorizer turns into SIMD. Callers that only learn the batch size
@@ -40,6 +41,7 @@ use std::collections::HashMap;
 use crate::error::NetlistError;
 use crate::graph::{Netlist, NodeId, NodeKind, SignalType, Value};
 use crate::level::level_graph;
+use crate::truth::TruthTable;
 
 /// Number of independent input vectors one single-word (`N = 1`) batch
 /// pass evaluates: the lane count of one `u64` bit-slice.
@@ -152,6 +154,46 @@ impl OpStream {
     }
 }
 
+/// How the batch sweep evaluates one pooled truth table, decided once at
+/// plan-compile time so no sweep re-analyses a table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LutForm {
+    /// `T[row] == parity(row) ^ flip` on every row: an XOR/XNOR chain
+    /// (adder sum columns, AES), swept as `flip ^ x0 ^ … ^ x_{n-1}`.
+    /// Covers every 0-input (constant) table.
+    Parity { flip: u64 },
+    /// Any other table of 1–6 inputs, swept as a Shannon mux tree. Level 0
+    /// turns each row pair `(T[2j], T[2j+1])` into one of
+    /// `{0, !x0, x0, all-ones}` by its 2-bit code — bits `2j..2j+2` of
+    /// `codes`, which is the table word itself; each later level `k` muxes
+    /// adjacent values on operand `k`.
+    Mux { codes: u64 },
+    /// More than 6 inputs (pre-mapping netlists only): a per-lane table
+    /// lookup, since a `2^n`-leaf tree loses to indexing the lanes.
+    Wide,
+}
+
+impl LutForm {
+    /// Classifies a pooled table.
+    fn of(table: &TruthTable) -> Self {
+        let n = table.inputs();
+        if n > 6 {
+            return LutForm::Wide;
+        }
+        let rows = 1usize << n;
+        let row_mask = if n == 6 { u64::MAX } else { (1u64 << rows) - 1 };
+        let t = table.words()[0] & row_mask;
+        let parity = (0..rows).fold(0u64, |m, row| m | (((row.count_ones() & 1) as u64) << row));
+        if t == parity {
+            LutForm::Parity { flip: 0 }
+        } else if t == !parity & row_mask {
+            LutForm::Parity { flip: u64::MAX }
+        } else {
+            LutForm::Mux { codes: t }
+        }
+    }
+}
+
 /// A netlist (or fold schedule) compiled to a flat execution plan.
 ///
 /// The plan is immutable shared data (`Send + Sync`); all mutable run
@@ -167,8 +209,13 @@ pub struct ExecPlan {
     /// Slot-index pool for `Lut`/`Pack` operand lists.
     operands: Vec<u32>,
     /// Flattened truth-table words (`TruthTable::words`), one run per
-    /// distinct LUT node.
+    /// distinct LUT function (table content and arity).
     tables: Vec<u64>,
+    /// Batch-sweep form of every pooled table, parallel to `tables`: the
+    /// entry at a run's offset is that table's form, classified once when
+    /// the table entered the pool (a wide table's trailing words repeat
+    /// [`LutForm::Wide`]).
+    lut_forms: Vec<LutForm>,
     /// Sequential bit latches `(src bit slot, dst bit slot)`.
     bit_latches: Vec<(u32, u32)>,
     /// Sequential word latches `(src word slot, dst word slot)`.
@@ -514,9 +561,9 @@ impl ExecPlan {
     /// in `out[l]` (declaration order); `out` is resized and its inner
     /// vectors reused, so steady-state batch evaluation allocates nothing.
     ///
-    /// Bit-typed logic evaluates bit-sliced (one minterm sweep over
-    /// `[u64; N]` chunks serves all lanes); word-typed ops iterate the
-    /// lanes. Every lane carries its own sequential state inside `state`.
+    /// Bit-typed logic evaluates bit-sliced (one parity chain or mux tree
+    /// over `[u64; N]` chunks serves all lanes); word-typed ops iterate
+    /// the lanes. Every lane carries its own sequential state inside `state`.
     /// Tail lanes (indices at or past `lanes.len()`) keep sweeping
     /// power-on state but are never read back out: outputs, like inputs,
     /// cover exactly the supplied lanes.
@@ -652,16 +699,16 @@ impl ExecPlan {
     /// arrays with no cross-iteration dependency, so the autovectorizer
     /// widens them to whatever SIMD the target offers.
     ///
-    /// Consecutive `Lut` ops sharing one truth table (common after
+    /// Consecutive `Lut` ops sharing one pooled truth table (common after
     /// tech-mapping: adder/xor columns all compile to the same LUT
-    /// function, and [`compile`] groups them) execute as a *fused run*:
-    /// the table is decoded once — parity tables (XOR/XNOR chains,
-    /// everywhere in adders and AES) collapse to a chain of chunk XORs,
-    /// anything else to a minterm list over whichever of the true/false
-    /// row sets is smaller (complementing the result when the false set
-    /// won) — then every op in the run sweeps the decoded form with its
-    /// operand chunks hoisted into stack locals, so the row loop never
-    /// re-reads the bit plane.
+    /// function, and [`compile`] groups them) execute as a *fused run*
+    /// over the table's [`LutForm`], classified once at compile time:
+    /// parity tables (XOR/XNOR chains, everywhere in adders and AES)
+    /// sweep as a chain of chunk XORs, every other table of at most 6
+    /// inputs as a Shannon mux tree ([`ExecPlan::mux_run`]: `2^(n-1) - 1`
+    /// chunk muxes above the level-0 leaves its codes select), and wider
+    /// pre-mapping tables by per-lane lookup. Nothing in the sweep
+    /// re-analyses a table.
     ///
     /// Consecutive word ops (`Mac`/`CopyWord` — region-blocked scheduling
     /// groups them) execute lane-block-wise: each 64-lane column of the
@@ -681,41 +728,23 @@ impl ExecPlan {
             let dst = stream.dst[i] as usize;
             match stream.codes[i] {
                 OpCode::Lut => {
-                    let n = stream.c[i] as usize;
                     let t = stream.b[i] as usize;
-                    if n <= 6 {
-                        let table = self.tables[t];
-                        let nrows_total = 1usize << n;
-                        let row_mask = if n == 6 {
-                            u64::MAX
-                        } else {
-                            (1u64 << nrows_total) - 1
-                        };
-                        // Fused run: every following op with the same
-                        // table and arity reuses the decoded form.
-                        let mut end = i + 1;
-                        while end < len
-                            && stream.codes[end] == OpCode::Lut
-                            && stream.b[end] as usize == t
-                            && stream.c[end] as usize == n
-                        {
-                            end += 1;
-                        }
-                        // Parity fast path: T[row] == parity(row) ^ c for
-                        // all rows ⇔ the op is an XOR/XNOR chain.
-                        let mut parity_mask = 0u64;
-                        for row in 0..nrows_total {
-                            parity_mask |= (((row as u64).count_ones() & 1) as u64) << row;
-                        }
-                        if table & row_mask == parity_mask & row_mask
-                            || table & row_mask == !parity_mask & row_mask
-                        {
-                            let flip = if table & 1 == 1 { u64::MAX } else { 0 };
+                    // Fused run: every following op on the same pooled
+                    // table (hence the same arity) shares its form.
+                    let mut end = i + 1;
+                    while end < len
+                        && stream.codes[end] == OpCode::Lut
+                        && stream.b[end] as usize == t
+                    {
+                        end += 1;
+                    }
+                    let n = stream.c[i] as usize;
+                    match self.lut_forms[t] {
+                        LutForm::Parity { flip } => {
                             for op in i..end {
                                 let off = stream.a[op] as usize;
-                                let ins = &self.operands[off..off + n];
                                 let mut acc = [flip; N];
-                                for &slot in ins {
+                                for &slot in &self.operands[off..off + n] {
                                     let v = &bits[slot as usize];
                                     for x in 0..N {
                                         acc[x] ^= v[x];
@@ -723,73 +752,38 @@ impl ExecPlan {
                                 }
                                 bits[stream.dst[op] as usize] = acc;
                             }
-                            i = end;
-                            continue;
                         }
-                        // Decode whichever of the true/false row sets is
-                        // smaller; sweeping the false set computes the
-                        // complement, undone by `flip` at the end.
-                        let trues = (table & row_mask).count_ones() as usize;
-                        let decode_false = trues * 2 > nrows_total;
-                        let (want, flip) = if decode_false {
-                            (0u64, u64::MAX)
-                        } else {
-                            (1u64, 0u64)
-                        };
-                        let mut rows = [0u8; 64];
-                        let mut nrows = 0usize;
-                        for row in 0..nrows_total {
-                            if (table >> row) & 1 == want {
-                                rows[nrows] = row as u8;
-                                nrows += 1;
+                        LutForm::Mux { codes } => {
+                            let run = i..end;
+                            match n {
+                                1 => self.mux_run::<N, 1>(stream, run, codes, bits),
+                                2 => self.mux_run::<N, 2>(stream, run, codes, bits),
+                                3 => self.mux_run::<N, 3>(stream, run, codes, bits),
+                                4 => self.mux_run::<N, 4>(stream, run, codes, bits),
+                                5 => self.mux_run::<N, 5>(stream, run, codes, bits),
+                                6 => self.mux_run::<N, 6>(stream, run, codes, bits),
+                                _ => unreachable!("mux-tree tables have 1-6 inputs"),
                             }
                         }
-                        for op in i..end {
-                            let off = stream.a[op] as usize;
-                            let ins = &self.operands[off..off + n];
-                            // Hoist the operand chunks: the row sweep then
-                            // runs entirely out of stack slots/registers.
-                            let mut v = [[0u64; N]; 6];
-                            for (k, &slot) in ins.iter().enumerate() {
-                                v[k] = bits[slot as usize];
-                            }
-                            let mut acc = [0u64; N];
-                            for &row in &rows[..nrows] {
-                                let mut term = [u64::MAX; N];
-                                for (k, vk) in v[..n].iter().enumerate() {
-                                    // Branch-free polarity: all-ones XOR
-                                    // complements the operand chunk.
-                                    let inv = (((row >> k) & 1) as u64).wrapping_sub(1);
-                                    for x in 0..N {
-                                        term[x] &= vk[x] ^ inv;
+                        LutForm::Wide => {
+                            for op in i..end {
+                                let ins = &self.operands[stream.a[op] as usize..][..n];
+                                let mut acc = [0u64; N];
+                                for l in 0..width {
+                                    let (w, sh) = (l >> 6, l & 63);
+                                    let mut row = 0usize;
+                                    for (k, &slot) in ins.iter().enumerate() {
+                                        row |= (((bits[slot as usize][w] >> sh) & 1) as usize) << k;
                                     }
+                                    acc[w] |=
+                                        ((self.tables[t + (row >> 6)] >> (row & 63)) & 1) << sh;
                                 }
-                                for x in 0..N {
-                                    acc[x] |= term[x];
-                                }
+                                bits[stream.dst[op] as usize] = acc;
                             }
-                            for a in &mut acc {
-                                *a ^= flip;
-                            }
-                            bits[stream.dst[op] as usize] = acc;
                         }
-                        i = end;
-                        continue;
                     }
-                    // Wide pre-mapping LUTs: the 2^n sweep loses to a
-                    // per-lane table lookup, so index lanes directly.
-                    let off = stream.a[i] as usize;
-                    let ins = &self.operands[off..off + n];
-                    let mut acc = [0u64; N];
-                    for l in 0..width {
-                        let (w, sh) = (l >> 6, l & 63);
-                        let mut row = 0usize;
-                        for (k, &slot) in ins.iter().enumerate() {
-                            row |= (((bits[slot as usize][w] >> sh) & 1) as usize) << k;
-                        }
-                        acc[w] |= ((self.tables[t + (row >> 6)] >> (row & 63)) & 1) << sh;
-                    }
-                    bits[dst] = acc;
+                    i = end;
+                    continue;
                 }
                 OpCode::Mac | OpCode::CopyWord => {
                     // Word run: lane-block the whole stretch so dependent
@@ -912,6 +906,67 @@ impl ExecPlan {
             i += 1;
         }
     }
+
+    /// Sweeps one fused run of `K`-input mux-tree LUTs (`1 <= K <= 6`)
+    /// sharing the level-0 `codes`. Each op hoists its operand chunks
+    /// into stack locals, then:
+    ///
+    /// * level 0 turns row pair `j`'s 2-bit code `(T[2j], T[2j+1])` into
+    ///   its leaf `{0, !x0, x0, all-ones}`, branch-free as
+    ///   `lo ^ (d & x0)` with `lo = -T[2j]` and `d = -(T[2j] ^ T[2j+1])`;
+    /// * each later level `k` muxes adjacent values on operand `k` as
+    ///   `lo ^ ((lo ^ hi) & x_k)`: `2^(K-1) - 1` chunk muxes in all, 7 for
+    ///   a 4-LUT.
+    ///
+    /// Leaves are muxed on `x1` as soon as a pair is built, so only the
+    /// `2^(K-2)` level-1 values ever reach the scratch array.
+    fn mux_run<const N: usize, const K: usize>(
+        &self,
+        stream: &OpStream,
+        run: std::ops::Range<usize>,
+        codes: u64,
+        bits: &mut [[u64; N]],
+    ) {
+        let mut level = [[0u64; N]; 16];
+        for op in run {
+            let off = stream.a[op] as usize;
+            let mut v = [[0u64; N]; K];
+            for (vk, &slot) in v.iter_mut().zip(&self.operands[off..off + K]) {
+                *vk = bits[slot as usize];
+            }
+            let leaf = |j: usize| {
+                let c = codes >> (2 * j);
+                let lo = (c & 1).wrapping_neg();
+                let d = ((c ^ (c >> 1)) & 1).wrapping_neg();
+                let mut out = [0u64; N];
+                for x in 0..N {
+                    out[x] = lo ^ (d & v[0][x]);
+                }
+                out
+            };
+            if K == 1 {
+                bits[stream.dst[op] as usize] = leaf(0);
+                continue;
+            }
+            let mut width = 1usize << (K - 2);
+            for (q, slot) in level[..width].iter_mut().enumerate() {
+                let (lo, hi) = (leaf(2 * q), leaf(2 * q + 1));
+                for x in 0..N {
+                    slot[x] = lo[x] ^ ((lo[x] ^ hi[x]) & v[1][x]);
+                }
+            }
+            for xk in &v[2..] {
+                width /= 2;
+                for j in 0..width {
+                    let (lo, hi) = (level[2 * j], level[2 * j + 1]);
+                    for x in 0..N {
+                        level[j][x] = lo[x] ^ ((lo[x] ^ hi[x]) & xk[x]);
+                    }
+                }
+            }
+            bits[stream.dst[op] as usize] = level[0];
+        }
+    }
 }
 
 /// Incrementally lowers a validated netlist into an [`ExecPlan`].
@@ -926,14 +981,16 @@ pub struct PlanBuilder<'a> {
     slots: Vec<Slot>,
     /// Table-pool offset per node (`u32::MAX` until first emission).
     table_off: Vec<u32>,
-    /// Table-pool offset by *content*: distinct nodes computing the same
-    /// LUT function share one pool run, which both shrinks the pool and
-    /// lets the batch engine fuse their minterm sweeps.
-    table_index: HashMap<Vec<u64>, u32>,
+    /// Table-pool offset by *function* (table content and arity): distinct
+    /// nodes computing the same LUT function share one pool run and one
+    /// [`LutForm`], which both shrinks the pool and lets the batch engine
+    /// sweep them as one fused run.
+    table_index: HashMap<TruthTable, u32>,
     main: OpStream,
     post: OpStream,
     operands: Vec<u32>,
     tables: Vec<u64>,
+    lut_forms: Vec<LutForm>,
     bit_latches: Vec<(u32, u32)>,
     word_latches: Vec<(u32, u32)>,
     bit_slots: u32,
@@ -986,6 +1043,7 @@ impl<'a> PlanBuilder<'a> {
             post: OpStream::default(),
             operands: Vec::new(),
             tables: Vec::new(),
+            lut_forms: Vec::new(),
             bit_latches: Vec::new(),
             word_latches: Vec::new(),
             bit_slots,
@@ -1024,12 +1082,14 @@ impl<'a> PlanBuilder<'a> {
                 let toff = if self.table_off[id.index()] != u32::MAX {
                     self.table_off[id.index()]
                 } else {
-                    let off = match self.table_index.get(table.words()) {
+                    let off = match self.table_index.get(table) {
                         Some(&off) => off,
                         None => {
                             let off = self.tables.len() as u32;
                             self.tables.extend_from_slice(table.words());
-                            self.table_index.insert(table.words().to_vec(), off);
+                            self.lut_forms.push(LutForm::of(table));
+                            self.lut_forms.resize(self.tables.len(), LutForm::Wide);
+                            self.table_index.insert(table.clone(), off);
                             off
                         }
                     };
@@ -1105,6 +1165,7 @@ impl<'a> PlanBuilder<'a> {
             post_ops: self.post,
             operands: self.operands,
             tables: self.tables,
+            lut_forms: self.lut_forms,
             bit_latches: self.bit_latches,
             word_latches: self.word_latches,
             inputs,
@@ -1162,17 +1223,18 @@ pub fn compile(netlist: &Netlist) -> Result<ExecPlan, NetlistError> {
             }
         }
     }
-    // Intern truth-table contents so the sort key groups same-function
-    // LUTs (interning order is node-id order: deterministic).
+    // Intern truth tables so the sort key groups same-function LUTs, as
+    // the table pool does (interning order is node-id order:
+    // deterministic).
     let mut table_rank = vec![0u32; netlist.len()];
-    let mut intern: HashMap<&[u64], u32> = HashMap::new();
+    let mut intern: HashMap<&TruthTable, u32> = HashMap::new();
     for (i, node) in netlist.nodes().iter().enumerate() {
         if !live[i] {
             continue;
         }
         if let NodeKind::Lut(table) = &node.kind {
             let next = intern.len() as u32;
-            table_rank[i] = *intern.entry(table.words()).or_insert(next);
+            table_rank[i] = *intern.entry(table).or_insert(next);
         }
     }
     let raw_slot: Vec<u32> = (0..netlist.len())
@@ -1518,6 +1580,155 @@ mod tests {
             "16-bit adder needs only a handful of LUT functions, got {}",
             plan.tables.len()
         );
+    }
+
+    /// One batch width's worth of stimulus for `n`-input LUTs: lane `l`
+    /// drives row `rows[l]`, and each 64-lane word walks every row in its
+    /// own order (an odd stride plus a per-word offset).
+    struct LaneSet {
+        rows: Vec<usize>,
+        lanes: Vec<Vec<Value>>,
+    }
+
+    fn row_inputs(n: usize, row: usize) -> Vec<Value> {
+        (0..n).map(|k| Value::Bit((row >> k) & 1 == 1)).collect()
+    }
+
+    impl LaneSet {
+        fn new(n: usize, width: usize) -> Self {
+            let rows: Vec<usize> = (0..width)
+                .map(|l| (l.wrapping_mul(37) + (l >> 6)) & ((1 << n) - 1))
+                .collect();
+            let lanes = rows.iter().map(|&r| row_inputs(n, r)).collect();
+            LaneSet { rows, lanes }
+        }
+    }
+
+    /// Checks batches of `n`-input tables through every batch-kernel
+    /// path: each table becomes one LUT node over the same `n` inputs
+    /// (so, distinct tables being distinct pool runs, each is its own
+    /// single-op fused run), checked lane by lane against
+    /// [`TruthTable::eval`] at widths 64/256/512 and row by row against
+    /// the scalar sweep.
+    struct TableOracle {
+        n: usize,
+        sets: (LaneSet, LaneSet, LaneSet),
+    }
+
+    impl TableOracle {
+        fn new(n: usize) -> Self {
+            TableOracle {
+                n,
+                sets: (
+                    LaneSet::new(n, BATCH_LANES),
+                    LaneSet::new(n, 4 * BATCH_LANES),
+                    LaneSet::new(n, MAX_BATCH_LANES),
+                ),
+            }
+        }
+
+        fn check(&self, tables: &[TruthTable]) {
+            let mut b = CircuitBuilder::new("luts");
+            let ins: Vec<_> = (0..self.n).map(|k| b.bit_input(&format!("x{k}"))).collect();
+            for (i, table) in tables.iter().enumerate() {
+                let f = b.lut(table.clone(), &ins);
+                b.bit_output(&format!("f{i}"), f);
+            }
+            let plan = compile(&b.finish().unwrap()).unwrap();
+            let expect: Vec<Vec<Value>> = (0..1usize << self.n)
+                .map(|row| tables.iter().map(|t| Value::Bit(t.eval(row))).collect())
+                .collect();
+            let mut state = plan.new_state();
+            let mut out = Vec::new();
+            for (row, want) in expect.iter().enumerate() {
+                plan.run_cycle_into(&mut state, &row_inputs(self.n, row), &mut out)
+                    .unwrap();
+                assert_eq!(&out, want, "scalar row {row} of {tables:?}");
+            }
+            Self::sweep::<1>(&plan, &expect, &self.sets.0, tables);
+            Self::sweep::<4>(&plan, &expect, &self.sets.1, tables);
+            Self::sweep::<8>(&plan, &expect, &self.sets.2, tables);
+        }
+
+        fn sweep<const N: usize>(
+            plan: &ExecPlan,
+            expect: &[Vec<Value>],
+            set: &LaneSet,
+            tables: &[TruthTable],
+        ) {
+            let mut state = plan.new_wide_batch_state::<N>();
+            let mut out = Vec::new();
+            plan.run_wide_batch_cycle(&mut state, &set.lanes, &mut out)
+                .unwrap();
+            for (l, &row) in set.rows.iter().enumerate() {
+                assert!(
+                    out[l] == expect[row],
+                    "width {} lane {l} row {row}: got {:?}, want {:?} for {tables:?}",
+                    N * BATCH_LANES,
+                    out[l],
+                    expect[row]
+                );
+            }
+        }
+    }
+
+    /// Adversarial tables of `n` inputs: constants, parity and its
+    /// complement, single minterms and maxterms (first, middle and last
+    /// row), and full-word 6-input masks whose top row is set.
+    fn adversarial_tables(n: usize) -> Vec<TruthTable> {
+        let rows = 1usize << n;
+        let from = |f: &dyn Fn(usize) -> bool| TruthTable::from_fn(n, f).unwrap();
+        let mut out = vec![
+            from(&|_| false),
+            from(&|_| true),
+            from(&|r| r.count_ones() % 2 == 1),
+            from(&|r| r.count_ones() % 2 == 0),
+        ];
+        for hot in [0, rows / 2 + 1, rows - 1] {
+            out.push(from(&|r| r == hot));
+            out.push(from(&|r| r != hot));
+        }
+        if n == 6 {
+            for word in [
+                u64::MAX,
+                1 << 63,
+                !(1 << 63),
+                0xAAAA_AAAA_AAAA_AAAA,
+                0xFFFF_FFFF_0000_0000,
+            ] {
+                out.push(from(&|r| (word >> r) & 1 == 1));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn batch_lut_kernel_matches_every_table() {
+        // Every table of 1-4 inputs natively (in chunks of 256 LUTs per
+        // plan); under Miri, the 1-3 input tables and one strided chunk
+        // of the 4-input ones keep the CI step fast.
+        let (stride, random) = if cfg!(miri) { (257, 2) } else { (1, 64) };
+        for n in 1..=4usize {
+            let oracle = TableOracle::new(n);
+            let count = 1u64 << (1 << n);
+            let step = if n < 4 { 1 } else { stride };
+            let tables: Vec<TruthTable> = (0..count)
+                .step_by(step)
+                .map(|word| TruthTable::from_fn(n, |r| (word >> r) & 1 == 1).unwrap())
+                .collect();
+            for chunk in tables.chunks(256) {
+                oracle.check(chunk);
+            }
+        }
+        let mut rng = freac_rand::Rng64::new(0x6c75_745f_6b65_726e);
+        for n in 5..=6usize {
+            let mut tables = adversarial_tables(n);
+            for _ in 0..random {
+                let word = rng.next_u64();
+                tables.push(TruthTable::from_fn(n, |r| (word >> r) & 1 == 1).unwrap());
+            }
+            TableOracle::new(n).check(&tables);
+        }
     }
 
     #[test]

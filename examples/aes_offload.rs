@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Drive the host-interface protocol (Fig. 5, steps 1-6). ---
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(0.5); // assume half the flushed lines dirty
+    let mut ctrl = CcCtrl::new(0.5)?; // assume half the flushed lines dirty
     let partition = SlicePartition::end_to_end();
     ctrl.store(regs::SELECT, encode_ways(&partition), &dram)?; // 1 select
     ctrl.store(regs::FLUSH, 1, &dram)?; //                        2 flush

@@ -18,7 +18,7 @@ fn offload_flow_reaches_done_and_accumulates_time() {
     )
     .expect("dot maps");
 
-    let mut ctrl = CcCtrl::new(1.0);
+    let mut ctrl = CcCtrl::new(1.0).expect("dirty fraction in range");
     let p = SlicePartition::end_to_end();
     ctrl.store(regs::SELECT, encode_ways(&p), &dram)
         .expect("select");
@@ -47,7 +47,7 @@ fn offload_flow_reaches_done_and_accumulates_time() {
 #[test]
 fn protocol_rejects_out_of_order_operations() {
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(0.0);
+    let mut ctrl = CcCtrl::new(0.0).expect("dirty fraction in range");
     // Configure before lock.
     assert!(matches!(
         ctrl.store(regs::CONFIG_DATA, 128, &dram),
@@ -93,7 +93,7 @@ fn run_kernel_setup_matches_manual_protocol_costs() {
     let run = run_kernel(&accel, &spec, &cfg).expect("runs");
 
     let dram = DramModel::ddr4_2400_x4();
-    let mut ctrl = CcCtrl::new(0.25);
+    let mut ctrl = CcCtrl::new(0.25).expect("dirty fraction in range");
     ctrl.store(regs::SELECT, encode_ways(&cfg.partition), &dram)
         .expect("select");
     ctrl.store(regs::FLUSH, 1, &dram).expect("flush");
@@ -116,7 +116,7 @@ fn run_kernel_setup_matches_manual_protocol_costs() {
 fn dirtier_caches_flush_longer() {
     let mk = |dirty: f64| {
         let dram = DramModel::ddr4_2400_x4();
-        let mut ctrl = CcCtrl::new(dirty);
+        let mut ctrl = CcCtrl::new(dirty).expect("dirty fraction in range");
         let p = SlicePartition::max_compute();
         ctrl.store(regs::SELECT, encode_ways(&p), &dram)
             .expect("select");
