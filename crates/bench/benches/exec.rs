@@ -6,20 +6,24 @@
 //!   stream;
 //! * per-vector netlist throughput: the reference `Evaluator` one vector
 //!   at a time vs the bit-sliced `run_batch_cycle` at every sweep width
-//!   (64, 256, and 512 lanes — the `w4`/`w8` multi-word arms).
+//!   (64, 256, and 512 lanes — the `w4`/`w8` multi-word arms);
+//! * small batches: one dispatch (fresh state, [`SMALL_CYCLES`] cycles)
+//!   of 1, 2 and 4 lanes as `run_batch_cycle_any` routes it (per lane up
+//!   to `SCALAR_BATCH_LANES`) vs a forced one-word `BatchState<1>` sweep.
 //!
 //! Each arm is checked against the reference `Evaluator` before any
 //! timing, so a divergence fails the bench instead of producing a fast
 //! wrong number. Results land as `BENCH_*.json` (see the `bench` crate
 //! docs); a final `BENCH_exec_speedups.json` records the per-vector batch
-//! speedups over the evaluator.
+//! speedups over the evaluator, and `BENCH_exec_small_batch.json` the
+//! small-batch times.
 
 use bench::BenchResult;
 use freac_fold::{compile_fold, schedule_fold, FoldConstraints, LutMode};
 use freac_kernels::KernelId;
 use freac_netlist::eval::Evaluator;
 use freac_netlist::techmap::{tech_map, TechMapOptions};
-use freac_netlist::{compile, Netlist, NodeKind, Value, BATCH_LANES, MAX_BATCH_LANES};
+use freac_netlist::{compile, ExecPlan, Netlist, NodeKind, Value, BATCH_LANES, MAX_BATCH_LANES};
 
 /// One deterministic input vector per primary input, respecting kinds.
 fn inputs_for(netlist: &Netlist, seed: u32) -> Vec<Value> {
@@ -44,6 +48,65 @@ struct KernelSpeedups {
     batch_w4: f64,
     /// Per-vector speedup of the 512-lane (8-word) sweep over the evaluator.
     batch_w8: f64,
+    /// `(lanes, routed, forced one-word sweep)` mean ns per small dispatch.
+    small: Vec<(usize, f64, f64)>,
+}
+
+/// Cycles one small-batch dispatch runs on its fresh state.
+const SMALL_CYCLES: usize = 4;
+
+/// Batch sizes the small-batch arm times.
+const SMALL_LANES: [usize; 3] = [1, 2, 4];
+
+/// Times one dispatch of `k` lanes — fresh state, then [`SMALL_CYCLES`]
+/// cycles — as `run_batch_cycle_any` routes it and through a forced
+/// one-word sweep, after checking both against one reference evaluator
+/// per lane.
+fn small_batch(plan: &ExecPlan, mapped: &Netlist, label: &str, k: usize) -> (f64, f64) {
+    let lanes: Vec<Vec<Value>> = (0..k as u32)
+        .map(|l| inputs_for(mapped, 0x5eed_0001 ^ l.wrapping_mul(0x0101_0101)))
+        .collect();
+    {
+        let mut refs: Vec<Evaluator> = lanes.iter().map(|_| Evaluator::new(mapped)).collect();
+        let mut routed = plan.new_batch_state_for(k);
+        let mut forced = plan.new_wide_batch_state::<1>();
+        let (mut routed_out, mut forced_out) = (Vec::new(), Vec::new());
+        for cycle in 0..SMALL_CYCLES {
+            plan.run_batch_cycle_any(&mut routed, &lanes, &mut routed_out)
+                .expect("routed small batch");
+            plan.run_wide_batch_cycle(&mut forced, &lanes, &mut forced_out)
+                .expect("forced one-word sweep");
+            for (l, reference) in refs.iter_mut().enumerate() {
+                let expect = reference.run_cycle(&lanes[l]).expect("reference cycle");
+                assert_eq!(
+                    routed_out[l], expect,
+                    "{label}: {k}-lane routed lane {l} cycle {cycle}"
+                );
+                assert_eq!(
+                    forced_out[l], expect,
+                    "{label}: {k}-lane w1 lane {l} cycle {cycle}"
+                );
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let routed = bench::bench_function(&format!("netlist/{label}/small {k} routed"), 200, || {
+        let mut state = plan.new_batch_state_for(k);
+        for _ in 0..SMALL_CYCLES {
+            plan.run_batch_cycle_any(&mut state, &lanes, &mut out)
+                .expect("routed small batch");
+        }
+        out.len()
+    });
+    let forced = bench::bench_function(&format!("netlist/{label}/small {k} w1"), 200, || {
+        let mut state = plan.new_wide_batch_state::<1>();
+        for _ in 0..SMALL_CYCLES {
+            plan.run_wide_batch_cycle(&mut state, &lanes, &mut out)
+                .expect("forced one-word sweep");
+        }
+        out.len()
+    });
+    (routed.mean_ns, forced.mean_ns)
 }
 
 fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
@@ -175,11 +238,19 @@ fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
     let per_vec_speedup = |wide: &BenchResult, width: usize| {
         (evaluator.mean_ns / BATCH_LANES as f64) / (wide.mean_ns / width as f64)
     };
+    let small = SMALL_LANES
+        .iter()
+        .map(|&k| {
+            let (routed, forced) = small_batch(&plan, &mapped, label, k);
+            (k, routed, forced)
+        })
+        .collect();
     let speedups = KernelSpeedups {
         label,
         batch: batch.speedup_over(&evaluator),
         batch_w4: per_vec_speedup(&batch_w4, 4 * BATCH_LANES),
         batch_w8: per_vec_speedup(&batch_w8, MAX_BATCH_LANES),
+        small,
     };
     println!(
         "{label}: compiled fold {:.1} ns/cycle; \
@@ -215,4 +286,29 @@ fn main() {
     }
     body.push_str("}\n");
     bench::write_bench_json("exec_speedups", &body);
+
+    let mut body = String::from("{\n");
+    body.push_str(&format!("  \"git_rev\": \"{}\",\n", bench::git_rev()));
+    body.push_str(&format!("  \"smoke\": {},\n", bench::smoke_mode()));
+    body.push_str(&format!("  \"cycles_per_dispatch\": {SMALL_CYCLES},\n"));
+    for (i, r) in results.iter().enumerate() {
+        let arms: Vec<String> = r
+            .small
+            .iter()
+            .map(|&(k, routed, forced)| {
+                format!(
+                    "\"{k}\": {{ \"routed_ns\": {routed:.1}, \"w1_ns\": {forced:.1}, \"w1_over_routed\": {:.2} }}",
+                    forced / routed.max(f64::MIN_POSITIVE)
+                )
+            })
+            .collect();
+        body.push_str(&format!(
+            "  \"{}\": {{ {} }}{}\n",
+            r.label,
+            arms.join(", "),
+            if i + 1 < results.len() { "," } else { "" }
+        ));
+    }
+    body.push_str("}\n");
+    bench::write_bench_json("exec_small_batch", &body);
 }

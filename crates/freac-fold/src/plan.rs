@@ -81,9 +81,12 @@ impl FoldPlan {
         }
     }
 
-    /// Creates a batch executor wide enough for `max_lanes` concurrent
-    /// lanes (rounded up to the narrowest supported bit-slice width),
-    /// every lane at power-on values.
+    /// Creates a batch executor for up to `max_lanes` concurrent lanes,
+    /// every lane at power-on values: one single-lane state per lane up to
+    /// [`SCALAR_BATCH_LANES`], else the narrowest supported bit-slice
+    /// width that fits ([`ExecPlan::new_batch_state_for`]).
+    ///
+    /// [`SCALAR_BATCH_LANES`]: freac_netlist::SCALAR_BATCH_LANES
     pub fn batch_executor(&self, max_lanes: usize) -> FoldBatchExecutor<'_> {
         FoldBatchExecutor {
             plan: self,
@@ -135,8 +138,10 @@ pub struct FoldBatchExecutor<'a> {
 }
 
 impl FoldBatchExecutor<'_> {
-    /// Widest batch one pass accepts (a [`BATCH_WIDTHS`] entry).
+    /// Widest batch one pass accepts: the per-lane state count up to
+    /// [`SCALAR_BATCH_LANES`], else a [`BATCH_WIDTHS`] entry.
     ///
+    /// [`SCALAR_BATCH_LANES`]: freac_netlist::SCALAR_BATCH_LANES
     /// [`BATCH_WIDTHS`]: freac_netlist::BATCH_WIDTHS
     pub fn lane_capacity(&self) -> usize {
         self.state.lane_capacity()

@@ -59,7 +59,7 @@ pub use opt::{
 };
 pub use plan::{
     compile, AnyBatchState, BatchState, ExecPlan, PlanState, BATCH_LANES, BATCH_WIDTHS,
-    MAX_BATCH_LANES, MAX_BATCH_WORDS,
+    MAX_BATCH_LANES, MAX_BATCH_WORDS, SCALAR_BATCH_LANES,
 };
 pub use stats::NetlistStats;
 pub use truth::TruthTable;

@@ -9,26 +9,36 @@
 //! configuration row per fold step, no per-step decision-making):
 //!
 //! * every operand is resolved to a dense *slot* in one of two state
-//!   planes — a packed bit plane of `u64` words and a `u32` word plane —
-//!   so there is no `Option<Value>` state and no enum-tagged values;
-//! * LUT truth tables are flattened into one contiguous `u64` pool,
-//!   referenced by dense offset and classified once for the batch sweep;
-//! * the circuit becomes a flat struct-of-arrays stream of micro-ops that
-//!   a branch-light loop executes with zero per-cycle allocation
+//!   planes — a bit plane and a `u32` word plane — so there is no
+//!   `Option<Value>` state and no enum-tagged values;
+//! * every micro-op is one flat 24-byte record, the image of one LUT's
+//!   configuration-row entry. A LUT of up to 4 inputs carries its operand
+//!   slots inline — padded with a reserved always-zero bit slot — and its
+//!   16-row truth table, so the single-vector engine evaluates it with
+//!   four byte loads, a shift-or and one table shift. Wider LUTs and
+//!   `Pack` keep offsets into an operand pool and a table pool;
+//! * each LUT's batch-sweep form is decided at compile time (its opcode
+//!   for inline LUTs, a form column beside the table pool otherwise);
+//! * the circuit becomes one record stream that a branch-light loop
+//!   executes with zero per-cycle allocation
 //!   ([`ExecPlan::run_cycle_into`]).
 //!
-//! On top of the packed bit plane the plan also evaluates batches of
-//! independent input vectors per pass: bit-typed logic runs *bit-sliced* —
-//! lane `l` of every bit slot belongs to input vector `l`, so one chain of
-//! chunk XORs (parity tables) or one Shannon mux tree (any other table,
-//! its form decoded once at compile time) evaluates a LUT for a whole
-//! chunk of lanes at once — while word-typed ops iterate the lanes of a
-//! widened word plane. The chunk is a `[u64; N]` array ([`BatchState`] is
-//! generic over `N`), so the same plan sweeps 64 lanes per word (`N = 1`,
-//! [`ExecPlan::run_batch_cycle`]), or 256/512 lanes (`N = 4` / `N = 8`,
-//! [`ExecPlan::run_wide_batch_cycle`]) with straight-line inner loops the
-//! autovectorizer turns into SIMD. Callers that only learn the batch size
-//! at runtime dispatch through [`AnyBatchState`].
+//! Over the same records the plan also evaluates batches of independent
+//! input vectors per pass: bit-typed logic runs *bit-sliced* — lane `l` of
+//! every bit slot belongs to input vector `l`, so one chain of chunk XORs
+//! (parity tables) or one Shannon mux tree (any other table) evaluates a
+//! LUT for a whole chunk of lanes at once — while word-typed ops iterate
+//! the lanes of a widened word plane. The chunk is a `[u64; N]` array
+//! ([`BatchState`] is generic over `N`), so the same plan sweeps 64 lanes
+//! per word (`N = 1`, [`ExecPlan::run_batch_cycle`]), or 256/512 lanes
+//! (`N = 4` / `N = 8`, [`ExecPlan::run_wide_batch_cycle`]) with
+//! straight-line inner loops the autovectorizer turns into SIMD. Callers
+//! that only learn the batch size at runtime dispatch through
+//! [`AnyBatchState`], which runs batches of at most
+//! [`SCALAR_BATCH_LANES`] lanes per lane on the single-vector engine —
+//! a 64-lane sweep costs 2.5–4 scalar runs, so below the cut-over it
+//! only wastes lanes — and wider ones on the narrowest bit-sliced width
+//! that fits.
 //!
 //! Plan compilation is shared with `freac-fold`: [`PlanBuilder`] exposes
 //! the slot assignment and op emission primitives, and the folding crate
@@ -89,16 +99,25 @@ pub enum Segment {
     Post,
 }
 
-/// Micro-op opcodes. Operand meaning per code is documented on
-/// [`OpStream`]'s fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Micro-op opcodes. Operand meaning per code is documented on [`Op`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 enum OpCode {
-    /// Truth-table lookup over bit operands.
+    /// Lookup in the record's inline 16-row table over up to
+    /// [`INLINE_LUT_INPUTS`] bit operands; the batch sweep evaluates it as
+    /// a Shannon mux tree over the table.
     Lut,
+    /// An inline LUT whose table is a parity function (XOR/XNOR chain,
+    /// constants included): executed like [`OpCode::Lut`] by the scalar
+    /// engine, swept as a chain of chunk XORs by the batch engine.
+    Parity,
+    /// Lookup in the table pool over pooled operands: LUTs of more than
+    /// [`INLINE_LUT_INPUTS`] inputs (5–6 inputs after mapping, up to 16
+    /// before).
+    PooledLut,
     /// `a.wrapping_mul(b).wrapping_add(acc)` over word slots.
     Mac,
-    /// Packs bit operands (LSB first) into a word slot.
+    /// Packs pooled bit operands (LSB first) into a word slot.
     Pack,
     /// Extracts one bit of a word slot.
     Unpack,
@@ -108,54 +127,43 @@ enum OpCode {
     CopyWord,
 }
 
-/// The flat micro-op stream in struct-of-arrays layout: four parallel
-/// operand columns keep each op record at 17 bytes and let the hot loop
-/// stream them sequentially.
-#[derive(Debug, Clone, Default)]
-struct OpStream {
-    /// Opcode per op.
-    codes: Vec<OpCode>,
-    /// Destination slot index (bit plane for bit-typed results, word plane
-    /// for word-typed results — implied by the opcode).
-    dst: Vec<u32>,
-    /// `Lut`/`Pack`: offset into the operand pool. `Mac`: `a` word slot.
-    /// `Unpack`/`CopyBit`/`CopyWord`: source slot.
-    a: Vec<u32>,
-    /// `Lut`: offset into the table pool. `Mac`: `b` word slot.
-    /// `Unpack`: bit index. Others: unused.
-    b: Vec<u32>,
-    /// `Lut`/`Pack`: operand count. `Mac`: `acc` word slot. Others: unused.
-    c: Vec<u32>,
+/// Widest LUT whose operand slots and truth table fit inline in its
+/// [`Op`] record.
+const INLINE_LUT_INPUTS: usize = 4;
+
+/// One micro-op: a flat 24-byte record, the software image of one LUT's
+/// entry in a configuration row. Both engines stream one `Vec<Op>`
+/// sequentially; an inline LUT needs nothing outside its record.
+///
+/// `args` by code:
+///
+/// * `Lut` / `Parity`: the operand bit slots, padded past the arity `n`
+///   with the plan's reserved always-zero bit slot, so the scalar row
+///   index is always four byte loads and a shift-or;
+/// * `PooledLut`: `[operand pool offset, table pool offset, 0, 0]`;
+/// * `Pack`: `[operand pool offset, 0, 0, 0]`;
+/// * `Mac`: `[a, b, acc, 0]` word slots;
+/// * `Unpack`: `[source word slot, bit index, 0, 0]`;
+/// * `CopyBit` / `CopyWord`: `[source slot, 0, 0, 0]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Op {
+    code: OpCode,
+    /// Operand count of `Lut`/`Parity`/`PooledLut`/`Pack` (validation caps
+    /// LUTs at 16 inputs and packs at 32); 0 otherwise.
+    n: u8,
+    /// `Lut`/`Parity`: the truth table, bit `r` the value on row `r` (rows
+    /// at or past `2^n` are 0); 0 otherwise.
+    table: u16,
+    /// Destination slot (bit plane for bit-typed results, word plane for
+    /// word-typed results — implied by the opcode).
+    dst: u32,
+    args: [u32; 4],
 }
 
-impl OpStream {
-    fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    fn push(&mut self, code: OpCode, dst: u32, a: u32, b: u32, c: u32) {
-        self.codes.push(code);
-        self.dst.push(dst);
-        self.a.push(a);
-        self.b.push(b);
-        self.c.push(c);
-    }
-
-    /// Zipped column iteration: lets the hot loops stream the SoA columns
-    /// without per-column bounds checks.
-    fn iter(&self) -> impl Iterator<Item = (OpCode, u32, u32, u32, u32)> + '_ {
-        self.codes
-            .iter()
-            .zip(&self.dst)
-            .zip(&self.a)
-            .zip(&self.b)
-            .zip(&self.c)
-            .map(|((((&code, &dst), &a), &b), &c)| (code, dst, a, b, c))
-    }
-}
-
-/// How the batch sweep evaluates one pooled truth table, decided once at
-/// plan-compile time so no sweep re-analyses a table.
+/// How the batch sweep evaluates one truth table, decided once at
+/// plan-compile time so no sweep re-analyses a table: stored beside the
+/// table pool for pooled LUTs, folded into the opcode (`Parity` or `Lut`)
+/// for inline ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LutForm {
     /// `T[row] == parity(row) ^ flip` on every row: an XOR/XNOR chain
@@ -174,7 +182,7 @@ enum LutForm {
 }
 
 impl LutForm {
-    /// Classifies a pooled table.
+    /// Classifies a table.
     fn of(table: &TruthTable) -> Self {
         let n = table.inputs();
         if n > 6 {
@@ -202,14 +210,14 @@ impl LutForm {
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
     /// Pre-latch micro-ops.
-    ops: OpStream,
+    ops: Vec<Op>,
     /// Post-latch micro-ops (fold-order output plumbing; empty for plans
     /// compiled in topological order).
-    post_ops: OpStream,
-    /// Slot-index pool for `Lut`/`Pack` operand lists.
+    post_ops: Vec<Op>,
+    /// Slot-index pool for `PooledLut`/`Pack` operand lists.
     operands: Vec<u32>,
-    /// Flattened truth-table words (`TruthTable::words`), one run per
-    /// distinct LUT function (table content and arity).
+    /// Flattened truth-table words (`TruthTable::words`) of the pooled
+    /// LUTs, one run per distinct function (table content and arity).
     tables: Vec<u64>,
     /// Batch-sweep form of every pooled table, parallel to `tables`: the
     /// entry at a run's offset is that table's form, classified once when
@@ -224,12 +232,9 @@ pub struct ExecPlan {
     inputs: Vec<Slot>,
     /// Primary-output slots in declaration order.
     outputs: Vec<Slot>,
-    /// Bit slots allocated (plane length is `bit_slots.div_ceil(64)`).
-    bit_slots: u32,
-    /// Word slots allocated.
-    word_slots: u32,
-    /// Initial packed bit plane (constants and flip-flop init values).
-    bit_init: Vec<u64>,
+    /// Initial bit plane, one byte (0 or 1) per slot — the reserved
+    /// always-zero slot included: constants and flip-flop init values.
+    bit_init: Vec<u8>,
     /// Initial word plane (constants and register init values).
     word_init: Vec<u32>,
 }
@@ -239,8 +244,8 @@ pub struct ExecPlan {
 pub struct PlanState {
     /// Byte-per-slot bit plane (0 or 1): single-vector LUT input gathers
     /// are one indexed load each, with no shift/mask to locate the bit.
-    /// (The 64-lane [`BatchState`] uses the packed layout instead, where
-    /// one word *is* the 64 lanes.)
+    /// (The batch [`BatchState`] uses the packed layout instead, where
+    /// one word *is* 64 lanes.)
     bits: Vec<u8>,
     /// Word plane.
     words: Vec<u32>,
@@ -290,14 +295,17 @@ impl<const N: usize> BatchState<N> {
     }
 }
 
-/// Runtime-width batch state: wraps one of the supported monomorphized
-/// widths ([`BATCH_WIDTHS`]) so callers that only learn the batch size at
-/// runtime — the serve coalescer, [`equivalent_on`](crate::eval::equivalent_on)
-/// — still execute the straight-line `[u64; N]` loops. Build with
-/// [`ExecPlan::new_batch_state_for`], run with
+/// Runtime-width batch state for callers that only learn the batch size at
+/// runtime — the serve coalescer, [`equivalent_on`](crate::eval::equivalent_on).
+/// Batches of at most [`SCALAR_BATCH_LANES`] lanes run per lane on the
+/// single-vector engine; wider ones run one of the supported monomorphized
+/// bit-sliced widths ([`BATCH_WIDTHS`]) with its straight-line `[u64; N]`
+/// loops. Build with [`ExecPlan::new_batch_state_for`], run with
 /// [`ExecPlan::run_batch_cycle_any`].
 #[derive(Debug, Clone)]
 pub enum AnyBatchState {
+    /// One single-vector state per lane (1 to [`SCALAR_BATCH_LANES`]).
+    Scalar(Vec<PlanState>),
     /// 64 lanes (one `u64` per bit slot).
     W1(BatchState<1>),
     /// 256 lanes.
@@ -310,6 +318,7 @@ impl AnyBatchState {
     /// Lanes one pass over this state evaluates.
     pub fn lane_capacity(&self) -> usize {
         match self {
+            AnyBatchState::Scalar(lanes) => lanes.len(),
             AnyBatchState::W1(_) => BATCH_LANES,
             AnyBatchState::W4(_) => 4 * BATCH_LANES,
             AnyBatchState::W8(_) => MAX_BATCH_LANES,
@@ -319,12 +328,21 @@ impl AnyBatchState {
     /// Original clock cycles executed so far.
     pub fn cycles(&self) -> u64 {
         match self {
+            // Every successful cycle runs lane 0.
+            AnyBatchState::Scalar(lanes) => lanes[0].cycles(),
             AnyBatchState::W1(s) => s.cycles(),
             AnyBatchState::W4(s) => s.cycles(),
             AnyBatchState::W8(s) => s.cycles(),
         }
     }
 }
+
+/// Widest batch [`ExecPlan::new_batch_state_for`] runs per lane on the
+/// single-vector engine instead of through a 64-lane bit-sliced sweep.
+/// One sweep costs about 2.5 scalar runs on AES and 3–4 on GEMM, KMP and
+/// DOT, so per-lane execution wins at two lanes on every cluster kernel
+/// and would lose on AES at three.
+pub const SCALAR_BATCH_LANES: usize = 2;
 
 /// Bit count at which the batch `Pack`/`Unpack` paths switch from
 /// per-lane assembly to a full 64×64 block transpose: the transpose costs
@@ -352,30 +370,11 @@ fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
-#[inline]
-fn get_bit(bits: &[u64], slot: u32) -> bool {
-    (bits[(slot >> 6) as usize] >> (slot & 63)) & 1 == 1
-}
-
-#[inline]
-fn set_bit(bits: &mut [u64], slot: u32, v: bool) {
-    let w = (slot >> 6) as usize;
-    let m = 1u64 << (slot & 63);
-    if v {
-        bits[w] |= m;
-    } else {
-        bits[w] &= !m;
-    }
-}
-
 impl ExecPlan {
     /// Fresh single-vector state at power-on values.
     pub fn new_state(&self) -> PlanState {
-        let bits = (0..self.bit_slots)
-            .map(|s| get_bit(&self.bit_init, s) as u8)
-            .collect();
         PlanState {
-            bits,
+            bits: self.bit_init.clone(),
             words: self.word_init.clone(),
             bit_stage: vec![0; self.bit_latches.len().max(1)],
             word_stage: vec![0; self.word_latches.len().max(1)],
@@ -391,13 +390,12 @@ impl ExecPlan {
     /// Fresh `N * 64`-lane batch state, every lane at power-on values.
     pub fn new_wide_batch_state<const N: usize>(&self) -> BatchState<N> {
         let lanes = N * BATCH_LANES;
-        let mut bits = vec![[0u64; N]; self.bit_slots as usize];
-        for (s, chunk) in bits.iter_mut().enumerate() {
-            if get_bit(&self.bit_init, s as u32) {
-                *chunk = [u64::MAX; N];
-            }
-        }
-        let mut words = vec![0u32; self.word_slots as usize * lanes];
+        let bits = self
+            .bit_init
+            .iter()
+            .map(|&b| [u64::from(b).wrapping_neg(); N])
+            .collect();
+        let mut words = vec![0u32; self.word_init.len() * lanes];
         for (s, &init) in self.word_init.iter().enumerate() {
             words[s * lanes..(s + 1) * lanes].fill(init);
         }
@@ -410,11 +408,14 @@ impl ExecPlan {
         }
     }
 
-    /// Fresh batch state at the narrowest supported width
-    /// ([`BATCH_WIDTHS`]) that fits `max_lanes` lanes (clamped to
-    /// [`MAX_BATCH_LANES`]).
+    /// Fresh batch state for up to `max_lanes` lanes: one single-vector
+    /// state per lane when `max_lanes` is at most [`SCALAR_BATCH_LANES`]
+    /// (at least one lane), else the narrowest bit-sliced width
+    /// ([`BATCH_WIDTHS`]) that fits (clamped to [`MAX_BATCH_LANES`]).
     pub fn new_batch_state_for(&self, max_lanes: usize) -> AnyBatchState {
-        if max_lanes <= BATCH_LANES {
+        if max_lanes <= SCALAR_BATCH_LANES {
+            AnyBatchState::Scalar((0..max_lanes.max(1)).map(|_| self.new_state()).collect())
+        } else if max_lanes <= BATCH_LANES {
             AnyBatchState::W1(self.new_wide_batch_state())
         } else if max_lanes <= 4 * BATCH_LANES {
             AnyBatchState::W4(self.new_wide_batch_state())
@@ -537,12 +538,17 @@ impl ExecPlan {
         self.run_wide_batch_cycle::<1>(state, lanes, out)
     }
 
-    /// Runs one original clock cycle at whichever width `state` carries:
-    /// the runtime-dispatch face of [`ExecPlan::run_wide_batch_cycle`].
+    /// Runs one original clock cycle on whichever engine `state` carries:
+    /// the runtime-dispatch face of [`ExecPlan::run_wide_batch_cycle`],
+    /// and of [`ExecPlan::run_cycle_into`] once per lane for a
+    /// [`AnyBatchState::Scalar`] state.
     ///
     /// # Errors
     ///
-    /// Exactly [`ExecPlan::run_wide_batch_cycle`]'s, at `state`'s width.
+    /// Exactly [`ExecPlan::run_wide_batch_cycle`]'s, with `state`'s
+    /// [`lane_capacity`](AnyBatchState::lane_capacity) as the width. A
+    /// per-lane state checks every lane before running any, so an error
+    /// leaves every lane untouched.
     pub fn run_batch_cycle_any(
         &self,
         state: &mut AnyBatchState,
@@ -550,10 +556,50 @@ impl ExecPlan {
         out: &mut Vec<Vec<Value>>,
     ) -> Result<(), NetlistError> {
         match state {
+            AnyBatchState::Scalar(s) => self.run_scalar_lanes(s, lanes, out),
             AnyBatchState::W1(s) => self.run_wide_batch_cycle(s, lanes, out),
             AnyBatchState::W4(s) => self.run_wide_batch_cycle(s, lanes, out),
             AnyBatchState::W8(s) => self.run_wide_batch_cycle(s, lanes, out),
         }
+    }
+
+    /// Runs lane `l` through [`ExecPlan::run_cycle_into`] on `states[l]`,
+    /// after checking every lane in the order the bit-sliced prologue does
+    /// (batch size, then each lane's input count, then input types input
+    /// by input), so both report the same first error.
+    fn run_scalar_lanes(
+        &self,
+        states: &mut [PlanState],
+        lanes: &[Vec<Value>],
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), NetlistError> {
+        if lanes.is_empty() || lanes.len() > states.len() {
+            return Err(NetlistError::InputCountMismatch {
+                expected: states.len(),
+                found: lanes.len(),
+            });
+        }
+        for lane in lanes {
+            if lane.len() != self.inputs.len() {
+                return Err(NetlistError::InputCountMismatch {
+                    expected: self.inputs.len(),
+                    found: lane.len(),
+                });
+            }
+        }
+        for (index, &slot) in self.inputs.iter().enumerate() {
+            if lanes
+                .iter()
+                .any(|lane| lane[index].signal_type() != slot.signal_type())
+            {
+                return Err(NetlistError::InputTypeMismatch { index });
+            }
+        }
+        out.resize_with(lanes.len(), Vec::new);
+        for ((state, lane), lane_out) in states.iter_mut().zip(lanes).zip(out.iter_mut()) {
+            self.run_cycle_into(state, lane, lane_out)?;
+        }
+        Ok(())
     }
 
     /// Runs one original clock cycle for up to `N * 64` independent input
@@ -654,56 +700,75 @@ impl ExecPlan {
         Ok(())
     }
 
-    /// The branch-light single-vector inner loop.
-    fn exec(&self, stream: &OpStream, bits: &mut [u8], words: &mut [u32]) {
-        for (code, dst, a, b, c) in stream.iter() {
-            match code {
-                OpCode::Lut => {
-                    let off = a as usize;
+    /// The single-vector engine: one flat record per op. An inline LUT is
+    /// four byte loads, a shift-or and one shift of its own table; only
+    /// `PooledLut` and `Pack` reach into the pools.
+    fn exec(&self, ops: &[Op], bits: &mut [u8], words: &mut [u32]) {
+        for op in ops {
+            let [a, b, c, d] = op.args;
+            let dst = op.dst as usize;
+            match op.code {
+                OpCode::Lut | OpCode::Parity => {
+                    let row = u32::from(bits[a as usize])
+                        | u32::from(bits[b as usize]) << 1
+                        | u32::from(bits[c as usize]) << 2
+                        | u32::from(bits[d as usize]) << 3;
+                    bits[dst] = (op.table >> row) as u8 & 1;
+                }
+                OpCode::PooledLut => {
                     let mut row = 0usize;
-                    for (k, &slot) in self.operands[off..off + c as usize].iter().enumerate() {
+                    for (k, &slot) in self.pooled(op).iter().enumerate() {
                         row |= (bits[slot as usize] as usize) << k;
                     }
                     let t = b as usize;
-                    bits[dst as usize] = ((self.tables[t + (row >> 6)] >> (row & 63)) & 1) as u8;
+                    bits[dst] = ((self.tables[t + (row >> 6)] >> (row & 63)) & 1) as u8;
                 }
                 OpCode::Mac => {
-                    let x = words[a as usize];
-                    let y = words[b as usize];
-                    let acc = words[c as usize];
-                    words[dst as usize] = x.wrapping_mul(y).wrapping_add(acc);
+                    words[dst] = words[a as usize]
+                        .wrapping_mul(words[b as usize])
+                        .wrapping_add(words[c as usize]);
                 }
                 OpCode::Pack => {
-                    let off = a as usize;
                     let mut w = 0u32;
-                    for (k, &slot) in self.operands[off..off + c as usize].iter().enumerate() {
+                    for (k, &slot) in self.pooled(op).iter().enumerate() {
                         w |= (bits[slot as usize] as u32) << k;
                     }
-                    words[dst as usize] = w;
+                    words[dst] = w;
                 }
-                OpCode::Unpack => {
-                    bits[dst as usize] = ((words[a as usize] >> b) & 1) as u8;
-                }
-                OpCode::CopyBit => {
-                    bits[dst as usize] = bits[a as usize];
-                }
-                OpCode::CopyWord => {
-                    words[dst as usize] = words[a as usize];
-                }
+                OpCode::Unpack => bits[dst] = ((words[a as usize] >> b) & 1) as u8,
+                OpCode::CopyBit => bits[dst] = bits[a as usize],
+                OpCode::CopyWord => words[dst] = words[a as usize],
             }
         }
     }
 
-    /// The `N * 64`-lane batch inner loop: bit-sliced for bit logic, lane
-    /// loops for word arithmetic. All chunk loops run over `[u64; N]`
-    /// arrays with no cross-iteration dependency, so the autovectorizer
-    /// widens them to whatever SIMD the target offers.
+    /// The pooled operand slots of a `PooledLut` or `Pack` record.
+    fn pooled(&self, op: &Op) -> &[u32] {
+        &self.operands[op.args[0] as usize..][..op.n as usize]
+    }
+
+    /// The operand slots of any LUT record, inline or pooled.
+    fn lut_operands<'a>(&'a self, op: &'a Op) -> &'a [u32] {
+        if op.code == OpCode::PooledLut {
+            self.pooled(op)
+        } else {
+            &op.args[..op.n as usize]
+        }
+    }
+
+    /// The `N * 64`-lane batch inner loop over the same records as
+    /// [`ExecPlan::exec`]: bit-sliced for bit logic, lane loops for word
+    /// arithmetic. All chunk loops run over `[u64; N]` arrays with no
+    /// cross-iteration dependency, so the autovectorizer widens them to
+    /// whatever SIMD the target offers.
     ///
-    /// Consecutive `Lut` ops sharing one pooled truth table (common after
+    /// Consecutive LUT ops computing one function (common after
     /// tech-mapping: adder/xor columns all compile to the same LUT
     /// function, and [`compile`] groups them) execute as a *fused run*
-    /// over the table's [`LutForm`], classified once at compile time:
-    /// parity tables (XOR/XNOR chains, everywhere in adders and AES)
+    /// over the function's [`LutForm`], fixed at compile time: the opcode
+    /// says it for inline LUTs (`Parity`, or `Lut` swept as a mux tree
+    /// over its inline table), the pool's form column for pooled ones.
+    /// Parity tables (XOR/XNOR chains, everywhere in adders and AES)
     /// sweep as a chain of chunk XORs, every other table of at most 6
     /// inputs as a Shannon mux tree ([`ExecPlan::mux_run`]: `2^(n-1) - 1`
     /// chunk muxes above the level-0 leaves its codes select), and wider
@@ -715,59 +780,65 @@ impl ExecPlan {
     /// run completes before the next starts, keeping a dependent chain's
     /// working set at 64 lanes regardless of `N` instead of streaming
     /// `N * 64`-lane planes through cache once per op.
-    fn exec_batch<const N: usize>(
-        &self,
-        stream: &OpStream,
-        bits: &mut [[u64; N]],
-        words: &mut [u32],
-    ) {
+    fn exec_batch<const N: usize>(&self, ops: &[Op], bits: &mut [[u64; N]], words: &mut [u32]) {
         let width = N * BATCH_LANES;
-        let len = stream.len();
+        let len = ops.len();
         let mut i = 0usize;
         while i < len {
-            let dst = stream.dst[i] as usize;
-            match stream.codes[i] {
-                OpCode::Lut => {
-                    let t = stream.b[i] as usize;
-                    // Fused run: every following op on the same pooled
-                    // table (hence the same arity) shares its form.
+            let op = ops[i];
+            let dst = op.dst as usize;
+            match op.code {
+                OpCode::Lut | OpCode::Parity | OpCode::PooledLut => {
+                    // Fused run: every following op computing the same
+                    // function (hence of the same arity) shares its form.
+                    let same = |o: &Op| {
+                        o.code == op.code
+                            && if op.code == OpCode::PooledLut {
+                                o.args[1] == op.args[1]
+                            } else {
+                                o.n == op.n && o.table == op.table
+                            }
+                    };
                     let mut end = i + 1;
-                    while end < len
-                        && stream.codes[end] == OpCode::Lut
-                        && stream.b[end] as usize == t
-                    {
+                    while end < len && same(&ops[end]) {
                         end += 1;
                     }
-                    let n = stream.c[i] as usize;
-                    match self.lut_forms[t] {
+                    let run = &ops[i..end];
+                    let form = match op.code {
+                        OpCode::Lut => LutForm::Mux {
+                            codes: u64::from(op.table),
+                        },
+                        OpCode::Parity => LutForm::Parity {
+                            flip: u64::from(op.table & 1).wrapping_neg(),
+                        },
+                        _ => self.lut_forms[op.args[1] as usize],
+                    };
+                    match form {
                         LutForm::Parity { flip } => {
-                            for op in i..end {
-                                let off = stream.a[op] as usize;
+                            for o in run {
                                 let mut acc = [flip; N];
-                                for &slot in &self.operands[off..off + n] {
+                                for &slot in self.lut_operands(o) {
                                     let v = &bits[slot as usize];
                                     for x in 0..N {
                                         acc[x] ^= v[x];
                                     }
                                 }
-                                bits[stream.dst[op] as usize] = acc;
+                                bits[o.dst as usize] = acc;
                             }
                         }
-                        LutForm::Mux { codes } => {
-                            let run = i..end;
-                            match n {
-                                1 => self.mux_run::<N, 1>(stream, run, codes, bits),
-                                2 => self.mux_run::<N, 2>(stream, run, codes, bits),
-                                3 => self.mux_run::<N, 3>(stream, run, codes, bits),
-                                4 => self.mux_run::<N, 4>(stream, run, codes, bits),
-                                5 => self.mux_run::<N, 5>(stream, run, codes, bits),
-                                6 => self.mux_run::<N, 6>(stream, run, codes, bits),
-                                _ => unreachable!("mux-tree tables have 1-6 inputs"),
-                            }
-                        }
+                        LutForm::Mux { codes } => match op.n {
+                            1 => self.mux_run::<N, 1>(run, codes, bits),
+                            2 => self.mux_run::<N, 2>(run, codes, bits),
+                            3 => self.mux_run::<N, 3>(run, codes, bits),
+                            4 => self.mux_run::<N, 4>(run, codes, bits),
+                            5 => self.mux_run::<N, 5>(run, codes, bits),
+                            6 => self.mux_run::<N, 6>(run, codes, bits),
+                            _ => unreachable!("mux-tree tables have 1-6 inputs"),
+                        },
                         LutForm::Wide => {
-                            for op in i..end {
-                                let ins = &self.operands[stream.a[op] as usize..][..n];
+                            let t = op.args[1] as usize;
+                            for o in run {
+                                let ins = self.pooled(o);
                                 let mut acc = [0u64; N];
                                 for l in 0..width {
                                     let (w, sh) = (l >> 6, l & 63);
@@ -778,7 +849,7 @@ impl ExecPlan {
                                     acc[w] |=
                                         ((self.tables[t + (row >> 6)] >> (row & 63)) & 1) << sh;
                                 }
-                                bits[stream.dst[op] as usize] = acc;
+                                bits[o.dst as usize] = acc;
                             }
                         }
                     }
@@ -789,27 +860,22 @@ impl ExecPlan {
                     // Word run: lane-block the whole stretch so dependent
                     // chains stay L1-resident at every width.
                     let mut end = i + 1;
-                    while end < len && matches!(stream.codes[end], OpCode::Mac | OpCode::CopyWord) {
+                    while end < len && matches!(ops[end].code, OpCode::Mac | OpCode::CopyWord) {
                         end += 1;
                     }
                     for base in (0..width).step_by(BATCH_LANES) {
-                        for op in i..end {
-                            let db = stream.dst[op] as usize * width + base;
-                            match stream.codes[op] {
+                        for o in &ops[i..end] {
+                            let db = o.dst as usize * width + base;
+                            let [a, b, c, _] = o.args.map(|s| s as usize * width + base);
+                            match o.code {
                                 OpCode::Mac => {
-                                    let ab = stream.a[op] as usize * width + base;
-                                    let bb = stream.b[op] as usize * width + base;
-                                    let cb = stream.c[op] as usize * width + base;
                                     for j in 0..BATCH_LANES {
-                                        words[db + j] = words[ab + j]
-                                            .wrapping_mul(words[bb + j])
-                                            .wrapping_add(words[cb + j]);
+                                        words[db + j] = words[a + j]
+                                            .wrapping_mul(words[b + j])
+                                            .wrapping_add(words[c + j]);
                                     }
                                 }
-                                OpCode::CopyWord => {
-                                    let sb = stream.a[op] as usize * width + base;
-                                    words.copy_within(sb..sb + BATCH_LANES, db);
-                                }
+                                OpCode::CopyWord => words.copy_within(a..a + BATCH_LANES, db),
                                 _ => unreachable!("word run only holds Mac/CopyWord"),
                             }
                         }
@@ -827,9 +893,8 @@ impl ExecPlan {
                     // Either way each destination lane is stored exactly
                     // once — no `operand count + 1` read-modify-write
                     // sweeps over the destination row.
-                    let off = stream.a[i] as usize;
-                    let n = stream.c[i] as usize;
-                    let ins = &self.operands[off..off + n];
+                    let ins = self.pooled(&op);
+                    let n = ins.len();
                     let db = dst * width;
                     // `w` also offsets the lane-major word plane, so the
                     // index form beats iterating `bits` here.
@@ -863,36 +928,34 @@ impl ExecPlan {
                     // of one source slot transpose each 64-lane block
                     // once and hand every op in the run its row — the
                     // naive form re-reads all lanes once per bit.
-                    let src = stream.a[i] as usize;
+                    let src = op.args[0];
                     let mut end = i + 1;
-                    while end < len
-                        && stream.codes[end] == OpCode::Unpack
-                        && stream.a[end] as usize == src
-                    {
+                    while end < len && ops[end].code == OpCode::Unpack && ops[end].args[0] == src {
                         end += 1;
                     }
-                    let sb = src * width;
+                    let run = &ops[i..end];
+                    let sb = src as usize * width;
                     #[allow(clippy::needless_range_loop)]
                     for w in 0..N {
                         let base = sb + w * BATCH_LANES;
                         let lanes = &words[base..base + BATCH_LANES];
-                        if end - i >= TRANSPOSE_MIN_BITS {
+                        if run.len() >= TRANSPOSE_MIN_BITS {
                             let mut m = [0u64; 64];
                             for (j, &word) in lanes.iter().enumerate() {
                                 m[j] = word as u64;
                             }
                             transpose64(&mut m);
-                            for op in i..end {
-                                bits[stream.dst[op] as usize][w] = m[stream.b[op] as usize];
+                            for o in run {
+                                bits[o.dst as usize][w] = m[o.args[1] as usize];
                             }
                         } else {
-                            for op in i..end {
-                                let bit = stream.b[op];
+                            for o in run {
+                                let bit = o.args[1];
                                 let mut m = 0u64;
                                 for (j, &word) in lanes.iter().enumerate() {
                                     m |= (((word >> bit) & 1) as u64) << j;
                                 }
-                                bits[stream.dst[op] as usize][w] = m;
+                                bits[o.dst as usize][w] = m;
                             }
                         }
                     }
@@ -900,7 +963,7 @@ impl ExecPlan {
                     continue;
                 }
                 OpCode::CopyBit => {
-                    bits[dst] = bits[stream.a[i] as usize];
+                    bits[dst] = bits[op.args[0] as usize];
                 }
             }
             i += 1;
@@ -922,18 +985,20 @@ impl ExecPlan {
     /// `2^(K-2)` level-1 values ever reach the scratch array.
     fn mux_run<const N: usize, const K: usize>(
         &self,
-        stream: &OpStream,
-        run: std::ops::Range<usize>,
+        run: &[Op],
         codes: u64,
         bits: &mut [[u64; N]],
     ) {
         let mut level = [[0u64; N]; 16];
+        let pooled = run[0].code == OpCode::PooledLut;
         for op in run {
-            let off = stream.a[op] as usize;
-            let mut v = [[0u64; N]; K];
-            for (vk, &slot) in v.iter_mut().zip(&self.operands[off..off + K]) {
-                *vk = bits[slot as usize];
-            }
+            // `K` is the arity, so both operand reads have a fixed length.
+            let slots: [u32; K] = if pooled {
+                std::array::from_fn(|k| self.operands[op.args[0] as usize + k])
+            } else {
+                std::array::from_fn(|k| op.args[k % INLINE_LUT_INPUTS])
+            };
+            let v: [[u64; N]; K] = slots.map(|slot| bits[slot as usize]);
             let leaf = |j: usize| {
                 let c = codes >> (2 * j);
                 let lo = (c & 1).wrapping_neg();
@@ -945,7 +1010,7 @@ impl ExecPlan {
                 out
             };
             if K == 1 {
-                bits[stream.dst[op] as usize] = leaf(0);
+                bits[op.dst as usize] = leaf(0);
                 continue;
             }
             let mut width = 1usize << (K - 2);
@@ -964,7 +1029,7 @@ impl ExecPlan {
                     }
                 }
             }
-            bits[stream.dst[op] as usize] = level[0];
+            bits[op.dst as usize] = level[0];
         }
     }
 }
@@ -979,30 +1044,28 @@ pub struct PlanBuilder<'a> {
     netlist: &'a Netlist,
     /// Slot of every node.
     slots: Vec<Slot>,
-    /// Table-pool offset per node (`u32::MAX` until first emission).
-    table_off: Vec<u32>,
+    /// The reserved always-zero bit slot that pads inline LUT operands.
+    zero: u32,
     /// Table-pool offset by *function* (table content and arity): distinct
-    /// nodes computing the same LUT function share one pool run and one
+    /// pooled LUTs computing the same function share one pool run and one
     /// [`LutForm`], which both shrinks the pool and lets the batch engine
     /// sweep them as one fused run.
     table_index: HashMap<TruthTable, u32>,
-    main: OpStream,
-    post: OpStream,
+    main: Vec<Op>,
+    post: Vec<Op>,
     operands: Vec<u32>,
     tables: Vec<u64>,
     lut_forms: Vec<LutForm>,
     bit_latches: Vec<(u32, u32)>,
     word_latches: Vec<(u32, u32)>,
-    bit_slots: u32,
-    word_slots: u32,
-    bit_init: Vec<u64>,
+    bit_init: Vec<u8>,
     word_init: Vec<u32>,
 }
 
 impl<'a> PlanBuilder<'a> {
     /// Validates the netlist, assigns every node a dense slot in its
-    /// plane, and seeds the initial planes with constants and power-on
-    /// register values.
+    /// plane (plus one reserved always-zero bit slot), and seeds the
+    /// initial planes with constants and power-on register values.
     ///
     /// # Errors
     ///
@@ -1023,12 +1086,14 @@ impl<'a> PlanBuilder<'a> {
                 }
             }
         }
-        let mut bit_init = vec![0u64; (bit_slots as usize).div_ceil(64).max(1)];
+        // No op, input or latch ever writes the zero slot.
+        let zero = bit_slots;
+        let mut bit_init = vec![0u8; zero as usize + 1];
         let mut word_init = vec![0u32; word_slots as usize];
         for (i, node) in netlist.nodes().iter().enumerate() {
             match (&node.kind, slots[i]) {
-                (NodeKind::ConstBit(v), Slot::Bit(s)) => set_bit(&mut bit_init, s, *v),
-                (NodeKind::Ff { init }, Slot::Bit(s)) => set_bit(&mut bit_init, s, *init),
+                (NodeKind::ConstBit(v), Slot::Bit(s)) => bit_init[s as usize] = u8::from(*v),
+                (NodeKind::Ff { init }, Slot::Bit(s)) => bit_init[s as usize] = u8::from(*init),
                 (NodeKind::ConstWord(w), Slot::Word(s)) => word_init[s as usize] = *w,
                 (NodeKind::WordReg { init }, Slot::Word(s)) => word_init[s as usize] = *init,
                 _ => {}
@@ -1037,17 +1102,15 @@ impl<'a> PlanBuilder<'a> {
         Ok(PlanBuilder {
             netlist,
             slots,
-            table_off: vec![u32::MAX; netlist.len()],
+            zero,
             table_index: HashMap::new(),
-            main: OpStream::default(),
-            post: OpStream::default(),
+            main: Vec::new(),
+            post: Vec::new(),
             operands: Vec::new(),
             tables: Vec::new(),
             lut_forms: Vec::new(),
             bit_latches: Vec::new(),
             word_latches: Vec::new(),
-            bit_slots,
-            word_slots,
             bit_init,
             word_init,
         })
@@ -1064,69 +1127,97 @@ impl<'a> PlanBuilder<'a> {
         }
     }
 
+    /// Appends `id`'s operand slots to the operand pool, returning their
+    /// offset.
+    fn pool_operands(&mut self, id: NodeId) -> u32 {
+        let off = self.operands.len() as u32;
+        for &inp in &self.netlist.nodes()[id.index()].inputs {
+            let s = self.raw(inp);
+            self.operands.push(s);
+        }
+        off
+    }
+
+    /// The table-pool offset of `table`, pooling it (and classifying its
+    /// [`LutForm`]) on first sight.
+    fn pool_table(&mut self, table: &TruthTable) -> u32 {
+        if let Some(&off) = self.table_index.get(table) {
+            return off;
+        }
+        let off = self.tables.len() as u32;
+        self.tables.extend_from_slice(table.words());
+        self.lut_forms.push(LutForm::of(table));
+        self.lut_forms.resize(self.tables.len(), LutForm::Wide);
+        self.table_index.insert(table.clone(), off);
+        off
+    }
+
     /// Emits the micro-op computing node `id` into `segment`. Source
     /// nodes — inputs, constants, sequential elements — need no op (their
     /// slots are written by the input prologue, the initial planes, or the
     /// latch phase) and emit nothing.
     pub fn emit(&mut self, id: NodeId, segment: Segment) {
         let node = &self.netlist.nodes()[id.index()];
-        let dst = self.raw(id);
-        let op = match &node.kind {
+        let n = node.inputs.len();
+        let mut op = Op {
+            code: OpCode::CopyBit,
+            n: 0,
+            table: 0,
+            dst: self.raw(id),
+            args: [0; 4],
+        };
+        match &node.kind {
             NodeKind::BitInput { .. }
             | NodeKind::WordInput { .. }
             | NodeKind::ConstBit(_)
             | NodeKind::ConstWord(_)
             | NodeKind::Ff { .. }
             | NodeKind::WordReg { .. } => return,
-            NodeKind::Lut(table) => {
-                let toff = if self.table_off[id.index()] != u32::MAX {
-                    self.table_off[id.index()]
-                } else {
-                    let off = match self.table_index.get(table) {
-                        Some(&off) => off,
-                        None => {
-                            let off = self.tables.len() as u32;
-                            self.tables.extend_from_slice(table.words());
-                            self.lut_forms.push(LutForm::of(table));
-                            self.lut_forms.resize(self.tables.len(), LutForm::Wide);
-                            self.table_index.insert(table.clone(), off);
-                            off
-                        }
-                    };
-                    self.table_off[id.index()] = off;
-                    off
+            NodeKind::Lut(table) if n <= INLINE_LUT_INPUTS => {
+                op.code = match LutForm::of(table) {
+                    LutForm::Parity { .. } => OpCode::Parity,
+                    _ => OpCode::Lut,
                 };
-                let off = self.operands.len() as u32;
-                for &inp in &node.inputs {
-                    let s = self.raw(inp);
-                    self.operands.push(s);
+                op.n = n as u8;
+                op.table = table.words()[0] as u16;
+                op.args = [self.zero; 4];
+                for (arg, &inp) in op.args.iter_mut().zip(&node.inputs) {
+                    *arg = self.raw(inp);
                 }
-                (OpCode::Lut, dst, off, toff, node.inputs.len() as u32)
             }
-            NodeKind::Mac => (
-                OpCode::Mac,
-                dst,
-                self.raw(node.inputs[0]),
-                self.raw(node.inputs[1]),
-                self.raw(node.inputs[2]),
-            ),
+            NodeKind::Lut(table) => {
+                op.code = OpCode::PooledLut;
+                op.n = n as u8;
+                op.args = [self.pool_operands(id), self.pool_table(table), 0, 0];
+            }
+            NodeKind::Mac => {
+                op.code = OpCode::Mac;
+                for (arg, &inp) in op.args.iter_mut().zip(&node.inputs) {
+                    *arg = self.raw(inp);
+                }
+            }
             NodeKind::Pack => {
-                let off = self.operands.len() as u32;
-                for &inp in &node.inputs {
-                    let s = self.raw(inp);
-                    self.operands.push(s);
-                }
-                (OpCode::Pack, dst, off, 0, node.inputs.len() as u32)
+                op.code = OpCode::Pack;
+                op.n = n as u8;
+                op.args[0] = self.pool_operands(id);
             }
-            NodeKind::Unpack { bit } => (OpCode::Unpack, dst, self.raw(node.inputs[0]), *bit, 0),
-            NodeKind::BitOutput { .. } => (OpCode::CopyBit, dst, self.raw(node.inputs[0]), 0, 0),
-            NodeKind::WordOutput { .. } => (OpCode::CopyWord, dst, self.raw(node.inputs[0]), 0, 0),
-        };
-        let stream = match segment {
-            Segment::Main => &mut self.main,
-            Segment::Post => &mut self.post,
-        };
-        stream.push(op.0, op.1, op.2, op.3, op.4);
+            NodeKind::Unpack { bit } => {
+                op.code = OpCode::Unpack;
+                op.args[..2].copy_from_slice(&[self.raw(node.inputs[0]), *bit]);
+            }
+            NodeKind::BitOutput { .. } => {
+                op.code = OpCode::CopyBit;
+                op.args[0] = self.raw(node.inputs[0]);
+            }
+            NodeKind::WordOutput { .. } => {
+                op.code = OpCode::CopyWord;
+                op.args[0] = self.raw(node.inputs[0]);
+            }
+        }
+        match segment {
+            Segment::Main => self.main.push(op),
+            Segment::Post => self.post.push(op),
+        }
     }
 
     /// Records the latch pair of every sequential node (source = its D
@@ -1170,8 +1261,6 @@ impl<'a> PlanBuilder<'a> {
             word_latches: self.word_latches,
             inputs,
             outputs,
-            bit_slots: self.bit_slots,
-            word_slots: self.word_slots,
             bit_init: self.bit_init,
             word_init: self.word_init,
         }
@@ -1482,7 +1571,22 @@ mod tests {
         let a = b.word_input("a", 8);
         b.word_output("o", &a);
         let plan = compile(&b.finish().unwrap()).unwrap();
-        assert_eq!(plan.new_batch_state_for(1).lane_capacity(), 64);
+        // At or below the cut-over, one single-vector state per lane.
+        assert!(matches!(
+            plan.new_batch_state_for(1),
+            AnyBatchState::Scalar(ref lanes) if lanes.len() == 1
+        ));
+        assert_eq!(plan.new_batch_state_for(0).lane_capacity(), 1);
+        assert_eq!(plan.new_batch_state_for(1).lane_capacity(), 1);
+        assert_eq!(
+            plan.new_batch_state_for(SCALAR_BATCH_LANES).lane_capacity(),
+            SCALAR_BATCH_LANES
+        );
+        assert_eq!(
+            plan.new_batch_state_for(SCALAR_BATCH_LANES + 1)
+                .lane_capacity(),
+            64
+        );
         assert_eq!(plan.new_batch_state_for(64).lane_capacity(), 64);
         assert_eq!(plan.new_batch_state_for(65).lane_capacity(), 256);
         assert_eq!(plan.new_batch_state_for(256).lane_capacity(), 256);
@@ -1559,9 +1663,11 @@ mod tests {
     }
 
     #[test]
-    fn same_function_luts_share_one_table_run() {
+    fn same_function_luts_share_one_function_key() {
         // A ripple-carry adder tech-maps every column to the same pair of
-        // LUT functions: the content-deduped pool must stay tiny.
+        // LUT functions: 4-LUTs carry their tables inline (nothing is
+        // pooled), and the fused-run key — opcode, arity, table — takes
+        // only a handful of values.
         let mut b = CircuitBuilder::new("add");
         let a = b.word_input("a", 16);
         let c = b.word_input("b", 16);
@@ -1569,17 +1675,255 @@ mod tests {
         b.word_output("s", &s);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
         let plan = compile(&n).unwrap();
-        let distinct: std::collections::HashSet<u64> = plan.tables.iter().copied().collect();
-        assert_eq!(
-            plan.tables.len(),
-            distinct.len(),
-            "table pool must hold each function once"
-        );
+        assert!(plan.tables.is_empty());
+        assert!(plan.ops.iter().all(|op| op.code != OpCode::PooledLut));
+        let keys: std::collections::HashSet<(OpCode, u8, u16)> = plan
+            .ops
+            .iter()
+            .filter(|op| matches!(op.code, OpCode::Lut | OpCode::Parity))
+            .map(|op| (op.code, op.n, op.table))
+            .collect();
         assert!(
-            plan.tables.len() <= 8,
+            !keys.is_empty() && keys.len() <= 8,
             "16-bit adder needs only a handful of LUT functions, got {}",
-            plan.tables.len()
+            keys.len()
         );
+
+        // Pooled (5+ input) LUTs computing one function share one pool run.
+        let mut b = CircuitBuilder::new("pooled");
+        let ins: Vec<_> = (0..6).map(|k| b.bit_input(&format!("x{k}"))).collect();
+        let t5 = TruthTable::from_fn(5, |r| r % 3 == 0).unwrap();
+        for (i, window) in ins.windows(5).enumerate() {
+            let f = b.lut(t5.clone(), window);
+            b.bit_output(&format!("f{i}"), f);
+        }
+        let plan = compile(&b.finish().unwrap()).unwrap();
+        assert_eq!(plan.tables.len(), 1, "one 5-input function, one pool word");
+        assert_eq!(plan.operands.len(), 10);
+    }
+
+    #[test]
+    fn op_records_stay_flat() {
+        assert_eq!(std::mem::size_of::<Op>(), 24);
+    }
+
+    /// Checks `plan` against `n`'s reference evaluator on every engine:
+    /// the scalar engine over `stimuli` (state carried across it), then
+    /// every batch state that holds `stimuli.len()` lanes — per lane,
+    /// 64-lane (forced), and (when they fit) 256/512-lane — for `passes`
+    /// cycles with lane `l` fed `stimuli[l]` each pass.
+    fn every_engine_matches_reference(
+        plan: &ExecPlan,
+        n: &Netlist,
+        stimuli: &[Vec<Value>],
+        passes: usize,
+    ) {
+        let mut state = plan.new_state();
+        let mut ev = Evaluator::new(n);
+        let mut out = Vec::new();
+        for (cycle, v) in stimuli.iter().enumerate() {
+            plan.run_cycle_into(&mut state, v, &mut out).unwrap();
+            assert_eq!(out, ev.run_cycle(v).unwrap(), "scalar cycle {cycle}");
+        }
+        let mut states = vec![
+            plan.new_batch_state_for(stimuli.len()),
+            AnyBatchState::W1(plan.new_wide_batch_state()),
+            AnyBatchState::W4(plan.new_wide_batch_state()),
+            AnyBatchState::W8(plan.new_wide_batch_state()),
+        ];
+        states.retain(|s| s.lane_capacity() >= stimuli.len());
+        let mut out = Vec::new();
+        for mut state in states {
+            let capacity = state.lane_capacity();
+            let mut refs: Vec<Evaluator> = stimuli.iter().map(|_| Evaluator::new(n)).collect();
+            for pass in 0..passes {
+                plan.run_batch_cycle_any(&mut state, stimuli, &mut out)
+                    .unwrap();
+                assert_eq!(out.len(), stimuli.len());
+                for (l, reference) in refs.iter_mut().enumerate() {
+                    let expect = reference.run_cycle(&stimuli[l]).unwrap();
+                    assert_eq!(out[l], expect, "capacity {capacity} lane {l} pass {pass}");
+                }
+            }
+            assert_eq!(state.cycles(), passes as u64);
+        }
+    }
+
+    /// A sequential circuit whose compiled plan holds every op code: inline
+    /// mux-tree and parity LUTs (a 0-input constant LUT among them), a
+    /// 5-input and an 8-input pooled LUT, MAC, pack, unpack and both
+    /// copies.
+    fn every_op_circuit() -> Netlist {
+        let mut b = CircuitBuilder::new("every_op");
+        let a = b.word_input("a", 8);
+        let c = b.word_input("c", 8);
+        let s = b.bit_input("s");
+        let (acc, h) = b.word_reg(7, 8);
+        let m = b.mac(&a, &c, &acc);
+        let m8 = b.resize(&m, 8);
+        let x = b.xor_words(&m8, &a);
+        b.connect_word_reg(h, &x);
+        let one = b.lut(TruthTable::constant(0, true).unwrap(), &[]);
+        let and = b.and(s, one);
+        let t5 = TruthTable::from_fn(5, |r| (r * 7) % 5 < 2).unwrap();
+        let f5 = b.lut(t5, &[a.bit(0), a.bit(1), c.bit(2), s, acc.bit(3)]);
+        let rom: Vec<u32> = (0..256u32).map(|i| (i * i + 3) & 1).collect();
+        let wide = b.rom(&rom, acc.bits(), 1);
+        let (q, qh) = b.ff(true);
+        let d = b.mux(and, q, f5);
+        b.connect_ff(qh, d);
+        b.word_output("acc", &acc);
+        b.word_output("x", &x);
+        b.word_output("wide", &wide);
+        b.bit_output("q", q);
+        b.bit_output("f5", f5);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn every_op_code_matches_reference_on_every_engine() {
+        let n = every_op_circuit();
+        let plan = compile(&n).unwrap();
+        for code in [
+            OpCode::Lut,
+            OpCode::Parity,
+            OpCode::PooledLut,
+            OpCode::Mac,
+            OpCode::Pack,
+            OpCode::Unpack,
+            OpCode::CopyBit,
+            OpCode::CopyWord,
+        ] {
+            assert!(
+                plan.ops.iter().any(|op| op.code == code),
+                "plan emits no {code:?}"
+            );
+        }
+        let inline = plan
+            .ops
+            .iter()
+            .filter(|op| matches!(op.code, OpCode::Lut | OpCode::Parity));
+        for op in inline {
+            let pad = &op.args[op.n as usize..];
+            assert!(pad.iter().all(|&s| s == plan.bit_init.len() as u32 - 1));
+        }
+        let stimulus = |k: u32| {
+            vec![
+                Value::Word(k.wrapping_mul(37) & 0xFF),
+                Value::Word(k.wrapping_mul(91).wrapping_add(5) & 0xFF),
+                Value::Bit(!k.is_multiple_of(3)),
+            ]
+        };
+        let stimuli: Vec<Vec<Value>> = (0..5).map(stimulus).collect();
+        every_engine_matches_reference(&plan, &n, &stimuli, 1);
+        for lanes in 1..=SCALAR_BATCH_LANES + 1 {
+            every_engine_matches_reference(&plan, &n, &stimuli[..lanes], 3);
+        }
+    }
+
+    #[test]
+    fn post_latch_segment_reads_new_state() {
+        // A toggling flip-flop whose bit output is emitted after the latch,
+        // as fold order does: every engine must output the *new* state.
+        let mut b = CircuitBuilder::new("toggle");
+        let (q, h) = b.ff(false);
+        let nq = b.not(q);
+        b.connect_ff(h, nq);
+        b.bit_output("q", q);
+        let n = b.finish().unwrap();
+        let mut pb = PlanBuilder::new(&n).unwrap();
+        for (i, node) in n.nodes().iter().enumerate() {
+            if matches!(node.kind, NodeKind::Lut(_)) {
+                pb.emit(NodeId(i as u32), Segment::Main);
+            }
+        }
+        pb.latch_all();
+        for &o in n.primary_outputs() {
+            pb.emit(o, Segment::Post);
+        }
+        let plan = pb.finish();
+        assert_eq!(plan.post_ops.len(), 1);
+        let want: Vec<Value> = (0..4).map(|c| Value::Bit(c % 2 == 0)).collect();
+        let mut state = plan.new_state();
+        let mut out = Vec::new();
+        for w in &want {
+            plan.run_cycle_into(&mut state, &[], &mut out).unwrap();
+            assert_eq!(out, [*w]);
+        }
+        for lanes in [1, SCALAR_BATCH_LANES, 64, 300] {
+            let batch = vec![Vec::new(); lanes];
+            let mut state = plan.new_batch_state_for(lanes);
+            let mut batch_out = Vec::new();
+            for w in &want {
+                plan.run_batch_cycle_any(&mut state, &batch, &mut batch_out)
+                    .unwrap();
+                assert!(batch_out.iter().all(|o| o == &[*w]), "{lanes} lanes");
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_lanes_check_every_lane_before_running_any() {
+        // Input 0 is a word, input 1 a bit; the register makes a lane that
+        // ran visibly different from one that did not.
+        let mut b = CircuitBuilder::new("acc");
+        let x = b.word_input("x", 8);
+        let s = b.bit_input("s");
+        let (acc, h) = b.word_reg(1, 8);
+        let sum = b.add(&acc, &x);
+        let next = b.mux_word(s, &acc, &sum);
+        b.connect_word_reg(h, &next);
+        b.word_output("acc", &acc);
+        let n = b.finish().unwrap();
+        let plan = compile(&n).unwrap();
+        let good = vec![Value::Word(3), Value::Bit(true)];
+        let bad_batches: Vec<Vec<Vec<Value>>> = vec![
+            vec![good.clone(), vec![Value::Word(3)]],
+            vec![vec![Value::Word(3)], good.clone()],
+            vec![good.clone(), vec![Value::Word(3), Value::Word(1)]],
+            vec![
+                vec![Value::Word(3), Value::Word(1)],
+                vec![Value::Bit(false), Value::Bit(true)],
+            ],
+            vec![vec![Value::Bit(false), Value::Bit(true)], good.clone()],
+        ];
+        let scalar_cycles = |state: &AnyBatchState| -> Vec<u64> {
+            match state {
+                AnyBatchState::Scalar(lanes) => lanes.iter().map(PlanState::cycles).collect(),
+                _ => panic!("two lanes run per lane"),
+            }
+        };
+        let mut state = plan.new_batch_state_for(2);
+        let mut wide = AnyBatchState::W1(plan.new_wide_batch_state());
+        let mut out = Vec::new();
+        for batch in &bad_batches {
+            let per_lane = plan.run_batch_cycle_any(&mut state, batch, &mut out);
+            let sliced = plan.run_batch_cycle_any(&mut wide, batch, &mut out);
+            assert!(per_lane.is_err(), "{batch:?} must be refused");
+            assert_eq!(per_lane, sliced, "{batch:?}");
+            assert_eq!(scalar_cycles(&state), vec![0, 0], "{batch:?} ran a lane");
+        }
+        // Empty and over-capacity batches, against the state's capacity.
+        for batch in [Vec::new(), vec![good.clone(); 3]] {
+            assert_eq!(
+                plan.run_batch_cycle_any(&mut state, &batch, &mut out),
+                Err(NetlistError::InputCountMismatch {
+                    expected: 2,
+                    found: batch.len()
+                })
+            );
+            assert_eq!(scalar_cycles(&state), vec![0, 0]);
+        }
+        // Nothing ran: both lanes still produce power-on outputs, and a
+        // one-lane batch advances only lane 0.
+        plan.run_batch_cycle_any(&mut state, std::slice::from_ref(&good), &mut out)
+            .unwrap();
+        assert_eq!(out, vec![vec![Value::Word(1)]]);
+        assert_eq!(scalar_cycles(&state), vec![1, 0]);
+        assert_eq!(state.cycles(), 1);
+        plan.run_batch_cycle_any(&mut state, &[good.clone(), good.clone()], &mut out)
+            .unwrap();
+        assert_eq!(out, vec![vec![Value::Word(4)], vec![Value::Word(1)]]);
     }
 
     /// One batch width's worth of stimulus for `n`-input LUTs: lane `l`

@@ -1,16 +1,18 @@
 //! Compiled-plan oracle: the flat execution plan produced by
 //! [`freac_netlist::plan::compile`] must be bit-identical to the reference
 //! [`Evaluator`] on random circuits — for single-vector execution with
-//! carried state, and for bit-sliced batch execution at every sweep width
+//! carried state, for bit-sliced batch execution at every sweep width
 //! (64, 256, and 512 lanes) where every lane is an independent simulation
 //! from power-on and the wider sweeps reproduce the 64-lane outputs
-//! lane-for-lane.
+//! lane-for-lane, and for small batches (1 to [`SCALAR_BATCH_LANES`]
+//! lanes) both as `run_batch_cycle_any` routes them (per lane) and
+//! through a forced 64-lane sweep.
 //!
 //! Reuses [`FoldCase`](super::fold::FoldCase) generation/shrinking so a
 //! divergence shrinks over the same circuit grammar as the fold oracle.
 
 use freac_netlist::eval::Evaluator;
-use freac_netlist::plan::{compile, BATCH_LANES, BATCH_WIDTHS};
+use freac_netlist::plan::{compile, BATCH_LANES, BATCH_WIDTHS, SCALAR_BATCH_LANES};
 use freac_netlist::techmap::{tech_map, TechMapOptions};
 use freac_netlist::Value;
 use freac_rand::Rng64;
@@ -28,7 +30,8 @@ pub fn shrink(case: &FoldCase) -> Vec<FoldCase> {
 }
 
 /// Runs the compiled-vs-reference differential on both the raw circuit
-/// and its K-LUT mapping, in single-vector and 64-lane batch form.
+/// and its K-LUT mapping, in single-vector, small-batch and every
+/// bit-sliced batch form.
 ///
 /// # Errors
 ///
@@ -45,6 +48,7 @@ pub fn check(case: &FoldCase) -> Result<(), String> {
     for (label, n) in [("direct", &netlist), ("mapped", &mapped)] {
         check_single(label, n, case)?;
         check_batch(label, n, case)?;
+        check_small_batches(label, n, case)?;
     }
     Ok(())
 }
@@ -166,6 +170,60 @@ fn check_batch(
             return Err(format!(
                 "{label}: w{width}: counted {} cycles, expected {passes}",
                 state.cycles()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Small-batch arm: for every batch of 1 to [`SCALAR_BATCH_LANES`] lanes
+/// (lane `l` fed stimulus vector `l`, or the first one when the stimulus
+/// is shorter), `run_batch_cycle_any` — which runs such batches per lane —
+/// and a forced one-word bit-sliced sweep must both match one fresh
+/// reference evaluator per lane on every pass.
+fn check_small_batches(
+    label: &str,
+    netlist: &freac_netlist::Netlist,
+    case: &FoldCase,
+) -> Result<(), String> {
+    let plan = compile(netlist).map_err(|e| format!("{label}: compile refused: {e}"))?;
+    let mask = case.circuit.input_limit() - 1;
+    let passes = case.stimulus.len().max(2);
+    for k in 1..=SCALAR_BATCH_LANES {
+        let lanes: Vec<Vec<Value>> = (0..k)
+            .map(|l| {
+                let (x, y) = case.stimulus.get(l).copied().unwrap_or(case.stimulus[0]);
+                vec![Value::Word(x & mask), Value::Word(y & mask)]
+            })
+            .collect();
+        let mut refs: Vec<Evaluator> = lanes.iter().map(|_| Evaluator::new(netlist)).collect();
+        let mut routed = plan.new_batch_state_for(k);
+        let mut sliced = plan.new_wide_batch_state::<1>();
+        let (mut routed_out, mut sliced_out) = (Vec::new(), Vec::new());
+        for pass in 0..passes {
+            plan.run_batch_cycle_any(&mut routed, &lanes, &mut routed_out)
+                .map_err(|e| format!("{label}: {k}-lane routed pass {pass}: batch failed: {e}"))?;
+            plan.run_wide_batch_cycle(&mut sliced, &lanes, &mut sliced_out)
+                .map_err(|e| format!("{label}: {k}-lane w1 pass {pass}: batch failed: {e}"))?;
+            for (l, reference) in refs.iter_mut().enumerate() {
+                let expect = reference
+                    .run_cycle(&lanes[l])
+                    .map_err(|e| format!("{label}: pass {pass}: lane {l} reference failed: {e}"))?;
+                for (engine, out) in [("routed", &routed_out), ("w1", &sliced_out)] {
+                    if out[l] != expect {
+                        return Err(format!(
+                            "{label}: {k}-lane {engine} pass {pass}, lane {l} ({:?}): {:?} != reference {expect:?}",
+                            lanes[l], out[l]
+                        ));
+                    }
+                }
+            }
+        }
+        if routed.cycles() != passes as u64 || sliced.cycles() != passes as u64 {
+            return Err(format!(
+                "{label}: {k} lanes: counted {}/{} cycles, expected {passes}",
+                routed.cycles(),
+                sliced.cycles()
             ));
         }
     }

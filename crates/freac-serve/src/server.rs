@@ -168,8 +168,8 @@ impl ServeConfig {
 /// A registered kernel with everything a dispatch needs precomputed.
 struct ServedKernel {
     accel: Arc<Accelerator>,
-    /// Compiled batch plan over the mapped netlist (bit-sliced, executed
-    /// at whatever width the dispatch needs via
+    /// Compiled batch plan over the mapped netlist (per lane or
+    /// bit-sliced at whatever width the dispatch needs, via
     /// [`ExecPlan::run_batch_cycle_any`]). Shared: plan execution is
     /// `&self`, so a cluster compiles each kernel once and every shard —
     /// and every sampled-window replica — runs the same `Arc`.
@@ -575,17 +575,6 @@ impl Server {
     /// Functional hashing depth of a registered kernel.
     pub fn kernel_func_cycles(&self, name: &str) -> Option<u64> {
         self.kernels.get(name).map(|k| k.func_cycles)
-    }
-
-    /// A single-wave service-time estimate for one invocation of a
-    /// registered kernel (compute cycles through the slice clock, ignoring
-    /// batching and scratchpad pressure). The sampled-simulation signature
-    /// pass uses this as the drain rate of its fluid queue model — only
-    /// relative magnitudes across kernels matter there.
-    pub fn kernel_service_estimate_ps(&self, name: &str) -> Option<Time> {
-        self.kernels
-            .get(name)
-            .map(|k| self.clock.cycles_to_time(k.compute_cycles.max(1)))
     }
 
     /// The cost model a fluid queue approximation needs for one kernel:
@@ -1033,9 +1022,11 @@ impl Server {
             }
             vec![hash_outputs(&out)]
         } else {
-            // Width picked per dispatch: the narrowest bit-sliced sweep
-            // that fits the batch, so 65..=256 riders run one 4-word pass
-            // instead of several 64-lane rounds.
+            // Engine picked per dispatch: up to `freac_netlist::SCALAR_BATCH_LANES`
+            // riders run per lane on the single-vector engine; wider
+            // batches take the narrowest bit-sliced sweep that fits, so
+            // 65..=256 riders run one 4-word pass instead of several
+            // 64-lane rounds.
             let mut state = ctx.plan.new_batch_state_for(k);
             let mut out = Vec::new();
             for _ in 0..ctx.func_cycles {
