@@ -228,8 +228,14 @@ impl CounterRegistry {
 
     /// Adds `delta` to counter `name` (saturating; created at 0).
     pub fn add(&mut self, name: &str, delta: u64) {
-        let c = self.counters.entry_or_insert(name);
-        *c = c.saturating_add(delta);
+        // One lookup on the hot path (an existing key); the owned key is
+        // allocated only on first touch.
+        match self.counters.get_mut(name) {
+            Some(c) => *c = c.saturating_add(delta),
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
     }
 
     /// Adds one to counter `name`.
@@ -255,9 +261,18 @@ impl CounterRegistry {
     /// Raises gauge `name` to `value` if larger (the merge rule, usable
     /// directly for high-water marks).
     pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry_or_insert_with(name, || f64::MIN);
-        if value > *g {
-            *g = value;
+        match self.gauges.get_mut(name) {
+            Some(g) => {
+                if value > *g {
+                    *g = value;
+                }
+            }
+            None => {
+                // A fresh gauge starts at `f64::MIN` and is raised, so a
+                // NaN or an even lower value leaves it there.
+                let g = if value > f64::MIN { value } else { f64::MIN };
+                self.gauges.insert(name.to_owned(), g);
+            }
         }
     }
 
@@ -268,9 +283,14 @@ impl CounterRegistry {
 
     /// Records `value` into histogram `name`.
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry_or_insert_with(name, Histogram::default)
-            .observe(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::default();
+                h.observe(value);
+                self.histograms.insert(name.to_owned(), h);
+            }
+        }
     }
 
     /// Histogram `name`, if any value was observed.
@@ -334,8 +354,7 @@ impl CounterRegistry {
     /// combined registry, alongside the un-prefixed cluster rollup.
     pub fn merge_namespaced(&mut self, prefix: &str, other: &CounterRegistry) {
         for (k, &v) in &other.counters {
-            let name = format!("{prefix}{k}");
-            let c = self.counters.entry_or_insert(&name);
+            let c = self.counters.entry(format!("{prefix}{k}")).or_insert(0);
             *c = c.saturating_add(v);
         }
         for (k, &v) in &other.gauges {
@@ -370,28 +389,6 @@ impl CounterRegistry {
     /// registry (e.g. the sampled-serving latency mixture).
     pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
         self.histograms.entry(name.to_owned()).or_default().merge(h);
-    }
-}
-
-/// `entry(name.to_owned()).or_insert_with(default)` without allocating on
-/// the hot (existing-key) path: the name is copied only on first insert.
-trait EntryOrInsert<V> {
-    fn entry_or_insert_with(&mut self, name: &str, default: impl FnOnce() -> V) -> &mut V;
-
-    fn entry_or_insert(&mut self, name: &str) -> &mut V
-    where
-        V: Default,
-    {
-        self.entry_or_insert_with(name, V::default)
-    }
-}
-
-impl<V> EntryOrInsert<V> for BTreeMap<String, V> {
-    fn entry_or_insert_with(&mut self, name: &str, default: impl FnOnce() -> V) -> &mut V {
-        if !self.contains_key(name) {
-            self.insert(name.to_owned(), default());
-        }
-        self.get_mut(name).expect("just inserted")
     }
 }
 

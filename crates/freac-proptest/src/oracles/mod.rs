@@ -16,5 +16,6 @@ pub mod compiled;
 pub mod fold;
 pub mod metrics;
 pub mod optimize;
+pub mod queue;
 pub mod sample;
 pub mod serve;

@@ -6,7 +6,7 @@
 //! and the one-line corpus entry that replays it.
 
 use freac_proptest::oracles::{
-    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, sample, serve,
+    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, sample, serve,
 };
 use freac_proptest::{check, Runner};
 
@@ -141,6 +141,20 @@ fn serve_conserves_requests_without_starvation() {
         serve::generate,
         serve::shrink,
         serve::check_conservation,
+    );
+}
+
+#[test]
+fn serve_queue_matches_model() {
+    // The admission queue (separate batchable and exclusive stores, sorted
+    // flag, per-tenant stamp index) and the batch coalescer against a
+    // plain admission-order `Vec`: admits under both shed policies, takes
+    // at the scheduler's anchors and at any index, and steals.
+    check(
+        "serve/queue-model",
+        queue::generate,
+        queue::shrink,
+        queue::check,
     );
 }
 

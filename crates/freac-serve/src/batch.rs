@@ -14,16 +14,16 @@ use crate::request::Request;
 ///
 /// * an exclusive anchor returns a batch of exactly one;
 /// * a batchable anchor coalesces with other batchable requests (exclusive
-///   companions are skipped over, keeping their queue position).
+///   requests are never companions, and keep their queue position).
 ///
 /// The returned order — anchor first, then companions oldest-first — is
 /// the lane order of the dispatch, which makes lane assignment a pure
 /// function of queue state.
 ///
-/// Companions drain in place from the front
-/// ([`AdmissionQueue::drain_batchable_into`]): the whole take costs the
-/// anchor's removal plus the prefix it drains (companions and the
-/// exclusives skipped among them), however deep the queue.
+/// Companions drain from the front of the queue's batchable store
+/// ([`AdmissionQueue::drain_batchable_into`]), which holds no exclusives:
+/// the whole take costs the anchor's removal plus one pop per companion,
+/// however deep the queue and however many exclusives wait in it.
 ///
 /// # Panics
 ///

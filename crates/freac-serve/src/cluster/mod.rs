@@ -15,7 +15,7 @@
 //! Shards are pumped in index order, but their terminal events are merged
 //! and re-sorted by `(time, tenant, seq, kind)` before the run hook sees
 //! them, and all routing state (rendezvous rankings, the round-robin
-//! cursor, the pending heap) iterates canonically — so traces, completion
+//! cursor, the pending set) iterates canonically — so traces, completion
 //! hashes, and merged counters are a pure function of the submitted
 //! request set and the configuration, never of registration or submission
 //! order. A 1-shard cluster replays exactly the schedule the plain
@@ -31,8 +31,7 @@
 //! on the calling thread — so parallel stepping is byte-identical to
 //! sequential, which the cluster proptest oracle asserts.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{mpsc, Arc};
 
 use freac_core::{Accelerator, AcceleratorTile};
@@ -42,8 +41,12 @@ use freac_probe::CounterRegistry;
 use freac_sim::Time;
 
 use crate::error::ServeError;
+use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
-use crate::server::{Pending, RequestProfile, ServeConfig, ServeReport, Server, TenantSummary};
+use crate::server::{
+    clone_sorted_by, completion_key, RequestProfile, ServeConfig, ServeReport, Server,
+    TenantSummary,
+};
 
 mod autoscale;
 mod router;
@@ -202,7 +205,7 @@ pub struct Cluster {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
     router: Router,
-    pending: BinaryHeap<Reverse<Pending>>,
+    pending: PendingSet,
     submitted_ids: BTreeSet<(String, u64, u32)>,
     tenant_weights: BTreeMap<String, u64>,
     kernels: BTreeSet<String>,
@@ -239,7 +242,7 @@ impl Cluster {
             router: Router::new(cfg.route, cfg.shards),
             cfg,
             shards,
-            pending: BinaryHeap::new(),
+            pending: PendingSet::default(),
             submitted_ids: BTreeSet::new(),
             tenant_weights: BTreeMap::new(),
             kernels: BTreeSet::new(),
@@ -382,7 +385,7 @@ impl Cluster {
             });
         }
         self.probes.inc("cluster.requests.submitted");
-        self.pending.push(Reverse(Pending(req)));
+        self.pending.push(req);
         Ok(())
     }
 
@@ -395,7 +398,7 @@ impl Cluster {
         self.run(|_| Vec::new())
     }
 
-    /// Runs the epoch loop until every shard and the routing heap drain,
+    /// Runs the epoch loop until every shard and the pending set drain,
     /// then reports.
     ///
     /// `hook` observes every terminal [`Outcome`] — shard completions and
@@ -499,7 +502,7 @@ impl Cluster {
     /// Simulated time of the next arrival or shard event, or `None` when
     /// fully drained.
     fn next_event_ps(&self) -> Option<Time> {
-        let own = self.pending.peek().map(|Reverse(p)| p.0.arrival_ps);
+        let own = self.pending.next_arrival_ps();
         let shard = self
             .shards
             .iter()
@@ -554,11 +557,7 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.0.arrival_ps > epoch_end {
-                break;
-            }
-            let Reverse(Pending(req)) = self.pending.pop().expect("peeked");
+        while let Some(req) = self.pending.pop_due(epoch_end) {
             self.backlogs.clear();
             self.backlogs
                 .extend(self.shards.iter().map(|s| s.server.backlog()));
@@ -727,29 +726,24 @@ impl Cluster {
         let mut probes = self.probes.clone();
         let shard_reports: Vec<ServeReport> =
             self.shards.iter_mut().map(|s| s.server.report()).collect();
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut sheds: Vec<Shed> = self.router_sheds.clone();
+        let mut completions: Vec<&Completion> = Vec::new();
+        let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
         for (i, r) in shard_reports.iter().enumerate() {
-            completions.extend(r.completions.iter().cloned());
-            sheds.extend(r.sheds.iter().cloned());
+            completions.extend(&r.completions);
+            sheds.extend(&r.sheds);
             // Un-prefixed rollup (counters sum, gauges max, histograms
             // bucket-add) plus a per-shard namespaced copy.
             probes.merge(&r.probes);
             probes.merge_namespaced(&format!("cluster.shard.{i}."), &r.probes);
         }
-        completions
-            .sort_by(|a, b| (a.done_ps, &a.tenant, a.seq).cmp(&(b.done_ps, &b.tenant, b.seq)));
-        sheds.sort_by(|a, b| {
-            (a.at_ps, &a.request.tenant, a.request.seq, a.request.retries).cmp(&(
-                b.at_ps,
-                &b.request.tenant,
-                b.request.seq,
-                b.request.retries,
-            ))
+        let completions = clone_sorted_by(&completions, completion_key);
+        let sheds = clone_sorted_by(&sheds, |s: &Shed| {
+            let r = &s.request;
+            (s.at_ps, r.tenant.as_str(), r.seq, r.retries)
         });
         let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
         let tenants = self.tenant_summaries(&probes);
-        freac_probe::debug_check(&probes);
+        freac_probe::assert_ok(&probes);
         // Shard reports already merged their own probes into the global
         // registry; only the cluster's own metrics are new here.
         freac_probe::global::merge(&self.probes);

@@ -43,6 +43,7 @@ pub mod batch;
 pub mod cluster;
 pub mod inputs;
 pub mod loadgen;
+mod pending;
 pub mod queue;
 pub mod report;
 pub mod request;

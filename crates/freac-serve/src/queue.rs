@@ -29,35 +29,43 @@ pub enum AdmitResult {
 
 /// A bounded FIFO of requests for one kernel.
 ///
-/// Requests are kept in admission order. The engine admits from a pending
-/// heap keyed by [`Request::order_key`], so the queue is *usually* sorted
-/// by that key with index 0 the oldest — but not always: a request
-/// re-admitted out of order (a steal into this shard via
-/// `Server::submit_stolen` of an arrival older than what is queued here,
-/// or a submission between bounded runs) lands at the back. The queue
-/// tracks this in a `sorted` flag, which stays `false` from the first
-/// out-of-order admit until the queue next empties.
+/// Requests are numbered by an admission stamp, and every indexed view —
+/// [`iter`](Self::iter), [`get`](Self::get), [`remove_at`](Self::remove_at),
+/// the scheduler's `oldest`/`oldest_of` — answers in admission order, so
+/// index 0 is the first admitted request. The engine admits from a
+/// pending set ordered by [`Request::order_key`], so the queue is
+/// *usually* sorted by that key — but not always: a request re-admitted
+/// out of order (a steal into this shard via `Server::submit_stolen` of
+/// an arrival older than what is queued here, or a submission between
+/// bounded runs) lands at the back. The queue tracks this in a `sorted`
+/// flag, which stays `false` from the first out-of-order admit until the
+/// queue next empties.
+///
+/// Batchable and exclusive requests live in two stores, each a deque in
+/// stamp order, merged by stamp wherever admission order is asked for. A
+/// batch drain pops batchables only, so exclusives waiting at the head
+/// cost it nothing.
 ///
 /// The scheduler asks each queue for its oldest request, or for one
-/// tenant's oldest, and gets an exact answer either way: from the head
+/// tenant's oldest, and gets an exact answer either way: from the heads
 /// or a per-tenant index of admission stamps when the queue is sorted
 /// (O(log n)), by a full scan when it is not.
 #[derive(Debug, Clone)]
 pub struct AdmissionQueue {
     depth: usize,
-    /// Queued requests with their admission stamps. Every operation keeps
-    /// admission order, so stamps strictly increase from front to back.
-    items: VecDeque<(u64, Request)>,
+    /// Queued batchable requests with their admission stamps, stamps
+    /// strictly ascending from front to back.
+    batchable: VecDeque<(u64, Request)>,
+    /// Queued exclusive requests, in the same form.
+    exclusive: VecDeque<(u64, Request)>,
     next_stamp: u64,
-    /// Whether `items` is ascending by [`Request::order_key`].
+    /// Whether the queue, in admission order, is ascending by
+    /// [`Request::order_key`].
     sorted: bool,
-    /// Per tenant name, the stamps of its queued requests in ascending
-    /// order. Entries are never removed, so once a tenant has been seen
-    /// its bookkeeping reuses the same allocation.
+    /// Per tenant name, the stamps of its queued requests (both stores)
+    /// in ascending order. Entries are never removed, so once a tenant
+    /// has been seen its bookkeeping reuses the same allocation.
     tenants: Vec<(String, VecDeque<u64>)>,
-    /// Exclusives skipped by a drain, parked until they return to the
-    /// front (kept to reuse its allocation).
-    skipped: Vec<(u64, Request)>,
 }
 
 impl AdmissionQueue {
@@ -70,11 +78,11 @@ impl AdmissionQueue {
         assert!(depth >= 1, "admission queue depth must be at least 1");
         AdmissionQueue {
             depth,
-            items: VecDeque::new(),
+            batchable: VecDeque::new(),
+            exclusive: VecDeque::new(),
             next_stamp: 0,
             sorted: true,
             tenants: Vec::new(),
-            skipped: Vec::new(),
         }
     }
 
@@ -85,12 +93,12 @@ impl AdmissionQueue {
 
     /// Queued requests.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.batchable.len() + self.exclusive.len()
     }
 
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.batchable.is_empty() && self.exclusive.is_empty()
     }
 
     /// Whether the queued requests are in ascending
@@ -102,12 +110,24 @@ impl AdmissionQueue {
 
     /// Queued requests in admission order (oldest-first when sorted).
     pub fn iter(&self) -> impl Iterator<Item = &Request> {
-        self.items.iter().map(|(_, r)| r)
+        self.entries().map(|(_, r)| r)
+    }
+
+    /// Both stores merged into admission order, with stamps.
+    fn entries(&self) -> impl Iterator<Item = &(u64, Request)> {
+        let mut batchable = self.batchable.iter().peekable();
+        let mut exclusive = self.exclusive.iter().peekable();
+        std::iter::from_fn(move || match (batchable.peek(), exclusive.peek()) {
+            (Some(b), Some(e)) if e.0 < b.0 => exclusive.next(),
+            (Some(_), _) => batchable.next(),
+            (None, _) => exclusive.next(),
+        })
     }
 
     /// The request at `idx` (0 = first admitted).
     pub fn get(&self, idx: usize) -> Option<&Request> {
-        self.items.get(idx).map(|(_, r)| r)
+        let (exclusive, pos) = self.locate(idx)?;
+        Some(&self.store(exclusive)[pos].1)
     }
 
     /// Tenants with at least one queued request, in first-seen order.
@@ -119,8 +139,9 @@ impl AdmissionQueue {
     }
 
     /// Index of the queued request with the least [`Request::order_key`]:
-    /// the head of a sorted queue, a full scan of an unsorted one.
-    pub(crate) fn oldest(&self) -> Option<usize> {
+    /// the first admitted of a sorted queue, a full scan of an unsorted
+    /// one.
+    pub fn oldest(&self) -> Option<usize> {
         if self.sorted {
             (!self.is_empty()).then_some(0)
         } else {
@@ -131,7 +152,7 @@ impl AdmissionQueue {
     /// Index of `tenant`'s queued request with the least
     /// [`Request::order_key`]: in a sorted queue its first-admitted one,
     /// found through the stamp index; a full scan otherwise.
-    pub(crate) fn oldest_of(&self, tenant: &str) -> Option<usize> {
+    pub fn oldest_of(&self, tenant: &str) -> Option<usize> {
         let first = *self.stamps_of(tenant)?.front()?;
         if self.sorted {
             Some(self.index_of(first))
@@ -155,23 +176,90 @@ impl AdmissionQueue {
             .map(|(_, stamps)| stamps)
     }
 
+    fn store(&self, exclusive: bool) -> &VecDeque<(u64, Request)> {
+        if exclusive {
+            &self.exclusive
+        } else {
+            &self.batchable
+        }
+    }
+
+    fn store_mut(&mut self, exclusive: bool) -> &mut VecDeque<(u64, Request)> {
+        if exclusive {
+            &mut self.exclusive
+        } else {
+            &mut self.batchable
+        }
+    }
+
+    /// Whether the store holding the first-admitted (`newest == false`)
+    /// or last-admitted request is the exclusive one; `None` when empty.
+    fn end_store(&self, newest: bool) -> Option<bool> {
+        let end = |q: &VecDeque<(u64, Request)>| {
+            if newest { q.back() } else { q.front() }.map(|(s, _)| *s)
+        };
+        match (end(&self.batchable), end(&self.exclusive)) {
+            (Some(b), Some(e)) => Some((e > b) == newest),
+            (Some(_), None) => Some(false),
+            (None, Some(_)) => Some(true),
+            (None, None) => None,
+        }
+    }
+
+    /// The store and position of the request at admission-order `idx`.
+    fn locate(&self, idx: usize) -> Option<(bool, usize)> {
+        if idx == 0 {
+            return self.end_store(false).map(|exclusive| (exclusive, 0));
+        }
+        if idx >= self.len() {
+            return None;
+        }
+        // Exclusive `j` sits at index `j` + the batchables admitted before
+        // it, which grows with `j`: count the exclusives at or before `idx`.
+        let index_of_exclusive = |j: usize| {
+            let stamp = self.exclusive[j].0;
+            j + self.batchable.partition_point(|(s, _)| *s < stamp)
+        };
+        let (mut lo, mut hi) = (0, self.exclusive.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if index_of_exclusive(mid) <= idx {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if lo > 0 && index_of_exclusive(lo - 1) == idx {
+            Some((true, lo - 1))
+        } else {
+            Some((false, idx - lo))
+        }
+    }
+
+    /// Admission-order index of the queued request stamped `stamp`.
     fn index_of(&self, stamp: u64) -> usize {
-        self.items
-            .binary_search_by_key(&stamp, |(s, _)| *s)
-            .expect("indexed stamp is queued")
+        let (pos, other) = match self.batchable.binary_search_by_key(&stamp, |(s, _)| *s) {
+            Ok(pos) => (pos, &self.exclusive),
+            Err(_) => (
+                self.exclusive
+                    .binary_search_by_key(&stamp, |(s, _)| *s)
+                    .expect("indexed stamp is queued"),
+                &self.batchable,
+            ),
+        };
+        pos + other.partition_point(|(s, _)| *s < stamp)
     }
 
     /// Offers `req`; applies `policy` when full.
     pub fn admit(&mut self, req: Request, policy: ShedPolicy) -> AdmitResult {
-        if self.items.len() < self.depth {
+        if self.len() < self.depth {
             self.push_back(req);
             return AdmitResult::Admitted;
         }
         match policy {
             ShedPolicy::RejectNew => AdmitResult::Rejected(req),
             ShedPolicy::DropOldest => {
-                let victim = self.items.pop_front().expect("full queue is non-empty");
-                let victim = self.note_removed(victim);
+                let victim = self.pop_end(false).expect("full queue is non-empty");
                 self.push_back(req);
                 AdmitResult::Displaced(victim)
             }
@@ -179,11 +267,10 @@ impl AdmissionQueue {
     }
 
     fn push_back(&mut self, req: Request) {
-        if self
-            .items
-            .back()
-            .is_some_and(|(_, back)| req.order_key() < back.order_key())
-        {
+        let back = self
+            .end_store(true)
+            .and_then(|exclusive| self.store(exclusive).back());
+        if back.is_some_and(|(_, back)| req.order_key() < back.order_key()) {
             self.sorted = false;
         }
         let stamp = self.next_stamp;
@@ -194,10 +281,10 @@ impl AdmissionQueue {
                 .tenants
                 .push((req.tenant.clone(), VecDeque::from([stamp]))),
         }
-        self.items.push_back((stamp, req));
+        self.store_mut(req.exclusive).push_back((stamp, req));
     }
 
-    /// Drops a request that just left `items` from the stamp index.
+    /// Drops a request that just left its store from the stamp index.
     fn note_removed(&mut self, (stamp, req): (u64, Request)) -> Request {
         let stamps = self
             .tenants
@@ -209,12 +296,23 @@ impl AdmissionQueue {
             .binary_search(&stamp)
             .expect("queued stamp is indexed");
         stamps.remove(pos);
-        // Mid-drain, parked exclusives are still queued: only a truly
-        // empty queue is sorted by definition.
-        if self.items.is_empty() && self.skipped.is_empty() {
+        if self.is_empty() {
             self.sorted = true;
         }
         req
+    }
+
+    /// Removes the first-admitted (`newest == false`) or last-admitted
+    /// request.
+    fn pop_end(&mut self, newest: bool) -> Option<Request> {
+        let store = self.store_mut(self.end_store(newest)?);
+        let item = if newest {
+            store.pop_back()
+        } else {
+            store.pop_front()
+        }
+        .expect("end store is non-empty");
+        Some(self.note_removed(item))
     }
 
     /// Removes and returns the request at `idx`, preserving the order of
@@ -224,56 +322,74 @@ impl AdmissionQueue {
     ///
     /// Panics if `idx` is out of range.
     pub fn remove_at(&mut self, idx: usize) -> Request {
-        let item = self.items.remove(idx).expect("index in range");
+        let (exclusive, pos) = self.locate(idx).expect("index in range");
+        let item = self
+            .store_mut(exclusive)
+            .remove(pos)
+            .expect("located position is queued");
         self.note_removed(item)
     }
 
     /// Removes and returns the last-admitted request — the work-stealing
     /// victim, chosen to disturb the head-of-line service order least.
     pub fn pop_newest(&mut self) -> Option<Request> {
-        let item = self.items.pop_back()?;
-        Some(self.note_removed(item))
+        self.pop_end(true)
     }
 
-    /// Removes up to `cap` non-exclusive requests front-first, appending
-    /// them to `batch`; every request left behind (exclusives, and the
-    /// overflow past `cap`) keeps its relative order. Drains in place:
-    /// the cost is the prefix taken plus the exclusives skipped inside
-    /// it, independent of queue length — the coalescer calls this once
-    /// per dispatch instead of one `remove_at` per companion.
+    /// Removes up to `cap` batchable requests in admission order,
+    /// appending them to `batch`; every request left behind keeps its
+    /// relative order. Exclusives sit in their own store, so the cost is
+    /// one pop and one stamp-index update per request taken, however deep
+    /// the queue and however many exclusives wait in it — the coalescer
+    /// calls this once per dispatch instead of one `remove_at` per
+    /// companion.
     pub fn drain_batchable_into(&mut self, cap: usize, batch: &mut Vec<Request>) {
-        let mut taken = 0usize;
-        while taken < cap {
-            let Some(item) = self.items.pop_front() else {
+        for _ in 0..cap {
+            let Some(item) = self.batchable.pop_front() else {
                 break;
             };
-            if item.1.exclusive {
-                self.skipped.push(item);
-            } else {
-                batch.push(self.note_removed(item));
-                taken += 1;
-            }
-        }
-        while let Some(item) = self.skipped.pop() {
-            self.items.push_front(item);
+            batch.push(self.note_removed(item));
         }
     }
 
     /// Rebuilds the bookkeeping from scratch and asserts it matches.
     #[cfg(test)]
     pub(crate) fn assert_bookkeeping(&self) {
-        assert!(self.skipped.is_empty());
+        for exclusive in [false, true] {
+            let store = self.store(exclusive);
+            assert!(
+                store.iter().all(|(_, r)| r.exclusive == exclusive),
+                "the exclusive={exclusive} store holds only its own kind"
+            );
+            assert!(
+                store
+                    .iter()
+                    .zip(store.iter().skip(1))
+                    .all(|(a, b)| a.0 < b.0),
+                "stamps ascend in the exclusive={exclusive} store"
+            );
+        }
         assert!(
-            self.items
-                .iter()
-                .zip(self.items.iter().skip(1))
+            self.entries()
+                .zip(self.entries().skip(1))
                 .all(|(a, b)| a.0 < b.0),
-            "stamps ascend in admission order"
+            "stamps ascend in merged admission order"
         );
+        assert_eq!(
+            self.entries().count(),
+            self.len(),
+            "merge covers both stores"
+        );
+        // Every index of a short queue, an even sample of a deep one.
+        let stride = self.len() / 64 + 1;
+        for (idx, (stamp, r)) in self.entries().enumerate().step_by(stride) {
+            assert_eq!(self.get(idx), Some(r), "get({idx}) is the merged entry");
+            assert_eq!(self.index_of(*stamp), idx, "stamp {stamp} indexes to {idx}");
+        }
+        assert_eq!(self.get(self.len()), None, "get past the end");
         for (tenant, stamps) in &self.tenants {
             let queued: Vec<u64> = self
-                .items
-                .iter()
+                .entries()
                 .filter(|(_, r)| r.tenant == *tenant)
                 .map(|(s, _)| *s)
                 .collect();
@@ -284,7 +400,7 @@ impl AdmissionQueue {
         }
         assert_eq!(
             self.tenants.iter().map(|(_, s)| s.len()).sum::<usize>(),
-            self.items.len(),
+            self.len(),
             "every queued request is indexed"
         );
         if self.sorted {
@@ -295,7 +411,7 @@ impl AdmissionQueue {
                 "queue flagged sorted is out of order"
             );
         }
-        if self.items.is_empty() {
+        if self.is_empty() {
             assert!(self.sorted, "an empty queue is sorted");
         }
     }

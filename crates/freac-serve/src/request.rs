@@ -60,7 +60,7 @@ impl Request {
     }
 
     /// The canonical ordering key: arrival time first, then tenant name,
-    /// sequence number, and retry count. Every queue and the pending heap
+    /// sequence number, and retry count. Every queue and the pending set
     /// order by this key, which is what makes the schedule independent of
     /// tenant enumeration and submission order.
     pub fn order_key(&self) -> (Time, &str, u64, u32) {

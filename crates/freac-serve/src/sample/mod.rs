@@ -782,7 +782,7 @@ impl SampledServer {
             est_shed,
             (&estimates, &throughput_rps),
         );
-        freac_probe::debug_check(&probes);
+        freac_probe::assert_ok(&probes);
         freac_probe::global::merge(&probes);
 
         Ok(SampleReport {

@@ -7,7 +7,7 @@
 //! moment a slice frees are admitted (and may shed, per policy) *before*
 //! the dispatch decision at that moment; dispatches go to the
 //! earliest-free slice, lowest index first. Every data structure iterates
-//! in a canonical order (`BTreeMap`s, a min-heap keyed by
+//! in a canonical order (`BTreeMap`s, a pending set popped by
 //! [`Request::order_key`]), so the schedule, completion order, and
 //! counters are a pure function of the submitted request set — never of
 //! tenant enumeration or submission order.
@@ -29,8 +29,8 @@
 //! on first claim, config streaming only on a swap; way reclaim is paid
 //! once at drain and reported as teardown.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use freac_core::scratchpad::ScratchpadModel;
@@ -46,6 +46,7 @@ use freac_sim::{ClockDomain, Time};
 use crate::batch::take_batch;
 use crate::error::ServeError;
 use crate::inputs::{hash_outputs, synth_inputs};
+use crate::pending::PendingSet;
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::sched::{pick, SchedPolicy, TenantState};
@@ -229,21 +230,31 @@ struct SliceState {
     reported_span_ps: Time,
 }
 
-/// Heap entry ordered by the canonical request key (shared with the
-/// cluster layer's routing heap).
-#[derive(PartialEq, Eq)]
-pub(crate) struct Pending(pub(crate) Request);
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.order_key().cmp(&other.0.order_key())
-    }
+/// Clones `items` into the order a stable sort by `key` would leave them
+/// in. Only `(key, index)` pairs are sorted — keys are unique once the
+/// index breaks ties, so the unstable sort is exact — and each record is
+/// cloned once, straight into place.
+pub(crate) fn clone_sorted_by<'a, T, R, K>(items: &'a [R], key: impl Fn(&'a T) -> K) -> Vec<T>
+where
+    T: Clone + 'a,
+    R: Borrow<T>,
+    K: Ord,
+{
+    let mut order: Vec<(K, usize)> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| (key(item.borrow()), i))
+        .collect();
+    order.sort_unstable();
+    order
+        .into_iter()
+        .map(|(_, i)| items[i].borrow().clone())
+        .collect()
 }
 
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The canonical completion order: `(done_ps, tenant, seq)`.
+pub(crate) fn completion_key(c: &Completion) -> (Time, &str, u64) {
+    (c.done_ps, &c.tenant, c.seq)
 }
 
 /// One dispatch in the schedule log — the object the determinism oracle
@@ -335,7 +346,7 @@ pub struct Server {
     tenants: BTreeMap<String, TenantState>,
     tenant_keys: BTreeMap<String, TenantKeys>,
     queues: BTreeMap<String, AdmissionQueue>,
-    pending: BinaryHeap<Reverse<Pending>>,
+    pending: PendingSet,
     submitted_ids: BTreeSet<(String, u64, u32)>,
     slices: Vec<SliceState>,
     probes: CounterRegistry,
@@ -392,7 +403,7 @@ impl Server {
             tenants: BTreeMap::new(),
             tenant_keys: BTreeMap::new(),
             queues: BTreeMap::new(),
-            pending: BinaryHeap::new(),
+            pending: PendingSet::default(),
             submitted_ids: BTreeSet::new(),
             slices,
             probes: CounterRegistry::new(),
@@ -630,7 +641,7 @@ impl Server {
         if req.retries > 0 {
             self.probes.inc("serve.requests.retried");
         }
-        self.pending.push(Reverse(Pending(req)));
+        self.pending.push(req);
         Ok(())
     }
 
@@ -682,10 +693,9 @@ impl Server {
     {
         loop {
             if self.queued == 0 {
-                let Some(Reverse(next)) = self.pending.peek() else {
+                let Some(t) = self.pending.next_arrival_ps() else {
                     break;
                 };
-                let t = next.0.arrival_ps;
                 if t > until {
                     break;
                 }
@@ -734,7 +744,7 @@ impl Server {
     /// process, or `None` when fully drained. A cluster uses this to skip
     /// idle epochs without perturbing the event order.
     pub fn next_event_ps(&self) -> Option<Time> {
-        let arrival = self.pending.peek().map(|Reverse(p)| p.0.arrival_ps);
+        let arrival = self.pending.next_arrival_ps();
         if self.queued == 0 {
             return arrival;
         }
@@ -870,11 +880,7 @@ impl Server {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        while let Some(Reverse(p)) = self.pending.peek() {
-            if p.0.arrival_ps > t {
-                break;
-            }
-            let Reverse(Pending(req)) = self.pending.pop().expect("peeked");
+        while let Some(req) = self.pending.pop_due(t) {
             let at = req.arrival_ps;
             // The TLB guards the scratchpad before the queue does: a
             // declared address outside the tenant's segment faults here,
@@ -1187,9 +1193,7 @@ impl Server {
         self.probes
             .set_gauge("serve.slices", self.cfg.slices as f64);
 
-        let mut completions = self.completions.clone();
-        completions
-            .sort_by(|a, b| (a.done_ps, &a.tenant, a.seq).cmp(&(b.done_ps, &b.tenant, b.seq)));
+        let completions = clone_sorted_by(&self.completions, completion_key);
         let tenants = self
             .tenants
             .iter()
@@ -1211,7 +1215,7 @@ impl Server {
             })
             .collect();
 
-        freac_probe::debug_check(&self.probes);
+        freac_probe::assert_ok(&self.probes);
         freac_probe::global::merge(&self.probes);
 
         ServeReport {
@@ -1231,6 +1235,8 @@ mod tests {
     use super::*;
     use crate::inputs::reference_hash;
     use freac_netlist::builder::CircuitBuilder;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn tiny_circuit(name: &str) -> Netlist {
         let mut b = CircuitBuilder::new(name);
@@ -1734,6 +1740,77 @@ mod tests {
             assert_eq!(r.probes.counter("serve.tenant.b.stolen_in"), 1);
             freac_probe::assert_ok(&r.probes);
         }
+    }
+
+    #[test]
+    fn backlog_and_next_event_track_a_pending_heap_model() {
+        // The pending set against one min-heap of every submission not
+        // yet admitted: an in-order trace, closed-loop follow-ups pushed
+        // from the hook mid-run, and stolen requests older than the
+        // server's clock. Each request a run takes off the pending set is
+        // admitted or shed (RejectNew, no TLB): the model pops that many of
+        // its least keys, all due by the server's clock.
+        type Key = (Time, String, u64, u32);
+        let key = |r: &Request| (r.arrival_ps, r.tenant.clone(), r.seq, r.retries);
+        let mut s = server_with(ServeConfig {
+            slices: 1,
+            queue_depth: 6,
+            max_lanes: 2,
+            ..ServeConfig::default()
+        });
+        let mut model: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+        for i in 0..80u64 {
+            let r = Request::new(["a", "b"][i as usize % 2], i, "k", i * 3_000, i);
+            model.push(Reverse(key(&r)));
+            s.submit(r).unwrap();
+        }
+        let check = |s: &Server, model: &BinaryHeap<Reverse<Key>>| {
+            assert_eq!(s.backlog(), s.queued() + model.len());
+            let arrival = model.peek().map(|Reverse(k)| k.0);
+            if s.queued() == 0 {
+                assert_eq!(s.next_event_ps(), arrival);
+            } else if let Some(a) = arrival {
+                assert!(s.next_event_ps().is_some_and(|t| t <= a));
+            }
+        };
+        let mut follow_seq = 1_000u64;
+        let mut steps = 0u64;
+        while s.next_event_ps().is_some() {
+            steps += 1;
+            if steps.is_multiple_of(4) {
+                let r = Request::new("b", 2_000 + steps, "k", s.now().saturating_sub(4_000), 0);
+                model.push(Reverse(key(&r)));
+                s.submit_stolen(r).unwrap();
+                check(&s, &model);
+            }
+            let taken = |s: &Server| {
+                s.probes.counter("serve.requests.admitted")
+                    + s.probes.counter("serve.requests.shed")
+            };
+            let before = taken(&s);
+            let mut followups: Vec<Key> = Vec::new();
+            s.run_until(steps * 7_000, &mut |o: &Outcome| match o {
+                Outcome::Completed(c) if c.seq % 3 == 0 && follow_seq < 1_040 => {
+                    let r = Request::new("a", follow_seq, "k", c.done_ps + 700, 0);
+                    follow_seq += 1;
+                    followups.push(key(&r));
+                    vec![r]
+                }
+                _ => Vec::new(),
+            })
+            .unwrap();
+            model.extend(followups.into_iter().map(Reverse));
+            for _ in before..taken(&s) {
+                let Reverse(k) = model.pop().expect("the model holds every submission");
+                assert!(k.0 <= s.now(), "{k:?} admitted before it arrived");
+            }
+            check(&s, &model);
+        }
+        assert!(model.is_empty());
+        assert!(follow_seq > 1_000, "the hook pushed follow-ups");
+        let r = s.report();
+        let submitted = s.probes.counter("serve.requests.submitted") as usize;
+        assert_eq!(r.completions.len() + r.sheds.len(), submitted);
     }
 
     #[test]
