@@ -27,8 +27,8 @@ use std::sync::Arc;
 use freac_core::{Accelerator, AcceleratorTile, HandoffMode, SlicePartition};
 use freac_kernels::{kernel, KernelId};
 use freac_serve::{
-    open_loop_trace, AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, RoutePolicy,
-    SchedPolicy, ServeConfig, ServeReport, Server, StealConfig, TenantSpec,
+    open_loop_trace, AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, RequestProfile,
+    RoutePolicy, SchedPolicy, ServeConfig, ServeReport, Server, StealConfig, TenantSpec,
 };
 
 const TRACE_SEED: u64 = 0x5e1e_c7ed_7e57_0001;
@@ -71,16 +71,11 @@ fn run_arm(
     })
     .expect("config is valid");
     for (id, accel) in accels {
-        let w = kernel(*id).workload(1);
         server
             .register_accelerator(
                 &id.name().to_lowercase(),
                 Arc::clone(accel),
-                freac_serve::RequestProfile {
-                    cycles_per_item: w.cycles_per_item,
-                    read_words: w.read_words_per_item,
-                    write_words: w.write_words_per_item,
-                },
+                RequestProfile::of(&kernel(*id).workload(1)),
             )
             .expect("kernel registers");
     }
@@ -112,16 +107,11 @@ fn run_handoff_arm(
     })
     .expect("config is valid");
     for (id, accel) in accels {
-        let w = kernel(*id).workload(1);
         server
             .register_accelerator(
                 &id.name().to_lowercase(),
                 Arc::clone(accel),
-                freac_serve::RequestProfile {
-                    cycles_per_item: w.cycles_per_item,
-                    read_words: w.read_words_per_item,
-                    write_words: w.write_words_per_item,
-                },
+                RequestProfile::of(&kernel(*id).workload(1)),
             )
             .expect("kernel registers");
     }
@@ -196,16 +186,11 @@ fn run_cluster_arm(
     })
     .expect("config is valid");
     for (id, accel) in accels {
-        let w = kernel(*id).workload(1);
         cluster
             .register_accelerator(
                 &id.name().to_lowercase(),
                 Arc::clone(accel),
-                freac_serve::RequestProfile {
-                    cycles_per_item: w.cycles_per_item,
-                    read_words: w.read_words_per_item,
-                    write_words: w.write_words_per_item,
-                },
+                RequestProfile::of(&kernel(*id).workload(1)),
             )
             .expect("kernel registers");
     }

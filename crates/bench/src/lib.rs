@@ -1,10 +1,11 @@
 //! A minimal self-timed bench harness (std-only, no registry access).
 //!
 //! The workspace builds hermetically, so Criterion is replaced by this
-//! small fixed-iteration timer: each bench target regenerates its paper
-//! artefact, then reports mean wall-clock per iteration for its hot spot.
-//! Benches stay `harness = false` binaries, runnable with
-//! `cargo bench -p bench` or individually via `cargo bench --bench fig12`.
+//! small fixed-iteration timer that reports mean wall-clock per iteration
+//! for a bench's hot spot. Benches stay `harness = false` binaries,
+//! runnable with `cargo bench -p bench` or individually via
+//! `cargo bench -p bench --bench serve`. The paper's tables and figures
+//! print from the `paper_figures` example.
 //!
 //! Next to each printed line the harness drops a machine-readable
 //! `BENCH_<name>.json` (mean/min ns per iteration, iteration count, git

@@ -1,11 +1,12 @@
 //! Cycle-level slice simulation.
 //!
-//! The timed execution model in [`crate::exec`] uses a roofline at
-//! work-item granularity. This module walks the fold schedule *step by
-//! step* instead: every tile in the slice executes the same step each
-//! cache cycle (they share the address bus and run in lock-step, paper
-//! Sec. III-D), and a step whose bus operations exceed the control box's
-//! word-per-cycle delivery stalls all of them until the last word arrives.
+//! The timed execution model in [`crate::exec`] charges the roofline
+//! [`RoundQuote`] at work-item granularity. This module walks the fold
+//! schedule *step by step* instead: every tile in the slice executes the
+//! same step each cache cycle (they share the address bus and run in
+//! lock-step, paper Sec. III-D), and a step whose bus operations exceed the
+//! control box's word-per-cycle delivery stalls all of them until the last
+//! word arrives.
 //!
 //! The detailed simulation is the reference the roofline is validated
 //! against: it can only be *slower* (bus operations bunched into a few
@@ -18,7 +19,7 @@ use crate::accel::Accelerator;
 use crate::error::CoreError;
 use crate::exec::KernelSpec;
 use crate::partition::SlicePartition;
-use crate::scratchpad::ScratchpadModel;
+use crate::round::RoundQuote;
 
 /// Outcome of a detailed slice simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,33 +54,21 @@ impl DetailedRun {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::BadPartition`] if the partition cannot host even
-/// one tile of this accelerator.
+/// Propagates [`crate::exec::max_tiles_per_slice`]'s errors: a partition
+/// that cannot host one tile, or a working set that does not fit.
 pub fn simulate_slice_pass(
     accel: &Accelerator,
     spec: &KernelSpec,
     partition: &SlicePartition,
 ) -> Result<DetailedRun, CoreError> {
-    let tile = accel.tile();
-    let tiles = crate::exec::max_tiles_per_slice(partition, tile.mccs(), spec)?;
-    if partition.mccs() < tile.mccs() {
-        return Err(CoreError::BadPartition {
-            reason: format!(
-                "partition provides {} MCCs but one tile needs {}",
-                partition.mccs(),
-                tile.mccs()
-            ),
-        });
-    }
-
-    let clock = tile.clock();
-    let spad = ScratchpadModel::new(
-        partition
-            .scratchpad_ways()
-            .max(partition.cache_ways().max(1)),
-        clock,
+    let tiles = crate::exec::max_tiles_per_slice(partition, accel.tile().mccs(), spec)?;
+    let quote = RoundQuote::new(
+        accel,
+        spec.cycles_per_item,
+        spec.words_per_item(),
+        partition,
     );
-    let words_per_cycle = spad.words_per_cycle();
+    let words_per_cycle = quote.spad().words_per_cycle();
 
     // The datapath is a single-server resource in cycle units.
     let mut datapath = SerialResource::new();
@@ -114,26 +103,6 @@ pub fn simulate_slice_pass(
     })
 }
 
-/// The roofline estimate of the same quantity, for cross-validation: the
-/// per-item cycles `run_kernel` would charge a slice round.
-pub fn roofline_item_cycles(
-    accel: &Accelerator,
-    spec: &KernelSpec,
-    partition: &SlicePartition,
-) -> Result<u64, CoreError> {
-    let tile = accel.tile();
-    let tiles = crate::exec::max_tiles_per_slice(partition, tile.mccs(), spec)?;
-    let spad = ScratchpadModel::new(
-        partition
-            .scratchpad_ways()
-            .max(partition.cache_ways().max(1)),
-        tile.clock(),
-    );
-    let words = (spec.read_words_per_item + spec.write_words_per_item) * tiles as u64;
-    let compute = spec.cycles_per_item * accel.fold_cycles() as u64;
-    Ok(compute.max(spad.service_cycles(words)).max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +122,11 @@ mod tests {
         }
         b.word_output("o", &acc);
         Accelerator::map(&b.finish().unwrap(), &AcceleratorTile::new(1).unwrap()).unwrap()
+    }
+
+    /// The per-item cycles `run_kernel` charges a slice round of `tiles`.
+    fn roofline(a: &Accelerator, s: &KernelSpec, p: &SlicePartition, tiles: usize) -> u64 {
+        RoundQuote::new(a, s.cycles_per_item, s.words_per_item(), p).cycles(tiles, tiles)
     }
 
     fn spec(reads: u64) -> KernelSpec {
@@ -190,7 +164,7 @@ mod tests {
             let s = spec(reads as u64);
             let p = SlicePartition::max_compute();
             let detailed = simulate_slice_pass(&a, &s, &p).unwrap();
-            let roof = roofline_item_cycles(&a, &s, &p).unwrap();
+            let roof = roofline(&a, &s, &p, detailed.tiles);
             assert!(
                 detailed.item_cycles >= roof,
                 "reads={reads}: detailed {} < roofline {roof}",
@@ -245,7 +219,7 @@ mod tests {
             let a = Accelerator::map(&k.circuit(), &AcceleratorTile::new(1).unwrap()).unwrap();
             let p = SlicePartition::end_to_end();
             let detailed = simulate_slice_pass(&a, &spec, &p).unwrap();
-            let roof = roofline_item_cycles(&a, &spec, &p).unwrap();
+            let roof = roofline(&a, &spec, &p, detailed.tiles);
             // The detailed pass models ONE original cycle; the roofline
             // covers the whole item. Compare per original cycle.
             let detailed_per_cycle = detailed.pass_cycles;

@@ -5,7 +5,7 @@
 //! contends for the slice's scratchpad/datapath bandwidth; and because all
 //! tiles in a slice run in lock-step off a shared address bus, the slice
 //! progresses at the slower of compute and operand service — a roofline at
-//! the granularity of one work item.
+//! the granularity of one work item, quoted by [`RoundQuote`].
 //!
 //! Energy follows the paper's accounting: configuration reads from the
 //! compute sub-arrays (4 per cluster per step) and tag arrays, scratchpad
@@ -21,7 +21,7 @@ use crate::accel::Accelerator;
 use crate::ccctrl::{encode_ways, regs, CcCtrl, SetupTiming};
 use crate::error::CoreError;
 use crate::partition::SlicePartition;
-use crate::scratchpad::ScratchpadModel;
+use crate::round::RoundQuote;
 
 /// Switch-box links per slice (paper Sec. V-A: 28 switch boxes).
 pub const LINKS_PER_SLICE: usize = 28;
@@ -47,6 +47,13 @@ pub struct KernelSpec {
     pub input_bytes: u64,
     /// Total output bytes drained back.
     pub output_bytes: u64,
+}
+
+impl KernelSpec {
+    /// Operand words moved per item, read and written.
+    pub fn words_per_item(&self) -> u64 {
+        self.read_words_per_item + self.write_words_per_item
+    }
 }
 
 /// Where and how the kernel runs.
@@ -102,7 +109,7 @@ pub struct KernelRun {
     /// Per-run observability counters (`core.*`, `core.fold.*`,
     /// `core.spad.*`, `core.setup.*`) — deterministic for a given
     /// (accelerator, spec, config), checked against the probe invariants
-    /// in debug builds, and mergeable across runs.
+    /// in every build, and mergeable across runs.
     pub probes: CounterRegistry,
 }
 
@@ -132,40 +139,25 @@ pub fn run_kernel(
         });
     }
     let tile = accel.tile();
-    let mccs = cfg.partition.mccs();
-    if mccs < tile.mccs() {
-        return Err(CoreError::BadPartition {
-            reason: format!(
-                "partition provides {mccs} MCCs but one tile needs {}",
-                tile.mccs()
-            ),
-        });
-    }
-
     let tiles_per_slice = max_tiles_per_slice(&cfg.partition, tile.mccs(), spec)?;
     let total_tiles = tiles_per_slice * cfg.slices;
     let items_per_tile = spec.items.div_ceil(total_tiles.max(1) as u64);
 
     let clock = tile.clock();
     let steps = accel.fold_cycles() as u64;
-    // Each original circuit cycle — including FSM states that only issue a
-    // memory request — costs one full pass over the fold schedule; that is
-    // the price of temporal pipelining, and it is why control-heavy
-    // accelerators "suffer a higher penalty due to folding" (Sec. V-C).
-    let words_per_item = spec.read_words_per_item + spec.write_words_per_item;
-    let compute_cycles_per_item = spec.cycles_per_item * steps;
-
-    // Operand service: all tiles in the slice issue their item's words
-    // against the scratchpad's word-per-way-per-cycle rate.
-    let service_ways = cfg.partition.scratchpad_ways().max(
-        // With no scratchpad, operands stream through the remaining cache
-        // ways at the same per-way word rate.
-        cfg.partition.cache_ways().max(1),
+    // Each lock-step round runs one item on every tile: one compute wave
+    // (the price of temporal pipelining, and why control-heavy accelerators
+    // "suffer a higher penalty due to folding", Sec. V-C) against all the
+    // tiles' operand words.
+    let quote = RoundQuote::new(
+        accel,
+        spec.cycles_per_item,
+        spec.words_per_item(),
+        &cfg.partition,
     );
-    let spad = ScratchpadModel::new(service_ways, clock);
-    let mem_cycles_per_item = spad.service_cycles(words_per_item * tiles_per_slice as u64);
-
-    let round_cycles = compute_cycles_per_item.max(mem_cycles_per_item).max(1);
+    let compute_cycles_per_item = quote.compute_cycles();
+    let mem_cycles_per_item = quote.service_cycles(tiles_per_slice);
+    let round_cycles = quote.cycles(tiles_per_slice, tiles_per_slice);
     let kernel_cycles = items_per_tile * round_cycles;
     let mut kernel_time_ps = clock.cycles_to_time(kernel_cycles);
 
@@ -209,7 +201,9 @@ pub fn run_kernel(
     let setup = ctrl.timing();
 
     let drain_ps = if spec.output_bytes > 0 {
-        spad.fill_time_ps(spec.output_bytes.div_ceil(cfg.slices as u64))
+        quote
+            .spad()
+            .fill_time_ps(spec.output_bytes.div_ceil(cfg.slices as u64))
     } else {
         0
     };
@@ -301,7 +295,7 @@ pub fn run_kernel(
         "core.partition.cache_ways",
         cfg.partition.cache_ways() as f64,
     );
-    freac_probe::debug_check(&probes);
+    freac_probe::assert_ok(&probes);
 
     // Feed the process-wide probe: merged counters, plus simulated-time
     // phase spans on the kernel's own track when tracing.
@@ -343,14 +337,29 @@ pub fn run_kernel(
 
 /// Maximum concurrent tiles a slice can host: limited by MCC count and by
 /// scratchpad capacity (the Fig. 9 analysis).
+///
+/// # Errors
+///
+/// * [`CoreError::BadPartition`] if the partition provides fewer MCCs than
+///   one tile needs;
+/// * [`CoreError::WorkingSetTooLarge`] if not even one tile's working set
+///   fits the scratchpad.
 pub fn max_tiles_per_slice(
     partition: &SlicePartition,
     tile_mccs: usize,
     spec: &KernelSpec,
 ) -> Result<usize, CoreError> {
     let by_area = partition.mccs() / tile_mccs;
+    if by_area == 0 {
+        return Err(CoreError::BadPartition {
+            reason: format!(
+                "partition provides {} MCCs but one tile needs {tile_mccs}",
+                partition.mccs()
+            ),
+        });
+    }
     if spec.working_set_per_tile == 0 {
-        return Ok(by_area.max(1).min(partition.mccs() / tile_mccs).max(1));
+        return Ok(by_area);
     }
     let spad = partition.scratchpad_bytes();
     let by_capacity = (spad / spec.working_set_per_tile) as usize;

@@ -18,6 +18,8 @@
 //!   lock, configure, fill, run — all via plain loads and stores;
 //! * [`accel::Accelerator`] — a mapped circuit (netlist + fold schedule)
 //!   ready to execute;
+//! * [`round::RoundQuote`] — the cost of one lock-step slice round, the
+//!   slower of compute waves and operand service;
 //! * [`exec`] — the timed execution model producing cycle counts, stall
 //!   breakdowns, and energy for a kernel run across slices.
 //!
@@ -55,6 +57,7 @@ pub mod detailed;
 pub mod error;
 pub mod exec;
 pub mod partition;
+pub mod round;
 pub mod scratchpad;
 pub mod session;
 pub mod spad_layout;
@@ -67,5 +70,6 @@ pub use error::CoreError;
 pub use exec::{run_kernel, KernelRun, KernelSpec};
 pub use freac_cache::coherence::{ClaimCharge, CoherenceStats, HandoffMode};
 pub use partition::SlicePartition;
+pub use round::RoundQuote;
 pub use session::{OffloadSession, SessionRun};
 pub use tile::AcceleratorTile;

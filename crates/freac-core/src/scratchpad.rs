@@ -37,6 +37,11 @@ impl ScratchpadModel {
         self.ways
     }
 
+    /// The clock the ways deliver on.
+    pub fn clock(&self) -> ClockDomain {
+        self.clock
+    }
+
     /// Words the slice can deliver to compute clusters per cache cycle.
     ///
     /// Although each locked way can read 32 bytes at a time, operand

@@ -309,8 +309,8 @@ pub fn check(reg: &CounterRegistry) -> Vec<Violation> {
     out
 }
 
-/// Panics with a formatted list when any invariant fails. Call after
-/// every instrumented run in tests.
+/// Panics with a formatted list when any invariant fails. Components call
+/// it after assembling a per-run registry, in every build.
 ///
 /// # Panics
 ///
@@ -326,14 +326,6 @@ pub fn assert_ok(reg: &CounterRegistry) {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-/// [`assert_ok`] in debug builds, free in release — the hook components
-/// call after assembling a per-run registry.
-pub fn debug_check(reg: &CounterRegistry) {
-    if cfg!(debug_assertions) {
-        assert_ok(reg);
-    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ pub mod registry;
 pub use chrome::to_chrome_trace;
 pub use events::{EventKind, EventRing, ProbeEvent};
 pub use global::{Probe, ProbeConfig, SpanGuard};
-pub use invariants::{assert_ok, check, debug_check, Violation};
+pub use invariants::{assert_ok, check, Violation};
 pub use json::Json;
 pub use metrics::{from_metrics_json, to_counters_json, to_metrics_json};
 pub use registry::{CounterRegistry, Histogram, HISTOGRAM_BUCKETS};

@@ -17,5 +17,6 @@ pub mod fold;
 pub mod metrics;
 pub mod optimize;
 pub mod queue;
+pub mod round;
 pub mod sample;
 pub mod serve;

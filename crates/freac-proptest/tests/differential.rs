@@ -6,7 +6,8 @@
 //! and the one-line corpus entry that replays it.
 
 use freac_proptest::oracles::{
-    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, sample, serve,
+    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, round, sample,
+    serve,
 };
 use freac_proptest::{check, Runner};
 
@@ -155,6 +156,19 @@ fn serve_queue_matches_model() {
         queue::generate,
         queue::shrink,
         queue::check,
+    );
+}
+
+#[test]
+fn serve_dispatch_charges_the_round_quote() {
+    // One dispatch of random width on a cold slice, under a random
+    // profile (zero-cycle items included) and partition: its exec time is
+    // the core `RoundQuote` round, and the quote is the stated roofline.
+    check(
+        "serve/round-law",
+        round::generate,
+        round::shrink,
+        round::check,
     );
 }
 

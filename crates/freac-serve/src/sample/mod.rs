@@ -312,15 +312,10 @@ impl SampledServer {
     /// Propagates mapping failures.
     pub fn register_paper_kernel(&mut self, id: KernelId) -> Result<(), ServeError> {
         let k: Box<dyn Kernel> = kernel(id);
-        let w = k.workload(1);
         self.register_kernel(
             &id.name().to_lowercase(),
             &k.circuit(),
-            RequestProfile {
-                cycles_per_item: w.cycles_per_item,
-                read_words: w.read_words_per_item,
-                write_words: w.write_words_per_item,
-            },
+            RequestProfile::of(&k.workload(1)),
         )
     }
 

@@ -15,15 +15,16 @@
 //! # Latency model
 //!
 //! `latency = queue wait + reconfiguration + fold execution`. A dispatch
-//! of `k` lanes executes in
-//! `max(cycles_per_item × fold_steps × ceil(k / tiles),
-//! scratchpad_service(k × words), 1)` tile-clock cycles: lanes run in
-//! parallel across a slice's tiles in *waves* — a batch wider than the
-//! partition's tile count queues extra waves of compute — while operand
-//! service scales with total lanes; the roofline of `freac_core::exec`
-//! at batch granularity. Batches may therefore be wider than the tile
-//! count (up to [`MAX_BATCH_LANES`]): a wave of extra compute still
-//! amortizes one reconfiguration and one scheduling decision.
+//! of `k` lanes executes in one [`RoundQuote`] round, `cycles(k, tiles)` —
+//! the same roofline `freac_core::exec::run_kernel` charges per item, at
+//! batch granularity: lanes run in parallel across a slice's tiles in
+//! *waves* (a batch wider than the tile count queues extra waves of
+//! compute) while operand service scales with total lanes. `tiles` is the
+//! partition's MCC count over the tile size, with no scratchpad
+//! working-set cap (a [`RequestProfile`] carries no working set). Batches
+//! may therefore be wider than the tile count (up to [`MAX_BATCH_LANES`]):
+//! a wave of extra compute still amortizes one reconfiguration and one
+//! scheduling decision.
 //! Reconfiguration (quoted by [`freac_core::reconfig_cost`]) is paid when
 //! a dispatch's kernel is not resident on the slice: a full flush+config
 //! on first claim, config streaming only on a swap; way reclaim is paid
@@ -33,15 +34,14 @@ use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use freac_core::scratchpad::ScratchpadModel;
 use freac_core::{
     reconfig_cost, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
-    HandoffMode, ReconfigCost, SlicePartition,
+    HandoffMode, ReconfigCost, RoundQuote, SlicePartition,
 };
-use freac_kernels::{kernel, Kernel, KernelId};
+use freac_kernels::{kernel, Kernel, KernelId, Workload};
 use freac_netlist::{compile, ExecPlan, Netlist, BATCH_LANES, MAX_BATCH_LANES};
 use freac_probe::CounterRegistry;
-use freac_sim::{ClockDomain, Time};
+use freac_sim::Time;
 
 use crate::batch::take_batch;
 use crate::error::ServeError;
@@ -68,6 +68,27 @@ pub struct RequestProfile {
     pub read_words: u64,
     /// Result words written per invocation.
     pub write_words: u64,
+}
+
+impl RequestProfile {
+    /// The per-item profile of a paper kernel's workload.
+    pub fn of(w: &Workload) -> Self {
+        RequestProfile {
+            cycles_per_item: w.cycles_per_item,
+            read_words: w.read_words_per_item,
+            write_words: w.write_words_per_item,
+        }
+    }
+
+    /// The quote for one round of this profile on `partition`.
+    fn quote(&self, accel: &Accelerator, partition: &SlicePartition) -> RoundQuote {
+        RoundQuote::new(
+            accel,
+            self.cycles_per_item,
+            self.read_words.saturating_add(self.write_words),
+            partition,
+        )
+    }
 }
 
 /// What a fluid queue approximation of the serving loop needs to know
@@ -178,15 +199,14 @@ struct ServedKernel {
     profile: RequestProfile,
     /// Functional depth actually executed for hashing.
     func_cycles: u64,
-    /// `cycles_per_item × fold steps` — compute cycles per wave.
-    compute_cycles: u64,
+    /// Round quote on the configured partition; one wave runs
+    /// `quote.area_tiles()` lanes at once.
+    quote: RoundQuote,
     /// Reconfiguration quote for this accelerator on the configured
     /// partition.
     cost: ReconfigCost,
     /// Lane capacity per dispatch.
     lanes_cap: usize,
-    /// Tiles the partition hosts: one wave runs this many lanes at once.
-    tiles: usize,
 }
 
 /// A tenant's `serve.tenant.<name>.*` probe keys, formatted once when the
@@ -338,8 +358,6 @@ impl ServeReport {
 /// The multi-tenant request server.
 pub struct Server {
     cfg: ServeConfig,
-    clock: ClockDomain,
-    spad: ScratchpadModel,
     tlb: TenantTlb,
     coh: CoherenceStats,
     kernels: BTreeMap<String, ServedKernel>,
@@ -375,11 +393,6 @@ impl Server {
                 tile.mccs()
             )));
         }
-        let clock = tile.clock();
-        let service_ways = cfg
-            .partition
-            .scratchpad_ways()
-            .max(cfg.partition.cache_ways().max(1));
         let slices = (0..cfg.slices)
             .map(|_| SliceState {
                 resident: None,
@@ -392,8 +405,6 @@ impl Server {
             .collect();
         Ok(Server {
             cfg,
-            clock,
-            spad: ScratchpadModel::new(service_ways, clock),
             tlb: TenantTlb::new(
                 cfg.partition.scratchpad_bytes(),
                 std::iter::empty::<String>(),
@@ -481,30 +492,26 @@ impl Server {
                 self.cfg.tile_mccs
             )));
         }
-        let steps = accel.fold_cycles() as u64;
         let cost = reconfig_cost(
             &accel,
             &self.cfg.partition,
             self.cfg.dirty_fraction,
             self.cfg.handoff,
         )?;
-        let tiles = (self.cfg.partition.mccs() / self.cfg.tile_mccs).max(1);
         // The bit-sliced engine bounds lanes, not the tile count: a batch
         // wider than the tiles runs extra compute waves instead of being
         // truncated (the old `.min(tiles)` clamp capped every partition
         // at ≤32 lanes and made `max_lanes` above that unreachable).
         let lanes_cap = self.cfg.max_lanes.min(MAX_BATCH_LANES);
-        let cycles = profile.cycles_per_item.max(1);
         self.kernels.insert(
             name.to_owned(),
             ServedKernel {
                 plan,
                 profile,
-                func_cycles: cycles.min(FUNC_CYCLES_CAP),
-                compute_cycles: cycles.saturating_mul(steps),
+                func_cycles: profile.cycles_per_item.clamp(1, FUNC_CYCLES_CAP),
+                quote: profile.quote(&accel, &self.cfg.partition),
                 cost,
                 lanes_cap,
-                tiles,
                 accel,
             },
         );
@@ -522,15 +529,10 @@ impl Server {
     /// Propagates mapping failures.
     pub fn register_paper_kernel(&mut self, id: KernelId) -> Result<(), ServeError> {
         let k: Box<dyn Kernel> = kernel(id);
-        let w = k.workload(1);
         self.register_kernel(
             &id.name().to_lowercase(),
             &k.circuit(),
-            RequestProfile {
-                cycles_per_item: w.cycles_per_item,
-                read_words: w.read_words_per_item,
-                write_words: w.write_words_per_item,
-            },
+            RequestProfile::of(&k.workload(1)),
         )
     }
 
@@ -594,11 +596,15 @@ impl Server {
     /// request then pays a full wave).
     pub fn kernel_fluid_estimate(&self, name: &str) -> Option<FluidEstimate> {
         self.kernels.get(name).map(|k| FluidEstimate {
-            service_ps: self.clock.cycles_to_time(k.compute_cycles.max(1)).max(1),
+            service_ps: k
+                .quote
+                .clock()
+                .cycles_to_time(k.quote.compute_cycles().max(1))
+                .max(1),
             swap_ps: k.cost.swap_ps(),
             setup_ps: k.cost.setup_ps(),
             tiles: if self.cfg.batching {
-                k.tiles.min(k.lanes_cap).max(1)
+                k.quote.area_tiles().min(k.lanes_cap).max(1)
             } else {
                 1
             },
@@ -810,11 +816,10 @@ impl Server {
     /// [`freac_core::way_conversion_charge`] under the configured
     /// [`HandoffMode`] (blind flush, or targeted invalidations with the
     /// protocol traffic exported under `cache.coh.*`): each slice becomes
-    /// free no
-    /// earlier than `max(free_at, at) + conversion`, residents are evicted
-    /// (the LUT fabric was rebuilt), every kernel's reconfiguration quote,
-    /// wave width, and the scratchpad service model are requoted against
-    /// the new split. Returns the per-slice conversion time.
+    /// free no earlier than `max(free_at, at) + conversion`, residents are
+    /// evicted (the LUT fabric was rebuilt), and every kernel's
+    /// reconfiguration and round quotes are requoted against the new split.
+    /// Returns the per-slice conversion time.
     ///
     /// # Errors
     ///
@@ -845,7 +850,6 @@ impl Server {
             self.coh.merge(&delta);
             delta.export_into(&mut self.probes, "cache.coh");
         }
-        let tiles = (partition.mccs() / self.cfg.tile_mccs).max(1);
         for k in self.kernels.values_mut() {
             k.cost = reconfig_cost(
                 &k.accel,
@@ -853,12 +857,8 @@ impl Server {
                 self.cfg.dirty_fraction,
                 self.cfg.handoff,
             )?;
-            k.tiles = tiles;
+            k.quote = k.profile.quote(&k.accel, &partition);
         }
-        let service_ways = partition
-            .scratchpad_ways()
-            .max(partition.cache_ways().max(1));
-        self.spad = ScratchpadModel::new(service_ways, self.clock);
         self.cfg.partition = partition;
         self.rebuild_tlb();
         for s in &mut self.slices {
@@ -998,16 +998,9 @@ impl Server {
         } else {
             ctx.cost.swap_ps()
         };
-        let words = (ctx.profile.read_words + ctx.profile.write_words).saturating_mul(k as u64);
-        // Compute runs in waves of `tiles` lanes; operand service scales
-        // with total lanes. The round is the roofline max of the two.
-        let waves = (k as u64).div_ceil(ctx.tiles as u64).max(1);
-        let round_cycles = ctx
-            .compute_cycles
-            .saturating_mul(waves)
-            .max(self.spad.service_cycles(words))
-            .max(1);
-        let exec_ps = self.clock.cycles_to_time(round_cycles);
+        let tiles = ctx.quote.area_tiles();
+        let waves = k.div_ceil(tiles) as u64;
+        let exec_ps = ctx.quote.time_ps(k, tiles);
         let start = t.saturating_add(reconfig_ps);
         let done = start.saturating_add(exec_ps);
 

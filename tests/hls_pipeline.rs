@@ -2,9 +2,9 @@
 //! loop kernels compile, map, fold, execute bit-exactly, time, and run in
 //! offload sessions — the full "bring your own kernel" path.
 
-use freac::core::detailed::{roofline_item_cycles, simulate_slice_pass};
+use freac::core::detailed::simulate_slice_pass;
 use freac::core::exec::{run_kernel, ExecConfig, KernelSpec};
-use freac::core::{Accelerator, AcceleratorTile, OffloadSession, SlicePartition};
+use freac::core::{Accelerator, AcceleratorTile, OffloadSession, RoundQuote, SlicePartition};
 use freac::hls::library;
 use freac::hls::{Expr, LoopKernel, Reduce};
 use freac::kernels::DataGen;
@@ -75,7 +75,8 @@ fn hls_kernels_validate_the_detailed_simulator() {
     let spec = spec_for(&k, 10_000);
     let p = SlicePartition::end_to_end();
     let detailed = simulate_slice_pass(&accel, &spec, &p).expect("simulates");
-    let roofline = roofline_item_cycles(&accel, &spec, &p).expect("estimates");
+    let roofline = RoundQuote::new(&accel, spec.cycles_per_item, spec.words_per_item(), &p)
+        .cycles(detailed.tiles, detailed.tiles);
     assert!(detailed.pass_cycles as u64 >= accel.fold_cycles() as u64);
     assert!(
         detailed.pass_cycles <= roofline * 4 + 64,

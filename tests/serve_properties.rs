@@ -226,18 +226,13 @@ fn serve_mixed_at_level(level: OptLevel) -> ServeReport {
     let mut server = Server::new(cfg).expect("config is valid");
     for id in [KernelId::Aes, KernelId::Gemm] {
         let k = freac::kernels::kernel(id);
-        let w = k.workload(1);
         let accel =
             Accelerator::map_shared_with_level(&k.circuit(), &tile, level).expect("kernel maps");
         server
             .register_accelerator(
                 &id.name().to_lowercase(),
                 accel,
-                RequestProfile {
-                    cycles_per_item: w.cycles_per_item,
-                    read_words: w.read_words_per_item,
-                    write_words: w.write_words_per_item,
-                },
+                RequestProfile::of(&k.workload(1)),
             )
             .expect("unique kernel");
     }
