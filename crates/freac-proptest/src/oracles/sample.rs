@@ -9,8 +9,9 @@
 //! * **Within-bounds extrapolation** — each extrapolated latency quantile
 //!   (p50/p95/p99) covers the full-fidelity value within its reported
 //!   bound, and the extrapolated terminal counts conserve the trace.
-//! * **Determinism** — the same case twice, and at different sampling
-//!   worker counts, yields byte-identical reports and probe exports.
+//! * **Determinism** — the same case twice, at different sampling worker
+//!   counts, and with the trace handed over in a seeded random order,
+//!   yields byte-identical reports and probe exports.
 //! * **Probe conservation** — the `serve.sample.*` namespace passes the
 //!   registry invariant laws (per-cluster request counts sum to the trace
 //!   length; est. completed + shed == trace length).
@@ -25,6 +26,10 @@ use freac_serve::{
 };
 
 use super::serve::{kernel_pool, TENANTS};
+
+/// Salt folded into the case seed for the order-independence arm's
+/// submission permutation, so it draws a stream apart from the sampler's.
+const PERMUTE_SALT: u64 = 0x0bde_5a3b_9e37_79b9;
 
 /// One arrival regime: a stretch of requests sharing a gap scale and a
 /// kernel bias.
@@ -166,6 +171,14 @@ fn cluster_config(case: &SampleCase) -> ClusterConfig {
 }
 
 fn run_sampled(case: &SampleCase, workers: usize) -> Result<SampleReport, String> {
+    run_sampled_trace(case, workers, &trace_of(case))
+}
+
+fn run_sampled_trace(
+    case: &SampleCase,
+    workers: usize,
+    trace: &[Request],
+) -> Result<SampleReport, String> {
     let mut server = SampledServer::new(
         cluster_config(case),
         SampleConfig {
@@ -187,9 +200,7 @@ fn run_sampled(case: &SampleCase, workers: usize) -> Result<SampleReport, String
             .add_tenant(name, 1 + t as u64 % 2)
             .map_err(|e| format!("add tenant: {e}"))?;
     }
-    server
-        .run(&trace_of(case))
-        .map_err(|e| format!("sampled run: {e}"))
+    server.run(trace).map_err(|e| format!("sampled run: {e}"))
 }
 
 /// Extrapolated quantiles must cover the full-fidelity values within their
@@ -259,8 +270,9 @@ pub fn check_within_bounds(case: &SampleCase) -> Result<(), String> {
     Ok(())
 }
 
-/// The same case must produce byte-identical reports on rerun and at any
-/// sampling worker count.
+/// The same case must produce byte-identical reports on rerun, at any
+/// sampling worker count, and with the trace handed over in a seeded
+/// random order (the sampler sorts it canonically itself).
 ///
 /// # Errors
 ///
@@ -269,7 +281,17 @@ pub fn check_determinism(case: &SampleCase) -> Result<(), String> {
     let a = run_sampled(case, 1)?;
     let b = run_sampled(case, 1)?;
     let c = run_sampled(case, 3)?;
-    for (label, other) in [("rerun", &b), ("3-worker", &c)] {
+    let mut shuffled = trace_of(case);
+    Rng64::new(case.seed ^ PERMUTE_SALT).shuffle(&mut shuffled);
+    let d = run_sampled_trace(case, 1, &shuffled)?;
+    for (label, other) in [("rerun", &b), ("3-worker", &c), ("permuted", &d)] {
+        if other.render() != a.render() {
+            return Err(format!(
+                "{label}: rendered report diverged:\n{}\nvs\n{}",
+                other.render(),
+                a.render()
+            ));
+        }
         if other.clusters != a.clusters {
             return Err(format!("{label}: clustering diverged"));
         }
@@ -277,9 +299,17 @@ pub fn check_determinism(case: &SampleCase) -> Result<(), String> {
             other.p50_ps,
             other.p95_ps,
             other.p99_ps,
+            other.throughput_rps,
             other.est_completed,
-        ) != (a.p50_ps, a.p95_ps, a.p99_ps, a.est_completed)
-        {
+            other.est_shed,
+        ) != (
+            a.p50_ps,
+            a.p95_ps,
+            a.p99_ps,
+            a.throughput_rps,
+            a.est_completed,
+            a.est_shed,
+        ) {
             return Err(format!("{label}: estimates diverged"));
         }
         let (x, y) = (to_counters_json(&other.probes), to_counters_json(&a.probes));

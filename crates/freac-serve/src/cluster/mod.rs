@@ -31,7 +31,7 @@
 //! on the calling thread — so parallel stepping is byte-identical to
 //! sequential, which the cluster proptest oracle asserts.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{mpsc, Arc};
 
 use freac_core::{Accelerator, AcceleratorTile};
@@ -200,14 +200,22 @@ impl ClusterReport {
     }
 }
 
+/// A tenant as the cluster sees it: its fair-share weight and the
+/// `(seq, retries)` identities submitted cluster-wide. The identity set
+/// answers membership only and is never iterated, so its order cannot
+/// reach a schedule or a report.
+struct ClusterTenant {
+    weight: u64,
+    ids: HashSet<(u64, u32)>,
+}
+
 /// The cluster: shards, router, and the epoch loop.
 pub struct Cluster {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
     router: Router,
     pending: PendingSet,
-    submitted_ids: BTreeSet<(String, u64, u32)>,
-    tenant_weights: BTreeMap<String, u64>,
+    tenants: BTreeMap<String, ClusterTenant>,
     kernels: BTreeSet<String>,
     /// Cluster-level metrics only (`cluster.*`); shard probes are merged
     /// in at report time.
@@ -243,8 +251,7 @@ impl Cluster {
             cfg,
             shards,
             pending: PendingSet::default(),
-            submitted_ids: BTreeSet::new(),
-            tenant_weights: BTreeMap::new(),
+            tenants: BTreeMap::new(),
             kernels: BTreeSet::new(),
             probes: CounterRegistry::new(),
             route_keys: (0..cfg.shards)
@@ -342,7 +349,13 @@ impl Cluster {
         for sh in &mut self.shards {
             sh.server.add_tenant(name, weight)?;
         }
-        self.tenant_weights.insert(name.to_owned(), weight);
+        self.tenants.insert(
+            name.to_owned(),
+            ClusterTenant {
+                weight,
+                ids: HashSet::new(),
+            },
+        );
         Ok(())
     }
 
@@ -365,14 +378,13 @@ impl Cluster {
     /// Rejects unknown tenants/kernels and duplicate
     /// `(tenant, seq, retries)` identities, cluster-wide.
     pub fn submit(&mut self, req: Request) -> Result<(), ServeError> {
-        if !self.tenant_weights.contains_key(&req.tenant) {
+        let Some(tenant) = self.tenants.get_mut(req.tenant.as_str()) else {
             return Err(ServeError::UnknownTenant(req.tenant));
-        }
+        };
         if !self.kernels.contains(&req.kernel) {
             return Err(ServeError::UnknownKernel(req.kernel));
         }
-        let id = (req.tenant.clone(), req.seq, req.retries);
-        if !self.submitted_ids.insert(id) {
+        if !tenant.ids.insert((req.seq, req.retries)) {
             return Err(ServeError::DuplicateRequest {
                 tenant: req.tenant,
                 seq: req.seq,
@@ -755,9 +767,9 @@ impl Cluster {
 
     /// Cluster-wide per-tenant summaries from the merged registry.
     fn tenant_summaries(&self, probes: &CounterRegistry) -> Vec<TenantSummary> {
-        self.tenant_weights
+        self.tenants
             .iter()
-            .map(|(name, &weight)| {
+            .map(|(name, tenant)| {
                 let c = |suffix: &str| probes.counter(&format!("serve.tenant.{name}.{suffix}"));
                 let router_shed = self
                     .router_sheds
@@ -768,7 +780,7 @@ impl Cluster {
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
                     name: name.clone(),
-                    weight,
+                    weight: tenant.weight,
                     // Shard `submitted` counts a migrated request twice (a
                     // steal is a fresh submission on the thief); subtract
                     // `stolen` to recover user submissions, then add the
@@ -969,6 +981,63 @@ mod tests {
             active > 1,
             "steals should spread work beyond the home shard"
         );
+        // A steal releases the identity on the victim shard only; the
+        // cluster still holds every identity it was given.
+        for r in trace(n, 0) {
+            assert!(matches!(
+                cluster.submit(r),
+                Err(ServeError::DuplicateRequest { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn duplicate_and_unknown_submissions_are_rejected() {
+        let mut cluster = cluster_with(ClusterConfig {
+            shards: 2,
+            ..ClusterConfig::default()
+        });
+        let retry = |mut r: Request, retries: u32| {
+            r.retries = retries;
+            r
+        };
+        let duplicate_of = |r: Result<(), ServeError>| match r {
+            Err(ServeError::DuplicateRequest {
+                tenant,
+                seq,
+                retries,
+            }) => (tenant, seq, retries),
+            other => panic!("expected DuplicateRequest, got {other:?}"),
+        };
+        cluster.submit(Request::new("a", 0, "k", 0, 1)).unwrap();
+        // The same seq on another tenant, or with a higher retry count, is
+        // a different identity.
+        cluster.submit(Request::new("b", 0, "k", 0, 1)).unwrap();
+        cluster
+            .submit(retry(Request::new("a", 0, "k", 5, 1), 1))
+            .unwrap();
+        assert_eq!(
+            duplicate_of(cluster.submit(Request::new("a", 0, "k", 5, 2))),
+            ("a".to_owned(), 0, 0)
+        );
+        assert_eq!(
+            duplicate_of(cluster.submit(retry(Request::new("a", 0, "k", 9, 2), 1))),
+            ("a".to_owned(), 0, 1)
+        );
+        assert_eq!(
+            duplicate_of(cluster.submit(Request::new("b", 0, "k", 9, 2))),
+            ("b".to_owned(), 0, 0)
+        );
+        assert!(matches!(
+            cluster.submit(Request::new("nobody", 0, "k", 0, 1)),
+            Err(ServeError::UnknownTenant(_))
+        ));
+        assert!(matches!(
+            cluster.submit(Request::new("a", 1, "mystery", 0, 1)),
+            Err(ServeError::UnknownKernel(_))
+        ));
+        let rep = cluster.run_to_completion().unwrap();
+        assert_eq!(rep.completions.len() + rep.sheds.len(), 3);
     }
 
     #[test]

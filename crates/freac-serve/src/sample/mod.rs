@@ -33,7 +33,7 @@
 mod kmedoids;
 mod sig;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use freac_core::{Accelerator, AcceleratorTile};
@@ -348,24 +348,13 @@ impl SampledServer {
     /// ill-defined), and window sizes that shatter the trace into more
     /// than a few thousand windows.
     pub fn run(&self, trace: &[Request]) -> Result<SampleReport, ServeError> {
-        let mut trace: Vec<Request> = trace.to_vec();
+        // The run borrows the caller's requests: only references are
+        // sorted, and replicas clone just the requests they replay. The
+        // sort is stable, so requests with equal keys (possible only in a
+        // trace the identity check rejects) keep the caller's order.
+        let mut trace: Vec<&Request> = trace.iter().collect();
         trace.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
-        let mut ids: BTreeSet<(&str, u64)> = BTreeSet::new();
-        for r in &trace {
-            if !self.tenants.contains_key(&r.tenant) {
-                return Err(ServeError::UnknownTenant(r.tenant.clone()));
-            }
-            if !self.kernels.contains_key(&r.kernel) {
-                return Err(ServeError::UnknownKernel(r.kernel.clone()));
-            }
-            if !ids.insert((r.tenant.as_str(), r.seq)) {
-                return Err(ServeError::BadConfig(format!(
-                    "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
-                    r.tenant, r.seq
-                )));
-            }
-        }
-        drop(ids);
+        self.check_identities(&trace)?;
         if trace.is_empty() {
             return Ok(self.empty_report());
         }
@@ -449,6 +438,49 @@ impl SampledServer {
         self.extrapolate(&trace, &sigs, clusters, &metrics, &dist)
     }
 
+    /// Rejects the first request of the sorted `trace` that names an
+    /// unknown tenant, names an unknown kernel, or repeats an earlier
+    /// `(tenant, seq)` — checked in that order per request, so the error is
+    /// the one an ordered scan over a growing identity set would return.
+    ///
+    /// One pass resolves tenants and kernels against the registries, up to
+    /// the first unknown request, and collects each tenant's positions.
+    /// Sorting those by `(seq, position)` puts repeats side by side, and
+    /// the earliest second occurrence is the scan's first duplicate. Every
+    /// duplicate found lies before the first unknown request, so it wins.
+    fn check_identities(&self, trace: &[&Request]) -> Result<(), ServeError> {
+        let tenants: Vec<&str> = self.tenants.keys().map(String::as_str).collect();
+        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
+        let mut unknown = None;
+        for (i, r) in trace.iter().enumerate() {
+            let Ok(t) = tenants.binary_search(&r.tenant.as_str()) else {
+                unknown = Some(ServeError::UnknownTenant(r.tenant.clone()));
+                break;
+            };
+            if !self.kernels.contains_key(r.kernel.as_str()) {
+                unknown = Some(ServeError::UnknownKernel(r.kernel.clone()));
+                break;
+            }
+            positions[t].push(i);
+        }
+        let mut first_repeat: Option<usize> = None;
+        for ps in &mut positions {
+            ps.sort_unstable_by_key(|&i| (trace[i].seq, i));
+            for pair in ps.windows(2) {
+                if trace[pair[0]].seq == trace[pair[1]].seq {
+                    first_repeat = Some(first_repeat.map_or(pair[1], |d| d.min(pair[1])));
+                }
+            }
+        }
+        if let Some(i) = first_repeat {
+            return Err(ServeError::BadConfig(format!(
+                "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
+                trace[i].tenant, trace[i].seq
+            )));
+        }
+        unknown.map_or(Ok(()), Err)
+    }
+
     /// Per-kernel fluid cost models from a scratch shard (plans are
     /// pre-compiled, so this costs registration bookkeeping only).
     fn fluid_estimates(&self) -> Result<BTreeMap<String, FluidEstimate>, ServeError> {
@@ -495,7 +527,7 @@ impl SampledServer {
     /// requests to refill its queues, capped at four times the cluster's
     /// total admission capacity (a kernel too rare to hit the target by
     /// then cannot have kept its queues full either).
-    fn warmup_len(&self, trace: &[Request], start: usize) -> usize {
+    fn warmup_len(&self, trace: &[&Request], start: usize) -> usize {
         let per_kernel = self.cluster.shards * self.cluster.shard.queue_depth;
         let cap = (4 * self.kernels.len() * per_kernel).max(self.cfg.warmup);
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
@@ -539,7 +571,7 @@ impl SampledServer {
     ///   arrivals.
     fn simulate_window(
         &self,
-        trace: &[Request],
+        trace: &[&Request],
         start: usize,
         len: usize,
         start_depth: f64,
@@ -566,7 +598,7 @@ impl SampledServer {
         let mut cluster = self.build_cluster()?;
         let mut shift: Time = 0;
         if saturated {
-            for r in &trace[warm_start..end] {
+            for &r in &trace[warm_start..end] {
                 cluster.submit(r.clone())?;
             }
         } else {
@@ -580,37 +612,42 @@ impl SampledServer {
                 r.arrival_ps = arrival;
                 r
             };
-            for r in &trace[warm_start..start - pressure] {
+            for &r in &trace[warm_start..start - pressure] {
                 cluster.submit(r.clone())?;
             }
-            for r in &trace[start - pressure..end] {
+            for &r in &trace[start - pressure..end] {
                 cluster.submit(retime(r, r.arrival_ps.saturating_add(shift)))?;
             }
         }
         let rep = cluster.run_to_completion()?;
-        let ids: BTreeSet<(&str, u64)> = trace[start..end]
+        // The window's identities, sorted for binary search (`(tenant,
+        // seq)` is unique in the trace, and the warm prefix never shares
+        // one with the window).
+        let mut ids: Vec<(&str, u64)> = trace[start..end]
             .iter()
             .map(|r| (r.tenant.as_str(), r.seq))
             .collect();
+        ids.sort_unstable();
+        let in_window = |tenant: &str, seq: u64| ids.binary_search(&(tenant, seq)).is_ok();
         let first_arrival = trace[start].arrival_ps + shift;
         let last_arrival = trace[end - 1].arrival_ps + shift;
         let mut latency = Histogram::default();
         let mut completed = 0u64;
         let mut last_done = 0u64;
         for c in &rep.completions {
-            if ids.contains(&(c.tenant.as_str(), c.seq)) {
+            if in_window(&c.tenant, c.seq) {
                 latency.observe(c.latency_ps());
                 completed += 1;
                 last_done = last_done.max(c.done_ps);
             }
         }
-        debug_assert_eq!(
-            completed
-                + rep
-                    .sheds
-                    .iter()
-                    .filter(|s| ids.contains(&(s.request.tenant.as_str(), s.request.seq)))
-                    .count() as u64,
+        let shed = rep
+            .sheds
+            .iter()
+            .filter(|s| in_window(&s.request.tenant, s.request.seq))
+            .count() as u64;
+        assert_eq!(
+            completed + shed,
             len as u64,
             "every window request terminates exactly once"
         );
@@ -645,7 +682,7 @@ impl SampledServer {
     /// medoid's draw.
     fn extrapolate(
         &self,
-        trace: &[Request],
+        trace: &[&Request],
         sigs: &[WindowSig],
         clusters: Vec<SampleCluster>,
         metrics: &BTreeMap<usize, WindowMetrics>,
@@ -808,7 +845,7 @@ impl SampledServer {
     )]
     fn export_probes(
         &self,
-        trace: &[Request],
+        trace: &[&Request],
         sigs: &[WindowSig],
         clusters: &[SampleCluster],
         latency: &Histogram,
@@ -1041,6 +1078,115 @@ mod tests {
         t[5].seq = 4; // collides with request 4
         let err = s.run(&t).unwrap_err();
         assert!(matches!(err, ServeError::BadConfig(_)));
+    }
+
+    /// The ordered scan the identity check replaces, kept as its
+    /// reference: sort a clone, then walk it with a growing identity set.
+    fn ordered_scan(s: &SampledServer, trace: &[Request]) -> Result<(), ServeError> {
+        let mut trace: Vec<Request> = trace.to_vec();
+        trace.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
+        let mut ids: std::collections::BTreeSet<(&str, u64)> = std::collections::BTreeSet::new();
+        for r in &trace {
+            if !s.tenants.contains_key(&r.tenant) {
+                return Err(ServeError::UnknownTenant(r.tenant.clone()));
+            }
+            if !s.kernels.contains_key(&r.kernel) {
+                return Err(ServeError::UnknownKernel(r.kernel.clone()));
+            }
+            if !ids.insert((r.tenant.as_str(), r.seq)) {
+                return Err(ServeError::BadConfig(format!(
+                    "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
+                    r.tenant, r.seq
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// A seeded valid trace over tenants `a`/`b` and kernels `j`/`k`, with
+    /// coarse arrivals so order keys often tie on time, in shuffled
+    /// submission order.
+    fn seeded_trace(rng: &mut freac_rand::Rng64, n: u64) -> Vec<Request> {
+        let mut arrival = 0;
+        let mut t: Vec<Request> = (0..n)
+            .map(|i| {
+                arrival += rng.below(3) * 1_000;
+                let tenant = *rng.pick(&["a", "b"]);
+                let kernel = *rng.pick(&["j", "k"]);
+                Request::new(tenant, i, kernel, arrival, i)
+            })
+            .collect();
+        rng.shuffle(&mut t);
+        t
+    }
+
+    /// Injects one fault of `kind` at a random position: 0 an unknown
+    /// tenant, 1 an unknown kernel, 2 a repeated `(tenant, seq)` (as a new
+    /// request, sometimes at the same order key, sometimes differing only
+    /// in `retries`, which sampled mode still rejects), 3 a twin at the
+    /// same order key with the two naming different unknown kernels (only
+    /// a stable sort reports the one submitted first).
+    fn inject(rng: &mut freac_rand::Rng64, t: &mut Vec<Request>, kind: usize) {
+        let i = rng.index(t.len());
+        match kind {
+            0 => t[i].tenant = (*rng.pick(&["", "aa", "zz"])).to_owned(),
+            1 => t[i].kernel = (*rng.pick(&["", "jj", "mystery"])).to_owned(),
+            3 => {
+                let mut twin = t[i].clone();
+                t[i].kernel = "x".to_owned();
+                twin.kernel = "y".to_owned();
+                let at = rng.index(t.len() + 1);
+                t.insert(at, twin);
+            }
+            _ => {
+                let mut copy = t[i].clone();
+                match rng.index(3) {
+                    0 => copy.arrival_ps = rng.below(t.len() as u64) * 1_000,
+                    1 => copy.retries += 1,
+                    _ => copy.kernel = (*rng.pick(&["j", "k", "mystery"])).to_owned(),
+                }
+                let at = rng.index(t.len() + 1);
+                t.insert(at, copy);
+            }
+        }
+    }
+
+    #[test]
+    fn identity_check_returns_the_ordered_scans_error() {
+        let mut s = runner(32);
+        s.add_tenant("b", 2).unwrap();
+        s.register_kernel(
+            "j",
+            &tiny_circuit("j"),
+            RequestProfile {
+                cycles_per_item: 1,
+                read_words: 2,
+                write_words: 1,
+            },
+        )
+        .unwrap();
+        freac_rand::cases(600, 0x1d5e_c4ec, |rng| {
+            let n = 8 + rng.below(56);
+            let mut t = seeded_trace(rng, n);
+            // Every non-empty subset of the four fault kinds, each kind
+            // injected once or twice.
+            let kinds = 1 + rng.index(15);
+            for kind in 0..4 {
+                if kinds & (1 << kind) != 0 {
+                    for _ in 0..1 + rng.index(2) {
+                        inject(rng, &mut t, kind);
+                    }
+                }
+            }
+            let want = ordered_scan(&s, &t).expect_err("every fault is rejected");
+            let got = s.run(&t).expect_err("every fault is rejected");
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(got.to_string(), want.to_string());
+        });
+        // A clean trace passes both.
+        let t = seeded_trace(&mut freac_rand::Rng64::new(5), 64);
+        ordered_scan(&s, &t).unwrap();
+        s.run(&t).unwrap();
     }
 
     #[test]

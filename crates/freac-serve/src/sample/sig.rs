@@ -64,9 +64,10 @@ pub(crate) fn feature_names(kernels: &[String]) -> Vec<String> {
     names
 }
 
-/// Computes the per-window signatures of `trace` (already sorted by
-/// [`Request::order_key`]). `estimates` maps each registered kernel to
-/// its fluid cost model; `kernels` fixes the feature order.
+/// Computes the per-window signatures of `trace` (the caller's requests,
+/// borrowed and already sorted by [`Request::order_key`]). `estimates`
+/// maps each registered kernel to its fluid cost model; `kernels` fixes
+/// the feature order.
 ///
 /// The deposit per admitted request is the *amortized* cost the batched
 /// scheduler would charge it: one wave's service spread over the wave's
@@ -80,7 +81,7 @@ pub(crate) fn feature_names(kernels: &[String]) -> Vec<String> {
 /// until amortized service catches up and affinity re-stabilizes
 /// residency.
 pub(crate) fn window_signatures(
-    trace: &[Request],
+    trace: &[&Request],
     window: usize,
     kernels: &[String],
     estimates: &BTreeMap<String, FluidEstimate>,
@@ -379,6 +380,10 @@ mod tests {
         Request::new("t", seq, kernel, at, seq)
     }
 
+    fn refs(trace: &[Request]) -> Vec<&Request> {
+        trace.iter().collect()
+    }
+
     #[test]
     fn windows_cover_the_trace_and_mix_discriminates() {
         let kernels = vec!["a".to_owned(), "b".to_owned()];
@@ -386,7 +391,7 @@ mod tests {
         // dense burst.
         let mut trace: Vec<Request> = (0..64).map(|i| req("a", i, i * 1_000_000)).collect();
         trace.extend((0..64).map(|i| req("b", 64 + i, 64_000_000 + i * 1_000)));
-        let sigs = window_signatures(&trace, 32, &kernels, &service(), &cfg());
+        let sigs = window_signatures(&refs(&trace), 32, &kernels, &service(), &cfg());
         assert_eq!(sigs.len(), 4);
         assert_eq!(sigs.iter().map(|s| s.len).sum::<usize>(), 128);
         assert!(sigs
@@ -409,8 +414,8 @@ mod tests {
         let trace: Vec<Request> = (0..100)
             .map(|i| req(if i % 3 == 0 { "b" } else { "a" }, i, i * 7_000))
             .collect();
-        let a = window_signatures(&trace, 16, &kernels, &service(), &cfg());
-        let b = window_signatures(&trace, 16, &kernels, &service(), &cfg());
+        let a = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
+        let b = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
         let fa: Vec<&[f64]> = a.iter().map(|s| s.features.as_slice()).collect();
         let fb: Vec<&[f64]> = b.iter().map(|s| s.features.as_slice()).collect();
         assert_eq!(fa, fb);
@@ -420,7 +425,7 @@ mod tests {
     fn normalize_maps_into_unit_range_and_kills_constants() {
         let kernels = vec!["a".to_owned()];
         let trace: Vec<Request> = (0..64).map(|i| req("a", i, i * 5_000)).collect();
-        let sigs = window_signatures(&trace, 16, &kernels, &service(), &cfg());
+        let sigs = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
         let pts = normalize(&sigs);
         for p in &pts {
             for &f in p {

@@ -31,7 +31,7 @@
 //! once at drain and reported as teardown.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use freac_core::{
@@ -209,9 +209,14 @@ struct ServedKernel {
     lanes_cap: usize,
 }
 
-/// A tenant's `serve.tenant.<name>.*` probe keys, formatted once when the
-/// tenant is added so per-request accounting allocates nothing.
-struct TenantKeys {
+/// A tenant's per-request bookkeeping, reached through one lookup by name:
+/// its `serve.tenant.<name>.*` probe keys, formatted once when the tenant
+/// is added so per-request accounting allocates nothing, and the
+/// `(seq, retries)` identities it has submitted and not had stolen away.
+/// The identity set answers membership only and is never iterated, so
+/// its order cannot reach a schedule or a report.
+struct TenantBook {
+    ids: HashSet<(u64, u32)>,
     submitted: String,
     completed: String,
     shed: String,
@@ -222,10 +227,11 @@ struct TenantKeys {
     reconfig_ps: String,
 }
 
-impl TenantKeys {
+impl TenantBook {
     fn new(name: &str) -> Self {
         let key = |suffix: &str| format!("serve.tenant.{name}.{suffix}");
-        TenantKeys {
+        TenantBook {
+            ids: HashSet::new(),
             submitted: key("submitted"),
             completed: key("completed"),
             shed: key("shed"),
@@ -362,10 +368,9 @@ pub struct Server {
     coh: CoherenceStats,
     kernels: BTreeMap<String, ServedKernel>,
     tenants: BTreeMap<String, TenantState>,
-    tenant_keys: BTreeMap<String, TenantKeys>,
+    tenant_books: BTreeMap<String, TenantBook>,
     queues: BTreeMap<String, AdmissionQueue>,
     pending: PendingSet,
-    submitted_ids: BTreeSet<(String, u64, u32)>,
     slices: Vec<SliceState>,
     probes: CounterRegistry,
     queued: usize,
@@ -412,10 +417,9 @@ impl Server {
             coh: CoherenceStats::default(),
             kernels: BTreeMap::new(),
             tenants: BTreeMap::new(),
-            tenant_keys: BTreeMap::new(),
+            tenant_books: BTreeMap::new(),
             queues: BTreeMap::new(),
             pending: PendingSet::default(),
-            submitted_ids: BTreeSet::new(),
             slices,
             probes: CounterRegistry::new(),
             queued: 0,
@@ -552,8 +556,8 @@ impl Server {
         }
         self.tenants
             .insert(name.to_owned(), TenantState { weight, vwork: 0 });
-        self.tenant_keys
-            .insert(name.to_owned(), TenantKeys::new(name));
+        self.tenant_books
+            .insert(name.to_owned(), TenantBook::new(name));
         self.rebuild_tlb();
         Ok(())
     }
@@ -623,26 +627,24 @@ impl Server {
 
     /// [`Server::submit`], additionally counting a steal-in when `stolen`.
     fn submit_counted(&mut self, req: Request, stolen: bool) -> Result<(), ServeError> {
-        if !self.tenants.contains_key(&req.tenant) {
+        let Some(book) = self.tenant_books.get_mut(req.tenant.as_str()) else {
             return Err(ServeError::UnknownTenant(req.tenant));
-        }
+        };
         if !self.kernels.contains_key(&req.kernel) {
             return Err(ServeError::UnknownKernel(req.kernel));
         }
-        let id = (req.tenant.clone(), req.seq, req.retries);
-        if !self.submitted_ids.insert(id) {
+        if !book.ids.insert((req.seq, req.retries)) {
             return Err(ServeError::DuplicateRequest {
                 tenant: req.tenant,
                 seq: req.seq,
                 retries: req.retries,
             });
         }
-        let keys = &self.tenant_keys[req.tenant.as_str()];
         self.probes.inc("serve.requests.submitted");
-        self.probes.inc(&keys.submitted);
+        self.probes.inc(&book.submitted);
         if stolen {
             self.probes.inc("serve.requests.stolen_in");
-            self.probes.inc(&keys.stolen_in);
+            self.probes.inc(&book.stolen_in);
         }
         if req.retries > 0 {
             self.probes.inc("serve.requests.retried");
@@ -774,27 +776,25 @@ impl Server {
     pub fn steal_newest(&mut self, max: usize) -> Vec<Request> {
         let mut out = Vec::new();
         while out.len() < max {
-            let mut victim: Option<(String, usize)> = None;
-            for (name, q) in &self.queues {
-                if q.len() > victim.as_ref().map_or(0, |(_, l)| *l) {
-                    victim = Some((name.clone(), q.len()));
+            // Strictly deeper replaces, so among equally deep queues the
+            // first in name order stays the victim.
+            let mut victim: Option<&mut AdmissionQueue> = None;
+            for q in self.queues.values_mut() {
+                if q.len() > victim.as_ref().map_or(0, |v| v.len()) {
+                    victim = Some(q);
                 }
             }
-            let Some((name, _)) = victim else {
+            let Some(req) = victim.and_then(AdmissionQueue::pop_newest) else {
                 break;
             };
-            let req = self
-                .queues
-                .get_mut(&name)
-                .expect("victim queue exists")
-                .pop_newest()
-                .expect("victim queue is non-empty");
             self.queued -= 1;
-            self.submitted_ids
-                .remove(&(req.tenant.clone(), req.seq, req.retries));
+            let book = self
+                .tenant_books
+                .get_mut(req.tenant.as_str())
+                .expect("queued requests belong to registered tenants");
+            book.ids.remove(&(req.seq, req.retries));
             self.probes.inc("serve.requests.stolen");
-            self.probes
-                .inc(&self.tenant_keys[req.tenant.as_str()].stolen);
+            self.probes.inc(&book.stolen);
             out.push(req);
         }
         out
@@ -893,7 +893,7 @@ impl Server {
                     self.probes.inc("serve.tlb.misses");
                     self.probes.inc("serve.tlb.faults");
                     self.probes
-                        .inc(&self.tenant_keys[req.tenant.as_str()].tlb_faults);
+                        .inc(&self.tenant_books[req.tenant.as_str()].tlb_faults);
                     self.shed(req, at, ShedReason::TlbFault, hook)?;
                     continue;
                 }
@@ -938,7 +938,7 @@ impl Server {
     {
         self.probes.inc("serve.requests.shed");
         self.probes
-            .inc(&self.tenant_keys[request.tenant.as_str()].shed);
+            .inc(&self.tenant_books[request.tenant.as_str()].shed);
         let outcome = Outcome::Shed(Shed {
             request,
             at_ps,
@@ -1081,7 +1081,7 @@ impl Server {
             self.probes.inc("serve.reconfigs");
             self.probes.add("serve.reconfig.total_ps", reconfig_ps);
             self.probes
-                .add(&self.tenant_keys[anchor_tenant].reconfig_ps, reconfig_ps);
+                .add(&self.tenant_books[anchor_tenant].reconfig_ps, reconfig_ps);
         }
 
         self.dispatches.push(DispatchRecord {
@@ -1114,7 +1114,7 @@ impl Server {
                 seq: req.seq,
                 kernel: req.kernel,
             };
-            let keys = &self.tenant_keys[completion.tenant.as_str()];
+            let keys = &self.tenant_books[completion.tenant.as_str()];
             self.probes.inc("serve.requests.completed");
             self.probes.inc(&keys.completed);
             self.probes
@@ -1191,7 +1191,7 @@ impl Server {
             .tenants
             .iter()
             .map(|(name, ts)| {
-                let keys = &self.tenant_keys[name];
+                let keys = &self.tenant_books[name];
                 let hist = self.probes.histogram(&keys.latency_ps);
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
@@ -1546,14 +1546,45 @@ mod tests {
         assert!(light >= 1);
     }
 
+    /// The `(tenant, seq, retries)` a rejected submission names, or a
+    /// panic naming what came back instead.
+    fn duplicate_of(r: Result<(), ServeError>) -> (String, u64, u32) {
+        match r {
+            Err(ServeError::DuplicateRequest {
+                tenant,
+                seq,
+                retries,
+            }) => (tenant, seq, retries),
+            other => panic!("expected DuplicateRequest, got {other:?}"),
+        }
+    }
+
+    fn retry_of(mut r: Request, retries: u32) -> Request {
+        r.retries = retries;
+        r
+    }
+
     #[test]
     fn duplicate_and_unknown_submissions_are_rejected() {
         let mut s = server_with(ServeConfig::default());
         s.submit(Request::new("a", 0, "k", 0, 1)).unwrap();
-        assert!(matches!(
-            s.submit(Request::new("a", 0, "k", 5, 2)),
-            Err(ServeError::DuplicateRequest { .. })
-        ));
+        // The same seq on another tenant, or with a higher retry count, is
+        // a different identity.
+        s.submit(Request::new("b", 0, "k", 0, 1)).unwrap();
+        s.submit(retry_of(Request::new("a", 0, "k", 5, 1), 1))
+            .unwrap();
+        assert_eq!(
+            duplicate_of(s.submit(Request::new("a", 0, "k", 5, 2))),
+            ("a".to_owned(), 0, 0)
+        );
+        assert_eq!(
+            duplicate_of(s.submit(retry_of(Request::new("a", 0, "k", 9, 2), 1))),
+            ("a".to_owned(), 0, 1)
+        );
+        assert_eq!(
+            duplicate_of(s.submit(Request::new("b", 0, "k", 9, 2))),
+            ("b".to_owned(), 0, 0)
+        );
         assert!(matches!(
             s.submit(Request::new("nobody", 0, "k", 0, 1)),
             Err(ServeError::UnknownTenant(_))
@@ -1562,6 +1593,75 @@ mod tests {
             s.submit(Request::new("a", 1, "mystery", 0, 1)),
             Err(ServeError::UnknownKernel(_))
         ));
+    }
+
+    #[test]
+    fn steal_releases_only_the_stolen_identity() {
+        let mut s = server_with(ServeConfig {
+            slices: 1,
+            max_lanes: 1,
+            ..ServeConfig::default()
+        });
+        for (tenant, seq) in [("a", 0), ("a", 1), ("b", 1)] {
+            s.submit(Request::new(tenant, seq, "k", 0, seq)).unwrap();
+        }
+        // a:0 occupies the slice; a:1 and b:1 wait, b:1 newest.
+        s.run_until(0, &mut |_| Vec::new()).unwrap();
+        let stolen = s.steal_newest(1).pop().unwrap();
+        assert_eq!((stolen.tenant.as_str(), stolen.seq), ("b", 1));
+        s.submit(stolen.clone()).unwrap();
+        assert_eq!(
+            duplicate_of(s.submit(stolen)),
+            ("b".to_owned(), 1, 0),
+            "a resubmitted steal is registered again"
+        );
+        assert_eq!(
+            duplicate_of(s.submit(Request::new("a", 1, "k", 0, 1))),
+            ("a".to_owned(), 1, 0),
+            "never-stolen identities stay registered"
+        );
+    }
+
+    #[test]
+    fn steal_picks_the_deepest_queue_and_the_smallest_name_on_ties() {
+        let mut s = server_with(ServeConfig {
+            slices: 1,
+            max_lanes: 1,
+            ..ServeConfig::default()
+        });
+        s.register_kernel("j", &tiny_circuit("j"), profile())
+            .unwrap();
+        s.register_kernel("m", &tiny_circuit("m"), profile())
+            .unwrap();
+        // Seq 0 occupies the slice; `j` queues two requests, `k` three
+        // and `m` two.
+        let plan = [
+            ("k", 0),
+            ("j", 1),
+            ("j", 2),
+            ("k", 3),
+            ("k", 4),
+            ("k", 5),
+            ("m", 6),
+            ("m", 7),
+        ];
+        for (kernel, seq) in plan {
+            s.submit(Request::new("a", seq, kernel, 0, seq)).unwrap();
+        }
+        s.run_until(0, &mut |_| Vec::new()).unwrap();
+        let order: Vec<(String, u64)> = s
+            .steal_newest(4)
+            .into_iter()
+            .map(|r| (r.kernel, r.seq))
+            .collect();
+        // `k` is deepest (3), then all three tie at 2 and `j` wins, then
+        // `k` and `m` tie at 2 and `k` wins, then `m` is deepest.
+        let want = [("k", 5), ("j", 2), ("k", 4), ("m", 7)];
+        assert_eq!(
+            order,
+            want.map(|(k, q)| (k.to_owned(), q)).to_vec(),
+            "steal order"
+        );
     }
 
     #[test]
