@@ -9,6 +9,7 @@
 //! own configuration.
 
 pub mod bitstream;
+pub mod burst;
 pub mod cache;
 pub mod cluster;
 pub mod coherence;

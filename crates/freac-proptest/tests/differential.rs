@@ -6,8 +6,8 @@
 //! and the one-line corpus entry that replays it.
 
 use freac_proptest::oracles::{
-    bitstream, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, round, sample,
-    serve,
+    bitstream, burst, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, round,
+    sample, serve,
 };
 use freac_proptest::{check, Runner};
 
@@ -156,6 +156,20 @@ fn serve_queue_matches_model() {
         queue::generate,
         queue::shrink,
         queue::check,
+    );
+}
+
+#[test]
+fn serve_exclusive_burst_matches_reference() {
+    // Bursts of 8-96 exclusives over random grammar circuits, on a server
+    // and on a 2-shard stealing cluster: exclusives evaluated together in
+    // one fold pass, displaced after it or stolen with their hashes must
+    // all hash like the reference evaluator.
+    check(
+        "serve/exclusive-burst",
+        burst::generate,
+        burst::shrink,
+        burst::check,
     );
 }
 

@@ -55,7 +55,7 @@ pub(crate) enum ScaleDecision {
 }
 
 /// Per-shard hysteresis accumulator.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub(crate) struct AutoscaleState {
     high_run: u32,
     low_run: u32,
@@ -85,6 +85,51 @@ impl AutoscaleState {
             self.low_run = 0;
         }
         ScaleDecision::Hold
+    }
+
+    /// How many [`AutoscaleState::decide`] calls with `backlog` return
+    /// [`ScaleDecision::Hold`] before one fires, and what fires; `None`
+    /// when the backlog sits between the bands and never fires.
+    pub(crate) fn holds_before_firing(
+        &self,
+        cfg: &AutoscaleConfig,
+        backlog: usize,
+    ) -> Option<(u64, ScaleDecision)> {
+        let (run, needed, decision) = if backlog >= cfg.high_backlog {
+            (self.high_run, cfg.up_epochs, ScaleDecision::Up)
+        } else if backlog <= cfg.low_backlog {
+            (self.low_run, cfg.down_epochs, ScaleDecision::Down)
+        } else {
+            return None;
+        };
+        Some((u64::from(needed.saturating_sub(run).max(1) - 1), decision))
+    }
+
+    /// Feeds `epochs` epochs of the same `backlog` at once, leaving the
+    /// state that many [`AutoscaleState::decide`] calls would, whatever
+    /// they decided.
+    pub(crate) fn decide_many(&mut self, cfg: &AutoscaleConfig, backlog: usize, epochs: u64) {
+        if epochs == 0 {
+            return;
+        }
+        // One call bumps the run and wraps it to 0 once it reaches
+        // `needed`; after the first call the run is below `needed`, so the
+        // rest is a count modulo `needed`.
+        let advance = |run: u32, needed: u32| {
+            let first = if run + 1 >= needed { 0 } else { run + 1 };
+            let period = u64::from(needed.max(1));
+            ((u64::from(first) + epochs - 1) % period) as u32
+        };
+        if backlog >= cfg.high_backlog {
+            self.low_run = 0;
+            self.high_run = advance(self.high_run, cfg.up_epochs);
+        } else if backlog <= cfg.low_backlog {
+            self.high_run = 0;
+            self.low_run = advance(self.low_run, cfg.down_epochs);
+        } else {
+            self.high_run = 0;
+            self.low_run = 0;
+        }
     }
 }
 
@@ -136,6 +181,55 @@ mod tests {
         assert_eq!(st.decide(&cfg, 0), ScaleDecision::Hold);
         assert_eq!(st.decide(&cfg, 0), ScaleDecision::Hold);
         assert_eq!(st.decide(&cfg, 0), ScaleDecision::Down);
+    }
+
+    #[test]
+    fn bulk_feed_equals_one_decide_per_epoch() {
+        // Every reachable state, both bands and the gap between them,
+        // thresholds of 0..=3 epochs (0 and 1 fire on every call): k
+        // epochs fed at once leave the state k `decide` calls leave, and
+        // the first firing call is the one `holds_before_firing` names.
+        for up_epochs in 0..4 {
+            for down_epochs in 0..4 {
+                let cfg = AutoscaleConfig {
+                    high_backlog: 10,
+                    low_backlog: 2,
+                    up_epochs,
+                    down_epochs,
+                    ..AutoscaleConfig::default()
+                };
+                let mut starts = Vec::new();
+                for warm in [0, 3, 10] {
+                    for run in 0..4 {
+                        let mut st = AutoscaleState::default();
+                        for _ in 0..run {
+                            st.decide(&cfg, warm);
+                        }
+                        starts.push(st);
+                    }
+                }
+                for start in starts {
+                    for backlog in [0, 2, 5, 10, 50] {
+                        let mut stepped = start.clone();
+                        let mut first_fire = None;
+                        for k in 0..12u64 {
+                            let mut bulk = start.clone();
+                            bulk.decide_many(&cfg, backlog, k);
+                            assert_eq!(bulk, stepped, "{cfg:?} {start:?} backlog {backlog} k {k}");
+                            let d = stepped.decide(&cfg, backlog);
+                            if d != ScaleDecision::Hold && first_fire.is_none() {
+                                first_fire = Some((k, d));
+                            }
+                        }
+                        assert_eq!(
+                            start.holds_before_firing(&cfg, backlog),
+                            first_fire,
+                            "{cfg:?} {start:?} backlog {backlog}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! global admission budget, (3) rebalances admitted work by stealing from
 //! the deepest queue to the shallowest when the imbalance crosses a
 //! threshold, and (4) pumps every shard's event loop to the epoch
-//! boundary via [`Server::run_until`].
+//! boundary via [`Server::run_until`]. Epochs in which none of these can
+//! change anything are skipped, with the autoscalers' hysteresis fed for
+//! them in bulk (`Cluster::skip_idle_epochs`).
 //!
 //! # Determinism
 //!
@@ -438,11 +440,7 @@ impl Cluster {
     {
         let epoch = self.cfg.epoch_ps;
         while let Some(next) = self.next_event_ps() {
-            if next > self.now {
-                // Skip whole idle epochs, landing on the grid point at or
-                // below the next event so decisions stay epoch-aligned.
-                self.now = self.now.max(next - next % epoch);
-            }
+            self.skip_idle_epochs(next);
             let epoch_end = self.now.saturating_add(epoch);
             self.autoscale_epoch()?;
             self.route_arrivals(epoch_end, hook)?;
@@ -489,9 +487,7 @@ impl Cluster {
             drop(done_tx);
             let epoch = self.cfg.epoch_ps;
             while let Some(next) = self.next_event_ps() {
-                if next > self.now {
-                    self.now = self.now.max(next - next % epoch);
-                }
+                self.skip_idle_epochs(next);
                 let epoch_end = self.now.saturating_add(epoch);
                 self.autoscale_epoch()?;
                 self.route_arrivals(epoch_end, hook)?;
@@ -504,6 +500,62 @@ impl Cluster {
             drop(txs);
             Ok(())
         })
+    }
+
+    /// Moves `now` past every epoch in which nothing can happen, given the
+    /// next arrival or shard event at `next`. Shared by both epoch loops.
+    ///
+    /// Two skips, both exact:
+    ///
+    /// * Epochs before the one holding `next` are jumped with nothing fed
+    ///   to the autoscalers, landing on the grid point at or below `next`
+    ///   so decisions stay epoch-aligned.
+    /// * From there, an epoch is idle when no arrival is due for routing,
+    ///   no shard can admit or dispatch by its end
+    ///   ([`Server::next_action_ps`]: a shard with queued work admits
+    ///   arrivals only at its next dispatch instant), the steal imbalance
+    ///   is within its threshold, and no autoscaler would convert ways. An
+    ///   idle epoch changes nothing but the autoscalers' hysteresis, fed
+    ///   with a backlog that stays constant, so the epochs up to the first
+    ///   one where anything acts are skipped and their hysteresis fed in
+    ///   bulk ([`AutoscaleState::decide_many`]). A firing that finds the
+    ///   partition ladder at its end converts nothing and is skipped too.
+    fn skip_idle_epochs(&mut self, next: Time) {
+        let epoch = self.cfg.epoch_ps;
+        if next > self.now {
+            self.now = self.now.max(next - next % epoch);
+        }
+        if self.steal_pair().is_some() {
+            return;
+        }
+        let Some(act) = self
+            .shards
+            .iter()
+            .filter_map(|s| s.server.next_action_ps())
+            .chain(self.pending.next_arrival_ps())
+            .min()
+        else {
+            return;
+        };
+        // The epoch starting at `now + j * epoch` acts when its inclusive
+        // end reaches `act`, so `j` below this many are idle.
+        let mut idle = act.saturating_sub(self.now).saturating_sub(1) / epoch;
+        if let Some(ac) = self.cfg.autoscale {
+            for sh in &self.shards {
+                let fires = sh.scale.holds_before_firing(&ac, sh.server.backlog());
+                if let Some((holds, decision)) = fires {
+                    let up = decision == ScaleDecision::Up;
+                    if step_partition(&ac, &sh.server.config().partition, up).is_some() {
+                        idle = idle.min(holds);
+                    }
+                }
+            }
+            for sh in &mut self.shards {
+                let backlog = sh.server.backlog();
+                sh.scale.decide_many(&ac, backlog, idle);
+            }
+        }
+        self.now = self.now.saturating_add(idle.saturating_mul(epoch));
     }
 
     /// Simulated time of the next arrival or shard event, or `None` when
@@ -604,30 +656,40 @@ impl Cluster {
             return;
         };
         for _ in 0..sc.max_per_epoch {
-            let mut max_i = 0;
-            let mut min_i = 0;
-            for (i, sh) in self.shards.iter().enumerate() {
-                if sh.server.queued() > self.shards[max_i].server.queued() {
-                    max_i = i;
-                }
-                if sh.server.queued() < self.shards[min_i].server.queued() {
-                    min_i = i;
-                }
-            }
-            let gap = self.shards[max_i].server.queued() - self.shards[min_i].server.queued();
-            if gap <= sc.imbalance {
+            let Some((max_i, min_i)) = self.steal_pair() else {
                 break;
-            }
-            let Some(req) = self.shards[max_i].server.steal_newest(1).pop() else {
+            };
+            // An exclusive's precomputed output hash moves with it, so the
+            // thief does not evaluate it again.
+            let Some((req, hash)) = self.shards[max_i].server.steal_newest_carrying(1).pop() else {
                 break;
             };
             self.shards[min_i]
                 .server
-                .submit_stolen(req)
+                .submit_stolen_carrying(req, hash)
                 .expect("stolen identity was released by its victim");
             self.probes.inc("cluster.steals");
             self.steals += 1;
         }
+    }
+
+    /// The `(victim, thief)` shards of the next steal — the first deepest
+    /// and first shallowest by queued requests — or `None` when stealing
+    /// is off or their gap is within the configured imbalance.
+    fn steal_pair(&self) -> Option<(usize, usize)> {
+        let sc = self.cfg.steal?;
+        let mut max_i = 0;
+        let mut min_i = 0;
+        for (i, sh) in self.shards.iter().enumerate() {
+            if sh.server.queued() > self.shards[max_i].server.queued() {
+                max_i = i;
+            }
+            if sh.server.queued() < self.shards[min_i].server.queued() {
+                min_i = i;
+            }
+        }
+        let gap = self.shards[max_i].server.queued() - self.shards[min_i].server.queued();
+        (gap > sc.imbalance).then_some((max_i, min_i))
     }
 
     /// Pumps every shard to the epoch boundary, then feeds the merged,
@@ -842,6 +904,35 @@ mod tests {
         c.add_tenant("a", 1).unwrap();
         c.add_tenant("b", 1).unwrap();
         c
+    }
+
+    impl Cluster {
+        /// The sequential epoch loop with or without the idle-epoch
+        /// fast-forward, counting the epochs it visits. Without it, every
+        /// epoch from the one holding the next event on is visited: the
+        /// loop before the fast-forward existed, and its reference.
+        fn run_counting<F>(&mut self, fast_forward: bool, hook: &mut F) -> u64
+        where
+            F: FnMut(&Outcome) -> Vec<Request>,
+        {
+            let epoch = self.cfg.epoch_ps;
+            let mut visited = 0;
+            while let Some(next) = self.next_event_ps() {
+                if fast_forward {
+                    self.skip_idle_epochs(next);
+                } else if next > self.now {
+                    self.now = self.now.max(next - next % epoch);
+                }
+                let epoch_end = self.now.saturating_add(epoch);
+                self.autoscale_epoch().unwrap();
+                self.route_arrivals(epoch_end, hook).unwrap();
+                self.steal_epoch();
+                self.pump_shards(epoch_end, hook).unwrap();
+                self.now = epoch_end;
+                visited += 1;
+            }
+            visited
+        }
     }
 
     fn trace(n: u64, gap: Time) -> Vec<Request> {
@@ -1070,6 +1161,203 @@ mod tests {
             freac_probe::to_counters_json(&par.probes),
             freac_probe::to_counters_json(&seq.probes)
         );
+    }
+
+    /// Everything a drain reports, plus each shard's autoscaler
+    /// hysteresis, in comparable form.
+    fn fingerprint(c: &Cluster, r: &ClusterReport) -> String {
+        let dispatches: Vec<&Vec<crate::server::DispatchRecord>> =
+            r.shards.iter().map(|s| &s.dispatches).collect();
+        let scale: Vec<&AutoscaleState> = c.shards.iter().map(|s| &s.scale).collect();
+        format!(
+            "{:?}\n{:?}\n{:?}\n{}\n{:?}\n{}",
+            r.completions,
+            r.sheds,
+            dispatches,
+            r.steals,
+            scale,
+            freac_probe::to_counters_json(&r.probes)
+        )
+    }
+
+    #[test]
+    fn idle_epoch_fast_forward_is_exact() {
+        // Slow single-lane service leaves most epochs idle: queued work
+        // waits for the next dispatch. Bursts and lulls drive the
+        // autoscaler both ways, with thresholds short enough that firings
+        // fall inside idle stretches (no-op firings at the ends of the
+        // partition ladder included) and long enough that a run must be
+        // fed across many skipped epochs; they also open steal
+        // imbalances, and a closed-loop hook adds follow-ups mid-run. A
+        // 7 ps epoch puts many dispatch instants exactly on an epoch end.
+        let steal = Some(StealConfig {
+            imbalance: 2,
+            max_per_epoch: 2,
+        });
+        let quick = AutoscaleConfig {
+            high_backlog: 6,
+            low_backlog: 1,
+            up_epochs: 3,
+            down_epochs: 5,
+            ..AutoscaleConfig::default()
+        };
+        let patient = AutoscaleConfig {
+            high_backlog: 4,
+            low_backlog: 1,
+            up_epochs: 60,
+            down_epochs: 90,
+            ..AutoscaleConfig::default()
+        };
+        let eager = AutoscaleConfig {
+            high_backlog: 2,
+            low_backlog: 0,
+            up_epochs: 1,
+            down_epochs: 0,
+            max_compute_ways: 8,
+            ..AutoscaleConfig::default()
+        };
+        let configs = [
+            (None, None, 1_000, 400),
+            (steal, None, 1_000, 400),
+            (Some(StealConfig::default()), Some(quick), 1_000, 400),
+            (None, Some(eager), 1_000, 400),
+            (steal, Some(patient), 1_000, 400),
+            (steal, Some(quick), 7, 20),
+        ];
+        for (steal, autoscale, epoch_ps, cycles_per_item) in configs {
+            let cfg = ClusterConfig {
+                shards: 3,
+                route: RoutePolicy::KernelAffinity { spill_depth: 4 },
+                steal,
+                autoscale,
+                epoch_ps,
+                shard: ServeConfig {
+                    partition: freac_core::SlicePartition::new(4, 10, 6).unwrap(),
+                    slices: 1,
+                    queue_depth: 16,
+                    batching: false,
+                    ..ServeConfig::default()
+                },
+                ..ClusterConfig::default()
+            };
+            let profile = RequestProfile {
+                cycles_per_item,
+                ..profile()
+            };
+            let burst_ps = 10_000 * cycles_per_item;
+            let build = |workers: usize| {
+                let mut c = Cluster::new(ClusterConfig { workers, ..cfg }).unwrap();
+                for k in ["j", "k"] {
+                    c.register_kernel(k, &tiny_circuit(k), profile).unwrap();
+                }
+                c.add_tenant("a", 1).unwrap();
+                c.add_tenant("b", 2).unwrap();
+                for i in 0..120u64 {
+                    let arrival = (i / 30) * burst_ps + (i % 30) * 17 * cycles_per_item;
+                    let tenant = ["a", "b"][i as usize % 2];
+                    let kernel = ["j", "k", "k"][i as usize % 3];
+                    c.submit(Request::new(tenant, i, kernel, arrival, i))
+                        .unwrap();
+                }
+                c
+            };
+            let follow_up = || {
+                let mut next = 1_000u64;
+                move |o: &Outcome| match o {
+                    Outcome::Completed(c) if c.seq % 7 == 0 && next < 1_012 => {
+                        next += 1;
+                        vec![Request::new("a", next, "j", c.done_ps + 50_000, next)]
+                    }
+                    _ => Vec::new(),
+                }
+            };
+            let mut reference = build(1);
+            let every = reference.run_counting(false, &mut follow_up());
+            let report = reference.report();
+            let want = fingerprint(&reference, &report);
+            let mut skipping = build(1);
+            let visited = skipping.run_counting(true, &mut follow_up());
+            let report = skipping.report();
+            assert_eq!(fingerprint(&skipping, &report), want, "{cfg:?}");
+            assert!(
+                visited * 4 < every,
+                "{cfg:?}: {visited} of {every} epochs visited"
+            );
+            for workers in [1, 2] {
+                let mut c = build(workers);
+                let report = c.run(follow_up()).unwrap();
+                assert_eq!(
+                    fingerprint(&c, &report),
+                    want,
+                    "{cfg:?} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stolen_exclusives_carry_their_precomputed_hashes() {
+        // Everything lands on the kernel's home shard (unbounded spill).
+        // Its first dispatch is an exclusive whose pass evaluates every
+        // exclusive queued behind it; the next epoch steals the newest of
+        // those to the other shard, which must run them from the carried
+        // hashes.
+        let mut cluster = cluster_with(ClusterConfig {
+            shards: 2,
+            route: RoutePolicy::KernelAffinity {
+                spill_depth: usize::MAX,
+            },
+            // A wide imbalance and a small per-epoch cap keep the steals one
+            // way: the home shard never becomes the shallower one.
+            steal: Some(StealConfig {
+                imbalance: 40,
+                max_per_epoch: 8,
+            }),
+            shard: ServeConfig {
+                slices: 1,
+                queue_depth: 256,
+                ..ServeConfig::default()
+            },
+            epoch_ps: 10_000,
+            ..ClusterConfig::default()
+        });
+        for i in 0..96u64 {
+            let mut r = Request::new(["a", "b"][i as usize % 2], i, "k", 0, 7 * i);
+            r.exclusive = i % 6 != 5;
+            cluster.submit(r).unwrap();
+        }
+        let rep = cluster.run_to_completion().unwrap();
+        assert_eq!(rep.completions.len(), 96);
+        // The kernel's home shard is the victim; the other is the thief.
+        let victim = usize::from(rep.shards[0].probes.counter("serve.requests.stolen") == 0);
+        let thief = 1 - victim;
+        assert_eq!(rep.shards[thief].probes.counter("serve.requests.stolen"), 0);
+        assert!(cluster.shards[victim].server.shared_passes() >= 1);
+        let stolen_exclusives = rep.shards[thief]
+            .completions
+            .iter()
+            .filter(|c| c.lanes == 1)
+            .count();
+        assert!(
+            stolen_exclusives >= 8,
+            "{stolen_exclusives} stolen exclusives ran on the thief"
+        );
+        assert_eq!(
+            cluster.shards[thief].server.shared_passes(),
+            0,
+            "the thief never re-evaluated a stolen exclusive"
+        );
+        let net = cluster.kernel_netlist("k").unwrap();
+        let cycles = cluster.kernel_func_cycles("k").unwrap();
+        for c in &rep.completions {
+            assert_eq!(
+                c.output_hash,
+                crate::inputs::reference_hash(net, c.seed, cycles).unwrap()
+            );
+        }
+        for sh in &cluster.shards {
+            assert_eq!(sh.server.ready_hashes(), 0, "no shard keeps an entry");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! once at drain and reported as teardown.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 use freac_core::{
@@ -39,7 +39,7 @@ use freac_core::{
     HandoffMode, ReconfigCost, RoundQuote, SlicePartition,
 };
 use freac_kernels::{kernel, Kernel, KernelId, Workload};
-use freac_netlist::{compile, ExecPlan, Netlist, BATCH_LANES, MAX_BATCH_LANES};
+use freac_netlist::{compile, ExecPlan, Netlist, Value, BATCH_LANES, MAX_BATCH_LANES};
 use freac_probe::CounterRegistry;
 use freac_sim::Time;
 
@@ -58,6 +58,14 @@ use crate::tlb::{TenantTlb, TlbSegment};
 /// long kernels affordable while every consumer (engine, verifier, oracle)
 /// hashes the same depth.
 pub const FUNC_CYCLES_CAP: u64 = 4;
+
+/// Fewest lanes a shared exclusive pass runs (see [`Server::dispatch`]).
+/// Below this an exclusive runs alone on the single-lane fold executor. A
+/// pass of 3..=64 lanes costs one 64-lane sweep, so its gain over per-lane
+/// runs grows with its width. On a 2-vCPU Xeon VM at 8 lanes the sweep
+/// ran AES 1.6x, GEMM 1.5x and DOT 3.0x faster than eight single-lane
+/// runs, and most other paper kernels broke even between 6 and 12 lanes.
+const SHARED_PASS_MIN_LANES: usize = 8;
 
 /// Per-request cost profile of a registered kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,6 +215,11 @@ struct ServedKernel {
     cost: ReconfigCost,
     /// Lane capacity per dispatch.
     lanes_cap: usize,
+    /// Output hashes that a shared pass computed ahead of time for queued
+    /// exclusives of this kernel, keyed by seed. A dispatch consumes its
+    /// entry, a shed drops it, and a steal carries it to the thief.
+    /// Looked up by key only, never iterated.
+    ready: HashMap<u64, u64>,
 }
 
 /// A tenant's per-request bookkeeping, reached through one lookup by name:
@@ -379,6 +392,9 @@ pub struct Server {
     completions: Vec<Completion>,
     sheds: Vec<Shed>,
     dispatches: Vec<DispatchRecord>,
+    /// Shared exclusive passes run so far (see [`Server::dispatch`]).
+    #[cfg(test)]
+    shared_passes: u64,
 }
 
 impl Server {
@@ -428,6 +444,8 @@ impl Server {
             completions: Vec::new(),
             sheds: Vec::new(),
             dispatches: Vec::new(),
+            #[cfg(test)]
+            shared_passes: 0,
         })
     }
 
@@ -517,6 +535,7 @@ impl Server {
                 cost,
                 lanes_cap,
                 accel,
+                ready: HashMap::new(),
             },
         );
         self.queues
@@ -752,9 +771,21 @@ impl Server {
     /// process, or `None` when fully drained. A cluster uses this to skip
     /// idle epochs without perturbing the event order.
     pub fn next_event_ps(&self) -> Option<Time> {
-        let arrival = self.pending.next_arrival_ps();
+        let action = self.next_action_ps();
+        match self.pending.next_arrival_ps() {
+            Some(arrival) => action.map(|t| t.min(arrival)),
+            None => action,
+        }
+    }
+
+    /// Simulated time of the next event [`Server::run_until`] would act on,
+    /// or `None` when fully drained: the next arrival while nothing is
+    /// queued, else the next dispatch instant — queued work holds arrivals
+    /// back until then, so this is never earlier than
+    /// [`Server::next_event_ps`]. A run bounded below it changes nothing.
+    pub(crate) fn next_action_ps(&self) -> Option<Time> {
         if self.queued == 0 {
-            return arrival;
+            return self.pending.next_arrival_ps();
         }
         let free_at = self
             .slices
@@ -762,8 +793,7 @@ impl Server {
             .map(|s| s.free_at)
             .min()
             .expect("at least one slice");
-        let dispatch = self.now.max(free_at);
-        Some(arrival.map_or(dispatch, |a| a.min(dispatch)))
+        Some(self.now.max(free_at))
     }
 
     /// Removes up to `max` requests from the back of the deepest admission
@@ -774,6 +804,17 @@ impl Server {
     /// server (`completed + shed + stolen == submitted` stays balanced)
     /// and their identities are released for resubmission on the thief.
     pub fn steal_newest(&mut self, max: usize) -> Vec<Request> {
+        self.steal_newest_carrying(max)
+            .into_iter()
+            .map(|(req, _)| req)
+            .collect()
+    }
+
+    /// [`Server::steal_newest`], handing each stolen request over with the
+    /// output hash a shared pass already computed for it, if any, so the
+    /// thief need not evaluate it again
+    /// ([`Server::submit_stolen_carrying`]).
+    pub(crate) fn steal_newest_carrying(&mut self, max: usize) -> Vec<(Request, Option<u64>)> {
         let mut out = Vec::new();
         while out.len() < max {
             // Strictly deeper replaces, so among equally deep queues the
@@ -795,7 +836,8 @@ impl Server {
             book.ids.remove(&(req.seq, req.retries));
             self.probes.inc("serve.requests.stolen");
             self.probes.inc(&book.stolen);
-            out.push(req);
+            let hash = self.take_ready(&req);
+            out.push((req, hash));
         }
         out
     }
@@ -808,7 +850,40 @@ impl Server {
     ///
     /// See [`Server::submit`].
     pub fn submit_stolen(&mut self, req: Request) -> Result<(), ServeError> {
-        self.submit_counted(req, true)
+        self.submit_stolen_carrying(req, None)
+    }
+
+    /// [`Server::submit_stolen`] for a request its victim handed over with
+    /// a precomputed output `hash`: the hash waits here for the request's
+    /// dispatch, exactly as if this server's own pass had computed it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Server::submit`].
+    pub(crate) fn submit_stolen_carrying(
+        &mut self,
+        req: Request,
+        hash: Option<u64>,
+    ) -> Result<(), ServeError> {
+        let ready = hash.map(|h| (req.kernel.clone(), req.seed, h));
+        self.submit_counted(req, true)?;
+        if let Some((kernel, seed, h)) = ready {
+            self.kernels
+                .get_mut(&kernel)
+                .expect("kernel validated at submit")
+                .ready
+                .insert(seed, h);
+        }
+        Ok(())
+    }
+
+    /// Removes and returns the precomputed output hash waiting for `req`,
+    /// if it is an exclusive that a shared pass evaluated.
+    fn take_ready(&mut self, req: &Request) -> Option<u64> {
+        if !req.exclusive {
+            return None;
+        }
+        self.kernels.get_mut(&req.kernel)?.ready.remove(&req.seed)
     }
 
     /// Re-splits every slice's ways to `partition` at simulated time `at`
@@ -939,6 +1014,7 @@ impl Server {
         self.probes.inc("serve.requests.shed");
         self.probes
             .inc(&self.tenant_books[request.tenant.as_str()].shed);
+        self.take_ready(&request);
         let outcome = Outcome::Shed(Shed {
             request,
             at_ps,
@@ -973,6 +1049,15 @@ impl Server {
     }
 
     /// Dispatches one batch on slice `si` at time `t`.
+    ///
+    /// An exclusive rides alone and is charged alone, but its functional
+    /// result may come from a pass shared with other queued exclusives of
+    /// its kernel ([`Server::exclusive_hash`]). That is exact because every
+    /// exclusive dispatch starts a fresh fold executor at power-on state:
+    /// its output hash is a pure function of `(kernel, seed)`, so which
+    /// dispatch computes it, and on which shard, cannot show. If
+    /// exclusives ever carry register state from one dispatch to the next,
+    /// the hash depends on dispatch order and the shared pass must go.
     fn dispatch<F>(&mut self, si: usize, t: Time, hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
@@ -1005,27 +1090,26 @@ impl Server {
         let done = start.saturating_add(exec_ps);
 
         // Functional execution: exclusive requests stream through the
-        // single-lane folded path (they own the accelerator's register
-        // state); everything else rides the bit-sliced batch plan, whose
-        // per-lane latch state makes fresh-start invocations independent.
-        let lanes: Vec<Vec<freac_netlist::Value>> = batch
-            .iter()
-            .map(|r| synth_inputs(ctx.accel.netlist(), r.seed))
-            .collect();
+        // folded path (they own the accelerator's register state), alone
+        // or in a shared pass (`exclusive_hash`); with batching off every
+        // request runs alone on it. Everything else rides the bit-sliced
+        // batch plan, whose per-lane latch state makes fresh-start
+        // invocations independent.
         let single_lane = batch[0].exclusive || !self.cfg.batching;
-        let hashes: Vec<u64> = if single_lane {
-            let mut ex = ctx.accel.fold_plan().executor();
-            let mut out = Vec::new();
-            for _ in 0..ctx.func_cycles {
-                ex.run_cycle_into(&lanes[0], &mut out)?;
-            }
-            vec![hash_outputs(&out)]
+        let hashes: Vec<u64> = if batch[0].exclusive {
+            vec![self.exclusive_hash(&kernel_name, batch[0].seed)?]
+        } else if single_lane {
+            vec![fold_hash(ctx, batch[0].seed)?]
         } else {
             // Engine picked per dispatch: up to `freac_netlist::SCALAR_BATCH_LANES`
             // riders run per lane on the single-vector engine; wider
             // batches take the narrowest bit-sliced sweep that fits, so
             // 65..=256 riders run one 4-word pass instead of several
             // 64-lane rounds.
+            let lanes: Vec<Vec<Value>> = batch
+                .iter()
+                .map(|r| synth_inputs(ctx.accel.netlist(), r.seed))
+                .collect();
             let mut state = ctx.plan.new_batch_state_for(k);
             let mut out = Vec::new();
             for _ in 0..ctx.func_cycles {
@@ -1133,6 +1217,64 @@ impl Server {
         Ok(())
     }
 
+    /// The output hash of an exclusive request of `kernel` with `seed`.
+    ///
+    /// A hash an earlier pass computed for the seed is consumed. Otherwise
+    /// one pass of the fold plan's batch executor evaluates the request
+    /// together with every queued exclusive of the kernel still lacking a
+    /// hash, up to [`MAX_BATCH_LANES`] lanes, and keeps their hashes for
+    /// their own dispatches. With fewer than [`SHARED_PASS_MIN_LANES`]
+    /// lanes the request runs alone on the single-lane executor.
+    fn exclusive_hash(&mut self, kernel: &str, seed: u64) -> Result<u64, ServeError> {
+        let ctx = self.kernels.get_mut(kernel).expect("registered kernel");
+        if let Some(hash) = ctx.ready.remove(&seed) {
+            return Ok(hash);
+        }
+        let mut seeds = vec![seed];
+        seeds.extend(
+            self.queues[kernel]
+                .exclusive_seeds()
+                .filter(|s| !ctx.ready.contains_key(s))
+                .take(MAX_BATCH_LANES - 1),
+        );
+        if seeds.len() < SHARED_PASS_MIN_LANES {
+            return fold_hash(ctx, seed);
+        }
+        let lanes: Vec<Vec<Value>> = seeds
+            .iter()
+            .map(|&s| synth_inputs(ctx.accel.netlist(), s))
+            .collect();
+        let mut ex = ctx.accel.fold_plan().batch_executor(lanes.len());
+        let mut out = Vec::new();
+        for _ in 0..ctx.func_cycles {
+            ex.run_batch_cycle_into(&lanes, &mut out)?;
+        }
+        ctx.ready.extend(
+            seeds[1..]
+                .iter()
+                .zip(&out[1..])
+                .map(|(&s, o)| (s, hash_outputs(o))),
+        );
+        #[cfg(test)]
+        {
+            self.shared_passes += 1;
+        }
+        Ok(hash_outputs(&out[0]))
+    }
+
+    /// Shared exclusive passes run so far.
+    #[cfg(test)]
+    pub(crate) fn shared_passes(&self) -> u64 {
+        self.shared_passes
+    }
+
+    /// Precomputed exclusive hashes waiting for their dispatch, over every
+    /// kernel.
+    #[cfg(test)]
+    pub(crate) fn ready_hashes(&self) -> usize {
+        self.kernels.values().map(|k| k.ready.len()).sum()
+    }
+
     /// Exports end-of-drain counters and assembles the report. Public so
     /// a cluster that drives shards via [`Server::run_until`] can collect
     /// per-shard reports after the last epoch; [`Server::run`] calls it
@@ -1221,6 +1363,18 @@ impl Server {
             tenants,
         }
     }
+}
+
+/// One request's output hash from the single-lane fold executor, started
+/// at power-on state.
+fn fold_hash(ctx: &ServedKernel, seed: u64) -> Result<u64, ServeError> {
+    let inputs = synth_inputs(ctx.accel.netlist(), seed);
+    let mut ex = ctx.accel.fold_plan().executor();
+    let mut out = Vec::new();
+    for _ in 0..ctx.func_cycles {
+        ex.run_cycle_into(&inputs, &mut out)?;
+    }
+    Ok(hash_outputs(&out))
 }
 
 #[cfg(test)]
@@ -1395,6 +1549,100 @@ mod tests {
                 c.seq
             );
         }
+    }
+
+    /// An 8-bit accumulator: each cycle latches `acc + a` and outputs it,
+    /// so a hash over several cycles depends on starting at power-on state.
+    fn accumulator(name: &str) -> Netlist {
+        let mut b = CircuitBuilder::new(name);
+        let a = b.word_input("a", 8);
+        let (acc, handle) = b.word_reg(0, 8);
+        let s = b.add(&acc, &a);
+        b.connect_word_reg(handle, &s);
+        b.word_output("s", &s);
+        b.finish().unwrap()
+    }
+
+    /// A one-slice server over the accumulator (four functional cycles),
+    /// fed `n` requests: nine exclusives at 0 ps, so the first dispatch
+    /// finds eight queued beside it, then one request per ps, every fifth
+    /// batchable and the rest exclusive.
+    fn exclusive_burst(cfg: ServeConfig, n: u64) -> (Server, ServeReport) {
+        let mut s = Server::new(ServeConfig { slices: 1, ..cfg }).unwrap();
+        let heavy = RequestProfile {
+            cycles_per_item: 4,
+            ..profile()
+        };
+        s.register_kernel("acc", &accumulator("acc"), heavy)
+            .unwrap();
+        s.add_tenant("a", 1).unwrap();
+        s.add_tenant("b", 1).unwrap();
+        for i in 0..n {
+            let arrival = if i < 9 { 0 } else { i };
+            let mut r = Request::new(["a", "b"][i as usize % 2], i, "acc", arrival, 1_000 + i);
+            r.exclusive = i < 9 || i % 5 != 4;
+            s.submit(r).unwrap();
+        }
+        let r = s.run_to_completion().unwrap();
+        (s, r)
+    }
+
+    fn assert_reference_hashes(s: &Server, r: &ServeReport) {
+        let net = s.kernel_netlist("acc").unwrap();
+        let cycles = s.kernel_func_cycles("acc").unwrap();
+        assert_eq!(cycles, 4);
+        for c in &r.completions {
+            assert_eq!(
+                c.output_hash,
+                reference_hash(net, c.seed, cycles).unwrap(),
+                "completion ({}, {}) diverged",
+                c.tenant,
+                c.seq
+            );
+        }
+    }
+
+    #[test]
+    fn exclusive_burst_shares_passes_and_matches_the_reference() {
+        let (s, r) = exclusive_burst(
+            ServeConfig {
+                queue_depth: 256,
+                ..ServeConfig::default()
+            },
+            100,
+        );
+        assert_eq!(r.completions.len(), 100);
+        // With batching on, exactly the exclusives ride alone.
+        let exclusives = r.probes.counter("serve.batches.single_lane");
+        assert!(exclusives >= 64, "{exclusives} exclusives completed");
+        assert_reference_hashes(&s, &r);
+        assert!(s.shared_passes() >= 1, "the burst shares a pass");
+        assert_eq!(s.ready_hashes(), 0, "every precomputed hash was consumed");
+    }
+
+    #[test]
+    fn displaced_exclusives_drop_their_precomputed_hashes() {
+        // An eight-deep DropOldest queue: the first dispatch evaluates the
+        // seven exclusives queued behind it, and the arrivals admitted at
+        // the next dispatch displace them before their own dispatch.
+        let (s, r) = exclusive_burst(
+            ServeConfig {
+                queue_depth: 8,
+                shed: ShedPolicy::DropOldest,
+                ..ServeConfig::default()
+            },
+            80,
+        );
+        assert!(s.shared_passes() >= 1, "a pass ran");
+        assert!(
+            r.sheds.iter().any(|d| d.reason == ShedReason::Displaced
+                && d.request.arrival_ps == 0
+                && d.at_ps > 0),
+            "exclusives queued at the first pass were displaced later"
+        );
+        assert_eq!(r.completions.len() + r.sheds.len(), 80);
+        assert_reference_hashes(&s, &r);
+        assert_eq!(s.ready_hashes(), 0, "displacements dropped their hashes");
     }
 
     #[test]
