@@ -41,6 +41,10 @@
 //!   counter — a batch never carries more lanes than the dispatch
 //!   offered (both sides are sums over dispatches, so merges preserve
 //!   the law);
+//! * `<p>.func.lanes == <p>.requests.completed` for every prefix with a
+//!   `.func.lanes` counter — the serving layer's report-time functional
+//!   phase hashes every completed request exactly once (both sides are
+//!   sums, so merges preserve the law);
 //! * `Σ <p>.cluster.<c>.requests == <p>.trace.requests` and
 //!   `<p>.est.completed + <p>.est.shed == <p>.trace.requests` for every
 //!   prefix with a `.trace.requests` counter — sampled extrapolation
@@ -257,6 +261,19 @@ pub fn check(reg: &CounterRegistry) -> Vec<Violation> {
         }
     }
 
+    // Functional-phase conservation: every completion is hashed once.
+    for p in prefixes_with(reg, ".func.lanes") {
+        let lanes = reg.counter(&format!("{p}.func.lanes"));
+        let completed = reg.counter(&format!("{p}.requests.completed"));
+        if lanes != completed {
+            violate(
+                &mut out,
+                format!("{p}: func.lanes == requests.completed"),
+                format!("{lanes} != {completed}"),
+            );
+        }
+    }
+
     // Sampled-extrapolation conservation: every trace request belongs to
     // exactly one signature cluster, and the extrapolated terminal counts
     // cover the whole trace.
@@ -364,6 +381,8 @@ mod tests {
         r.add("serve.requests.shed", 2);
         r.add("serve.lanes.occupied", 48);
         r.add("serve.lanes.capacity", 128);
+        r.add("serve.func.passes", 2);
+        r.add("serve.func.lanes", 4);
         r.add("serve.sample.trace.requests", 20);
         r.add("serve.sample.cluster.0.requests", 12);
         r.add("serve.sample.cluster.1.requests", 8);
@@ -440,6 +459,10 @@ mod tests {
             (
                 "occupied <= capacity",
                 Box::new(|r| r.add("serve.lanes.occupied", 1_000)),
+            ),
+            (
+                "func.lanes == requests.completed",
+                Box::new(|r| r.add("serve.func.lanes", 1)),
             ),
             (
                 "cluster.<c>.requests == trace.requests",

@@ -1,18 +1,23 @@
 //! Exclusive-burst oracle: every exclusive request's output hash must be
-//! the reference evaluator's, however its functional result was computed.
+//! the reference evaluator's, however the schedule ran it and whichever
+//! report computed it.
 //!
-//! A dispatch of an exclusive request whose hash is not known yet
-//! evaluates it in one fold pass together with the other exclusives of
-//! its kernel still queued, and keeps their hashes for their own
-//! dispatches; a displacement drops a kept hash and a steal carries it to
-//! the thief shard. The serve oracles queue too few exclusives at once to
-//! reach that path, so this one draws bursts of 8–96 exclusives (plus a
-//! few batchable requests) over a random pool of grammar circuits — with
-//! and without feedback registers — random tenants, shed policies, queue
-//! depths and 1–3 slices per server. Each case runs on a plain `Server`
-//! and on a 2-shard work-stealing `Cluster`; on both, requests must be
-//! conserved and every completion's hash must equal
-//! `inputs::reference_hash` over the kernel's mapped netlist.
+//! The event loop records only the schedule; `Server::report` computes
+//! the output hashes of everything completed since the last report, in
+//! full-width fold passes for exclusives and batch-plan passes for the
+//! rest. The serve oracles queue too few exclusives at once to fill such
+//! a pass, so this one draws bursts of 8–96 exclusives (plus a few
+//! batchable requests) over a random pool of grammar circuits — with and
+//! without feedback registers — random tenants, shed policies, queue
+//! depths and 1–3 slices per server. Each case runs four ways: on a plain
+//! `Server`; on a server fed in waves and reported after each, so the
+//! phase runs once per wave; across two servers with a steal from one to
+//! the other in the middle of the run; and on a 2-shard work-stealing
+//! `Cluster`. Every way, requests must be conserved and every
+//! completion's hash must equal `inputs::reference_hash` over the
+//! kernel's mapped netlist.
+
+use std::sync::Arc;
 
 use freac_core::{Accelerator, AcceleratorTile};
 use freac_rand::Rng64;
@@ -205,15 +210,53 @@ fn check_outcomes<'a>(
     Ok(())
 }
 
-/// Runs the burst on a plain server and on a 2-shard stealing cluster;
-/// every completion must hash like the reference evaluator.
+/// A registered kernel: name, mapped accelerator, request profile.
+type Kernel = (String, Arc<Accelerator>, RequestProfile);
+
+/// Simulated time between the waves of the repeatedly reported run: far
+/// past the drain of any burst this oracle draws.
+const WAVE_GAP_PS: u64 = 1_000_000_000_000;
+
+/// A server under `shard` with the case's kernels and tenants.
+fn server_of(case: &BurstCase, shard: ServeConfig, kernels: &[Kernel]) -> Result<Server, String> {
+    let mut server = Server::new(shard).map_err(|e| format!("server config: {e}"))?;
+    for (name, accel, profile) in kernels {
+        server
+            .register_accelerator(name, accel.clone(), *profile)
+            .map_err(|e| format!("register {name}: {e}"))?;
+    }
+    for t in &TENANTS[..case.tenants] {
+        server
+            .add_tenant(t, 1)
+            .map_err(|e| format!("tenant: {e}"))?;
+    }
+    Ok(server)
+}
+
+/// [`check_outcomes`] against a server's own kernels.
+fn check_server(
+    what: &str,
+    server: &Server,
+    submitted: usize,
+    completions: &[Completion],
+    sheds: usize,
+) -> Result<(), String> {
+    check_outcomes(what, submitted, completions, sheds, |k| {
+        Some((server.kernel_netlist(k)?, server.kernel_func_cycles(k)?))
+    })
+}
+
+/// Runs the burst on a plain server, on a server reported after each of
+/// three waves, across two servers with a mid-run steal, and on a 2-shard
+/// stealing cluster; every completion must hash like the reference
+/// evaluator.
 ///
 /// # Errors
 ///
 /// Returns a description of the first divergence.
 pub fn check(case: &BurstCase) -> Result<(), String> {
     let tile = AcceleratorTile::new(1).map_err(|e| format!("unit tile: {e}"))?;
-    let mut kernels = Vec::new();
+    let mut kernels: Vec<Kernel> = Vec::new();
     for (i, (spec, cycles)) in case.circuits.iter().enumerate() {
         let accel = Accelerator::map_shared(&spec.build(), &tile)
             .map_err(|e| format!("kernel {i} does not map: {e}"))?;
@@ -232,17 +275,7 @@ pub fn check(case: &BurstCase) -> Result<(), String> {
     };
     let requests = requests_of(case);
 
-    let mut server = Server::new(shard).map_err(|e| format!("server config: {e}"))?;
-    for (name, accel, profile) in &kernels {
-        server
-            .register_accelerator(name, accel.clone(), *profile)
-            .map_err(|e| format!("register {name}: {e}"))?;
-    }
-    for t in &TENANTS[..case.tenants] {
-        server
-            .add_tenant(t, 1)
-            .map_err(|e| format!("tenant: {e}"))?;
-    }
+    let mut server = server_of(case, shard, &kernels)?;
     for r in &requests {
         server
             .submit(r.clone())
@@ -251,13 +284,16 @@ pub fn check(case: &BurstCase) -> Result<(), String> {
     let report = server
         .run_to_completion()
         .map_err(|e| format!("run: {e}"))?;
-    check_outcomes(
+    check_server(
         "server",
+        &server,
         requests.len(),
         &report.completions,
         report.sheds.len(),
-        |k| Some((server.kernel_netlist(k)?, server.kernel_func_cycles(k)?)),
     )?;
+
+    check_waves(case, shard, &kernels, &requests)?;
+    check_mid_run_steal(case, shard, &kernels, &requests)?;
 
     let mut cluster = Cluster::new(ClusterConfig {
         shards: 2,
@@ -295,6 +331,105 @@ pub fn check(case: &BurstCase) -> Result<(), String> {
         &report.completions,
         report.sheds.len(),
         |k| Some((cluster.kernel_netlist(k)?, cluster.kernel_func_cycles(k)?)),
+    )
+}
+
+/// The repeatedly reported arm: request `i` joins wave `i % 3`, shifted
+/// by [`WAVE_GAP_PS`] per wave. Each wave is submitted, driven by two
+/// bounded runs to the start of the next, and reported; every report must
+/// hold the reference hash of every completion so far, each computed once.
+fn check_waves(
+    case: &BurstCase,
+    shard: ServeConfig,
+    kernels: &[Kernel],
+    requests: &[Request],
+) -> Result<(), String> {
+    let mut server = server_of(case, shard, kernels)?;
+    let mut submitted = 0;
+    for wave in 0..3u64 {
+        let start = wave * WAVE_GAP_PS;
+        for r in requests.iter().skip(wave as usize).step_by(3) {
+            let mut r = r.clone();
+            r.arrival_ps += start;
+            server
+                .submit(r)
+                .map_err(|e| format!("waves: submit: {e}"))?;
+            submitted += 1;
+        }
+        for until in [start + WAVE_GAP_PS / 2, start + WAVE_GAP_PS - 1] {
+            server
+                .run_until(until, &mut |_| Vec::new())
+                .map_err(|e| format!("waves: run: {e}"))?;
+        }
+        let what = format!("waves: report {wave}");
+        if server.backlog() > 0 {
+            return Err(format!("{what}: the wave did not drain within its gap"));
+        }
+        let report = server.report().map_err(|e| format!("{what}: {e}"))?;
+        check_server(
+            &what,
+            &server,
+            submitted,
+            &report.completions,
+            report.sheds.len(),
+        )?;
+        let hashed = report.probes.counter("serve.func.lanes");
+        if hashed != report.completions.len() as u64 {
+            return Err(format!(
+                "{what}: {hashed} hashed != {} completed",
+                report.completions.len()
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The mid-run steal arm: every request goes to a victim server, which
+/// runs up to the median arrival; half its queue (at least one request,
+/// when any is queued) then moves to a thief server, and both drain.
+fn check_mid_run_steal(
+    case: &BurstCase,
+    shard: ServeConfig,
+    kernels: &[Kernel],
+    requests: &[Request],
+) -> Result<(), String> {
+    let mut victim = server_of(case, shard, kernels)?;
+    let mut thief = server_of(case, shard, kernels)?;
+    for r in requests {
+        victim
+            .submit(r.clone())
+            .map_err(|e| format!("steal: submit: {e}"))?;
+    }
+    let mid = requests.get(requests.len() / 2).map_or(0, |r| r.arrival_ps);
+    victim
+        .run_until(mid, &mut |_| Vec::new())
+        .map_err(|e| format!("steal: victim run: {e}"))?;
+    let stolen = victim.steal_newest(victim.queued().div_ceil(2));
+    let moved = stolen.len();
+    for r in stolen {
+        thief
+            .submit_stolen(r)
+            .map_err(|e| format!("steal: thief submit: {e}"))?;
+    }
+    let victim_report = victim
+        .run_to_completion()
+        .map_err(|e| format!("steal: victim drain: {e}"))?;
+    check_server(
+        "steal: victim",
+        &victim,
+        requests.len() - moved,
+        &victim_report.completions,
+        victim_report.sheds.len(),
+    )?;
+    let thief_report = thief
+        .run_to_completion()
+        .map_err(|e| format!("steal: thief drain: {e}"))?;
+    check_server(
+        "steal: thief",
+        &thief,
+        moved,
+        &thief_report.completions,
+        thief_report.sheds.len(),
     )
 }
 

@@ -161,10 +161,10 @@ fn serve_queue_matches_model() {
 
 #[test]
 fn serve_exclusive_burst_matches_reference() {
-    // Bursts of 8-96 exclusives over random grammar circuits, on a server
-    // and on a 2-shard stealing cluster: exclusives evaluated together in
-    // one fold pass, displaced after it or stolen with their hashes must
-    // all hash like the reference evaluator.
+    // Bursts of 8-96 exclusives over random grammar circuits, on a server,
+    // on a server reported after each of three waves, across two servers
+    // with a mid-run steal, and on a 2-shard stealing cluster: whichever
+    // report computes them, every hash must match the reference evaluator.
     check(
         "serve/exclusive-burst",
         burst::generate,

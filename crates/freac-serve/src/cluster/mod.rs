@@ -414,11 +414,14 @@ impl Cluster {
     /// sheds in merged `(time, tenant, seq)` order after each epoch, and
     /// budget sheds at routing time — and may return follow-up requests.
     /// Follow-up arrivals are clamped like the plain server's (at or after
-    /// a completion, strictly after a shed).
+    /// a completion, strictly after a shed). As with [`Server::run`], a
+    /// completion shown to the hook still carries `output_hash == 0`; each
+    /// shard's report computes the hashes of what completed there.
     ///
     /// # Errors
     ///
-    /// Propagates invalid follow-up submissions and shard failures.
+    /// Propagates invalid follow-up submissions and shard failures,
+    /// functional-phase failures included.
     pub fn run<F>(&mut self, mut hook: F) -> Result<ClusterReport, ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
@@ -429,7 +432,7 @@ impl Cluster {
         } else {
             self.run_epochs(&mut hook)?;
         }
-        Ok(self.report())
+        self.report()
     }
 
     /// The sequential epoch loop: every shard is pumped on the calling
@@ -659,14 +662,12 @@ impl Cluster {
             let Some((max_i, min_i)) = self.steal_pair() else {
                 break;
             };
-            // An exclusive's precomputed output hash moves with it, so the
-            // thief does not evaluate it again.
-            let Some((req, hash)) = self.shards[max_i].server.steal_newest_carrying(1).pop() else {
+            let Some(req) = self.shards[max_i].server.steal_newest(1).pop() else {
                 break;
             };
             self.shards[min_i]
                 .server
-                .submit_stolen_carrying(req, hash)
+                .submit_stolen(req)
                 .expect("stolen identity was released by its victim");
             self.probes.inc("cluster.steals");
             self.steals += 1;
@@ -790,11 +791,15 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drains shard reports and merges them into the cluster view.
-    fn report(&mut self) -> ClusterReport {
+    /// Drains shard reports, each with its functional phase run, and
+    /// merges them into the cluster view.
+    fn report(&mut self) -> Result<ClusterReport, ServeError> {
         let mut probes = self.probes.clone();
-        let shard_reports: Vec<ServeReport> =
-            self.shards.iter_mut().map(|s| s.server.report()).collect();
+        let shard_reports = self
+            .shards
+            .iter_mut()
+            .map(|s| s.server.report())
+            .collect::<Result<Vec<ServeReport>, ServeError>>()?;
         let mut completions: Vec<&Completion> = Vec::new();
         let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
         for (i, r) in shard_reports.iter().enumerate() {
@@ -816,7 +821,7 @@ impl Cluster {
         // Shard reports already merged their own probes into the global
         // registry; only the cluster's own metrics are new here.
         freac_probe::global::merge(&self.probes);
-        ClusterReport {
+        Ok(ClusterReport {
             completions,
             sheds,
             shards: shard_reports,
@@ -824,7 +829,7 @@ impl Cluster {
             steals: self.steals,
             probes,
             tenants,
-        }
+        })
     }
 
     /// Cluster-wide per-tenant summaries from the merged registry.
@@ -1273,11 +1278,11 @@ mod tests {
             };
             let mut reference = build(1);
             let every = reference.run_counting(false, &mut follow_up());
-            let report = reference.report();
+            let report = reference.report().unwrap();
             let want = fingerprint(&reference, &report);
             let mut skipping = build(1);
             let visited = skipping.run_counting(true, &mut follow_up());
-            let report = skipping.report();
+            let report = skipping.report().unwrap();
             assert_eq!(fingerprint(&skipping, &report), want, "{cfg:?}");
             assert!(
                 visited * 4 < every,
@@ -1296,12 +1301,10 @@ mod tests {
     }
 
     #[test]
-    fn stolen_exclusives_carry_their_precomputed_hashes() {
-        // Everything lands on the kernel's home shard (unbounded spill).
-        // Its first dispatch is an exclusive whose pass evaluates every
-        // exclusive queued behind it; the next epoch steals the newest of
-        // those to the other shard, which must run them from the carried
-        // hashes.
+    fn stolen_exclusives_match_the_reference() {
+        // Everything lands on the kernel's home shard (unbounded spill),
+        // and each epoch steals the newest queued exclusives to the other
+        // shard. Each shard's report hashes what completed there.
         let mut cluster = cluster_with(ClusterConfig {
             shards: 2,
             route: RoutePolicy::KernelAffinity {
@@ -1332,7 +1335,6 @@ mod tests {
         let victim = usize::from(rep.shards[0].probes.counter("serve.requests.stolen") == 0);
         let thief = 1 - victim;
         assert_eq!(rep.shards[thief].probes.counter("serve.requests.stolen"), 0);
-        assert!(cluster.shards[victim].server.shared_passes() >= 1);
         let stolen_exclusives = rep.shards[thief]
             .completions
             .iter()
@@ -1342,11 +1344,6 @@ mod tests {
             stolen_exclusives >= 8,
             "{stolen_exclusives} stolen exclusives ran on the thief"
         );
-        assert_eq!(
-            cluster.shards[thief].server.shared_passes(),
-            0,
-            "the thief never re-evaluated a stolen exclusive"
-        );
         let net = cluster.kernel_netlist("k").unwrap();
         let cycles = cluster.kernel_func_cycles("k").unwrap();
         for c in &rep.completions {
@@ -1355,8 +1352,12 @@ mod tests {
                 crate::inputs::reference_hash(net, c.seed, cycles).unwrap()
             );
         }
-        for sh in &cluster.shards {
-            assert_eq!(sh.server.ready_hashes(), 0, "no shard keeps an entry");
+        for sh in &rep.shards {
+            assert_eq!(
+                sh.probes.counter("serve.func.lanes"),
+                sh.completions.len() as u64,
+                "each shard hashes its own completions once"
+            );
         }
     }
 

@@ -19,9 +19,10 @@
 //! | [`cluster`] | N shards under one clock: affinity routing, stealing, autoscaling |
 //! | [`sample`]  | representative-interval sampling: medoid windows stand in for the trace |
 //!
-//! Batched dispatches ride the 64-lane bit-sliced plan from
-//! `freac_netlist::plan`; `exclusive` requests fall back to the
-//! single-lane folded executor. Reconfiguration and way-reclaim costs come
+//! The event loop computes the schedule only; each report then computes
+//! every new completion's output hash in full-width passes, on the
+//! bit-sliced plan from `freac_netlist::plan` for batched requests and on
+//! the fold plan for `exclusive` ones (see [`server`]). Reconfiguration and way-reclaim costs come
 //! from [`freac_core::reconfig_cost`]; latency is
 //! `queue wait + reconfiguration + fold execution` on the tile clock.
 //! Everything — schedule, completion order, counters — is a pure function

@@ -336,11 +336,6 @@ impl AdmissionQueue {
         self.pop_end(true)
     }
 
-    /// Seeds of the queued exclusive requests, in admission order.
-    pub(crate) fn exclusive_seeds(&self) -> impl Iterator<Item = u64> + '_ {
-        self.exclusive.iter().map(|(_, r)| r.seed)
-    }
-
     /// Removes up to `cap` batchable requests in admission order,
     /// appending them to `batch`; every request left behind keeps its
     /// relative order. Exclusives sit in their own store, so the cost is

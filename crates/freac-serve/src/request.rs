@@ -97,7 +97,9 @@ pub struct Completion {
     /// FNV-1a hash of the primary outputs after the functional run —
     /// deterministic for a given (kernel, seed), and what the load
     /// generator's sampled verification replays against the reference
-    /// evaluator.
+    /// evaluator. Valid only in a report: the functional phase of
+    /// [`crate::Server::report`] computes it, so a completion shown to a
+    /// run hook still carries `0`.
     pub output_hash: u64,
     /// The request's input seed (kept for verification replay).
     pub seed: u64,
@@ -150,7 +152,9 @@ pub struct Shed {
 /// closed-loop driver can react (issue the next request, retry a shed).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// A request finished executing.
+    /// A request finished executing. The hook sees its timing and
+    /// placement; its `output_hash` is still `0` until the report's
+    /// functional phase fills it in.
     Completed(Completion),
     /// A request was refused.
     Shed(Shed),

@@ -29,9 +29,20 @@
 //! a dispatch's kernel is not resident on the slice: a full flush+config
 //! on first claim, config streaming only on a swap; way reclaim is paid
 //! once at drain and reported as teardown.
+//!
+//! # Timing and function
+//!
+//! The event loop computes only the schedule: a dispatch records its
+//! completions with `output_hash` still `0`, and [`Server::report`] runs
+//! one functional phase over every completion added since the last
+//! report, in [`MAX_BATCH_LANES`]-wide passes. That is exact because a
+//! hash is a pure function of `(kernel, seed)`: an exclusive starts a
+//! fresh fold executor at power-on state, and every batch lane has its own
+//! fresh latch state. Were exclusives to carry register state from one
+//! dispatch to the next, hashes would have to be computed in the loop.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use freac_core::{
@@ -54,18 +65,10 @@ use crate::tlb::{TenantTlb, TlbSegment};
 
 /// Functional-execution depth: output hashes are computed over this many
 /// original circuit cycles at most. Simulated timing always charges the
-/// full `cycles_per_item`; capping only the host-side functional run keeps
-/// long kernels affordable while every consumer (engine, verifier, oracle)
-/// hashes the same depth.
+/// full `cycles_per_item`; capping only the report-time functional phase
+/// keeps long kernels affordable while every consumer (phase, verifier,
+/// oracle) hashes the same depth.
 pub const FUNC_CYCLES_CAP: u64 = 4;
-
-/// Fewest lanes a shared exclusive pass runs (see [`Server::dispatch`]).
-/// Below this an exclusive runs alone on the single-lane fold executor. A
-/// pass of 3..=64 lanes costs one 64-lane sweep, so its gain over per-lane
-/// runs grows with its width. On a 2-vCPU Xeon VM at 8 lanes the sweep
-/// ran AES 1.6x, GEMM 1.5x and DOT 3.0x faster than eight single-lane
-/// runs, and most other paper kernels broke even between 6 and 12 lanes.
-const SHARED_PASS_MIN_LANES: usize = 8;
 
 /// Per-request cost profile of a registered kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,11 +218,10 @@ struct ServedKernel {
     cost: ReconfigCost,
     /// Lane capacity per dispatch.
     lanes_cap: usize,
-    /// Output hashes that a shared pass computed ahead of time for queued
-    /// exclusives of this kernel, keyed by seed. A dispatch consumes its
-    /// entry, a shed drops it, and a steal carries it to the thief.
-    /// Looked up by key only, never iterated.
-    ready: HashMap<u64, u64>,
+    /// Completions of this kernel still awaiting their output hash, as
+    /// indices into `Server::completions`, by the engine their dispatch
+    /// selected: `[fold plan, batch plan]`.
+    unhashed: [Vec<usize>; 2],
 }
 
 /// A tenant's per-request bookkeeping, reached through one lookup by name:
@@ -392,9 +394,6 @@ pub struct Server {
     completions: Vec<Completion>,
     sheds: Vec<Shed>,
     dispatches: Vec<DispatchRecord>,
-    /// Shared exclusive passes run so far (see [`Server::dispatch`]).
-    #[cfg(test)]
-    shared_passes: u64,
 }
 
 impl Server {
@@ -444,8 +443,6 @@ impl Server {
             completions: Vec::new(),
             sheds: Vec::new(),
             dispatches: Vec::new(),
-            #[cfg(test)]
-            shared_passes: 0,
         })
     }
 
@@ -535,7 +532,7 @@ impl Server {
                 cost,
                 lanes_cap,
                 accel,
-                ready: HashMap::new(),
+                unhashed: [Vec::new(), Vec::new()],
             },
         );
         self.queues
@@ -688,7 +685,10 @@ impl Server {
     /// invocation after a completion, or a retry after a shed. Follow-up
     /// arrivals are clamped to the outcome's time (strictly after it for
     /// sheds, so a full queue cannot live-lock the clock); a hook that
-    /// eventually stops issuing keeps the loop finite.
+    /// eventually stops issuing keeps the loop finite. The hook sees a
+    /// completion's timing and placement but not its function: its
+    /// `output_hash` is still `0`, and only the returned report carries the
+    /// computed value (see the module docs).
     ///
     /// # Errors
     ///
@@ -699,7 +699,7 @@ impl Server {
         F: FnMut(&Outcome) -> Vec<Request>,
     {
         self.run_until(Time::MAX, &mut hook)?;
-        Ok(self.report())
+        self.report()
     }
 
     /// Runs the serving loop, but only through events at or before
@@ -709,11 +709,13 @@ impl Server {
     /// successively larger bounds replays exactly the event sequence one
     /// unbounded [`Server::run`] would produce (the schedule is a pure
     /// function of the request set, and the bound only decides how much
-    /// prefix executes per call).
+    /// prefix executes per call). As under [`Server::run`], completions
+    /// shown to the hook carry `output_hash == 0`; [`Server::report`]
+    /// fills them in.
     ///
     /// # Errors
     ///
-    /// See [`Server::run`].
+    /// Propagates invalid follow-up submissions.
     pub fn run_until<F>(&mut self, until: Time, hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
@@ -804,17 +806,6 @@ impl Server {
     /// server (`completed + shed + stolen == submitted` stays balanced)
     /// and their identities are released for resubmission on the thief.
     pub fn steal_newest(&mut self, max: usize) -> Vec<Request> {
-        self.steal_newest_carrying(max)
-            .into_iter()
-            .map(|(req, _)| req)
-            .collect()
-    }
-
-    /// [`Server::steal_newest`], handing each stolen request over with the
-    /// output hash a shared pass already computed for it, if any, so the
-    /// thief need not evaluate it again
-    /// ([`Server::submit_stolen_carrying`]).
-    pub(crate) fn steal_newest_carrying(&mut self, max: usize) -> Vec<(Request, Option<u64>)> {
         let mut out = Vec::new();
         while out.len() < max {
             // Strictly deeper replaces, so among equally deep queues the
@@ -836,8 +827,7 @@ impl Server {
             book.ids.remove(&(req.seq, req.retries));
             self.probes.inc("serve.requests.stolen");
             self.probes.inc(&book.stolen);
-            let hash = self.take_ready(&req);
-            out.push((req, hash));
+            out.push(req);
         }
         out
     }
@@ -850,40 +840,7 @@ impl Server {
     ///
     /// See [`Server::submit`].
     pub fn submit_stolen(&mut self, req: Request) -> Result<(), ServeError> {
-        self.submit_stolen_carrying(req, None)
-    }
-
-    /// [`Server::submit_stolen`] for a request its victim handed over with
-    /// a precomputed output `hash`: the hash waits here for the request's
-    /// dispatch, exactly as if this server's own pass had computed it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub(crate) fn submit_stolen_carrying(
-        &mut self,
-        req: Request,
-        hash: Option<u64>,
-    ) -> Result<(), ServeError> {
-        let ready = hash.map(|h| (req.kernel.clone(), req.seed, h));
-        self.submit_counted(req, true)?;
-        if let Some((kernel, seed, h)) = ready {
-            self.kernels
-                .get_mut(&kernel)
-                .expect("kernel validated at submit")
-                .ready
-                .insert(seed, h);
-        }
-        Ok(())
-    }
-
-    /// Removes and returns the precomputed output hash waiting for `req`,
-    /// if it is an exclusive that a shared pass evaluated.
-    fn take_ready(&mut self, req: &Request) -> Option<u64> {
-        if !req.exclusive {
-            return None;
-        }
-        self.kernels.get_mut(&req.kernel)?.ready.remove(&req.seed)
+        self.submit_counted(req, true)
     }
 
     /// Re-splits every slice's ways to `partition` at simulated time `at`
@@ -1014,7 +971,6 @@ impl Server {
         self.probes.inc("serve.requests.shed");
         self.probes
             .inc(&self.tenant_books[request.tenant.as_str()].shed);
-        self.take_ready(&request);
         let outcome = Outcome::Shed(Shed {
             request,
             at_ps,
@@ -1048,16 +1004,9 @@ impl Server {
         Ok(())
     }
 
-    /// Dispatches one batch on slice `si` at time `t`.
-    ///
-    /// An exclusive rides alone and is charged alone, but its functional
-    /// result may come from a pass shared with other queued exclusives of
-    /// its kernel ([`Server::exclusive_hash`]). That is exact because every
-    /// exclusive dispatch starts a fresh fold executor at power-on state:
-    /// its output hash is a pure function of `(kernel, seed)`, so which
-    /// dispatch computes it, and on which shard, cannot show. If
-    /// exclusives ever carry register state from one dispatch to the next,
-    /// the hash depends on dispatch order and the shared pass must go.
+    /// Dispatches one batch on slice `si` at time `t`: charges its timing
+    /// and queues its completions for the functional phase
+    /// ([`Server::report`]).
     fn dispatch<F>(&mut self, si: usize, t: Time, hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
@@ -1088,35 +1037,10 @@ impl Server {
         let exec_ps = ctx.quote.time_ps(k, tiles);
         let start = t.saturating_add(reconfig_ps);
         let done = start.saturating_add(exec_ps);
-
-        // Functional execution: exclusive requests stream through the
-        // folded path (they own the accelerator's register state), alone
-        // or in a shared pass (`exclusive_hash`); with batching off every
-        // request runs alone on it. Everything else rides the bit-sliced
-        // batch plan, whose per-lane latch state makes fresh-start
-        // invocations independent.
+        // Exclusive requests own the accelerator's register state, so they
+        // (and, with batching off, every request) run on the folded path;
+        // everything else rides the bit-sliced batch plan.
         let single_lane = batch[0].exclusive || !self.cfg.batching;
-        let hashes: Vec<u64> = if batch[0].exclusive {
-            vec![self.exclusive_hash(&kernel_name, batch[0].seed)?]
-        } else if single_lane {
-            vec![fold_hash(ctx, batch[0].seed)?]
-        } else {
-            // Engine picked per dispatch: up to `freac_netlist::SCALAR_BATCH_LANES`
-            // riders run per lane on the single-vector engine; wider
-            // batches take the narrowest bit-sliced sweep that fits, so
-            // 65..=256 riders run one 4-word pass instead of several
-            // 64-lane rounds.
-            let lanes: Vec<Vec<Value>> = batch
-                .iter()
-                .map(|r| synth_inputs(ctx.accel.netlist(), r.seed))
-                .collect();
-            let mut state = ctx.plan.new_batch_state_for(k);
-            let mut out = Vec::new();
-            for _ in 0..ctx.func_cycles {
-                ctx.plan.run_batch_cycle_any(&mut state, &lanes, &mut out)?;
-            }
-            out.iter().map(|o| hash_outputs(o)).collect()
-        };
 
         // Accounting: execution is split evenly across the riders. A
         // kernel *swap* is charged to the anchor's tenant — churning the
@@ -1181,7 +1105,15 @@ impl Server {
                 .collect(),
         });
 
-        for (lane, req) in batch.into_iter().enumerate() {
+        // `react` pushes each rider's completion in lane order, and a hook
+        // never completes anything itself.
+        let first = self.completions.len();
+        let ctx = self
+            .kernels
+            .get_mut(&kernel_name)
+            .expect("registered kernel");
+        ctx.unhashed[usize::from(!single_lane)].extend(first..first + k);
+        for req in batch {
             let completion = Completion {
                 arrival_ps: req.arrival_ps,
                 start_ps: t,
@@ -1191,7 +1123,7 @@ impl Server {
                 batch_id,
                 lanes: k,
                 slice: si,
-                output_hash: hashes[if single_lane { 0 } else { lane }],
+                output_hash: 0,
                 seed: req.seed,
                 deadline_met: req.deadline_ps.map(|d| done <= d),
                 tenant: req.tenant,
@@ -1217,69 +1149,62 @@ impl Server {
         Ok(())
     }
 
-    /// The output hash of an exclusive request of `kernel` with `seed`.
+    /// The functional phase: fills in `output_hash` on every completion
+    /// added since the last report, each exactly once. Completions are
+    /// grouped by kernel and engine, and each group runs in
+    /// [`MAX_BATCH_LANES`]-wide passes from power-on state over the
+    /// kernel's functional depth; inputs are synthesized one pass at a time.
+    /// Exports `serve.func.passes` and `serve.func.lanes`.
+    fn hash_completions(&mut self) -> Result<(), ServeError> {
+        let (mut passes, mut lanes) = (0u64, 0u64);
+        let mut inputs: Vec<Vec<Value>> = Vec::new();
+        let mut out: Vec<Vec<Value>> = Vec::new();
+        for k in self.kernels.values_mut() {
+            for (engine, unhashed) in k.unhashed.iter_mut().enumerate() {
+                for chunk in std::mem::take(unhashed).chunks(MAX_BATCH_LANES) {
+                    inputs.clear();
+                    inputs.extend(
+                        chunk
+                            .iter()
+                            .map(|&i| synth_inputs(k.accel.netlist(), self.completions[i].seed)),
+                    );
+                    if engine == 0 {
+                        // The fold plan.
+                        let mut ex = k.accel.fold_plan().batch_executor(chunk.len());
+                        for _ in 0..k.func_cycles {
+                            ex.run_batch_cycle_into(&inputs, &mut out)?;
+                        }
+                    } else {
+                        let mut state = k.plan.new_batch_state_for(chunk.len());
+                        for _ in 0..k.func_cycles {
+                            k.plan.run_batch_cycle_any(&mut state, &inputs, &mut out)?;
+                        }
+                    }
+                    for (&i, o) in chunk.iter().zip(&out) {
+                        self.completions[i].output_hash = hash_outputs(o);
+                    }
+                    passes += 1;
+                    lanes += chunk.len() as u64;
+                }
+            }
+        }
+        self.probes.add("serve.func.passes", passes);
+        self.probes.add("serve.func.lanes", lanes);
+        Ok(())
+    }
+
+    /// Runs the functional phase, exports end-of-drain counters and
+    /// assembles the report. Public so a cluster that drives shards via
+    /// [`Server::run_until`] can collect per-shard reports after the last
+    /// epoch; [`Server::run`] calls it automatically. Every completion in
+    /// the report carries its output hash, and reporting again hashes only
+    /// what completed since.
     ///
-    /// A hash an earlier pass computed for the seed is consumed. Otherwise
-    /// one pass of the fold plan's batch executor evaluates the request
-    /// together with every queued exclusive of the kernel still lacking a
-    /// hash, up to [`MAX_BATCH_LANES`] lanes, and keeps their hashes for
-    /// their own dispatches. With fewer than [`SHARED_PASS_MIN_LANES`]
-    /// lanes the request runs alone on the single-lane executor.
-    fn exclusive_hash(&mut self, kernel: &str, seed: u64) -> Result<u64, ServeError> {
-        let ctx = self.kernels.get_mut(kernel).expect("registered kernel");
-        if let Some(hash) = ctx.ready.remove(&seed) {
-            return Ok(hash);
-        }
-        let mut seeds = vec![seed];
-        seeds.extend(
-            self.queues[kernel]
-                .exclusive_seeds()
-                .filter(|s| !ctx.ready.contains_key(s))
-                .take(MAX_BATCH_LANES - 1),
-        );
-        if seeds.len() < SHARED_PASS_MIN_LANES {
-            return fold_hash(ctx, seed);
-        }
-        let lanes: Vec<Vec<Value>> = seeds
-            .iter()
-            .map(|&s| synth_inputs(ctx.accel.netlist(), s))
-            .collect();
-        let mut ex = ctx.accel.fold_plan().batch_executor(lanes.len());
-        let mut out = Vec::new();
-        for _ in 0..ctx.func_cycles {
-            ex.run_batch_cycle_into(&lanes, &mut out)?;
-        }
-        ctx.ready.extend(
-            seeds[1..]
-                .iter()
-                .zip(&out[1..])
-                .map(|(&s, o)| (s, hash_outputs(o))),
-        );
-        #[cfg(test)]
-        {
-            self.shared_passes += 1;
-        }
-        Ok(hash_outputs(&out[0]))
-    }
-
-    /// Shared exclusive passes run so far.
-    #[cfg(test)]
-    pub(crate) fn shared_passes(&self) -> u64 {
-        self.shared_passes
-    }
-
-    /// Precomputed exclusive hashes waiting for their dispatch, over every
-    /// kernel.
-    #[cfg(test)]
-    pub(crate) fn ready_hashes(&self) -> usize {
-        self.kernels.values().map(|k| k.ready.len()).sum()
-    }
-
-    /// Exports end-of-drain counters and assembles the report. Public so
-    /// a cluster that drives shards via [`Server::run_until`] can collect
-    /// per-shard reports after the last epoch; [`Server::run`] calls it
-    /// automatically.
-    pub fn report(&mut self) -> ServeReport {
+    /// # Errors
+    ///
+    /// Propagates functional-execution failures.
+    pub fn report(&mut self) -> Result<ServeReport, ServeError> {
+        self.hash_completions()?;
         let span_ps = self
             .completions
             .iter()
@@ -1353,7 +1278,7 @@ impl Server {
         freac_probe::assert_ok(&self.probes);
         freac_probe::global::merge(&self.probes);
 
-        ServeReport {
+        Ok(ServeReport {
             completions,
             sheds: self.sheds.clone(),
             dispatches: self.dispatches.clone(),
@@ -1361,20 +1286,8 @@ impl Server {
             teardown_ps,
             probes: self.probes.clone(),
             tenants,
-        }
+        })
     }
-}
-
-/// One request's output hash from the single-lane fold executor, started
-/// at power-on state.
-fn fold_hash(ctx: &ServedKernel, seed: u64) -> Result<u64, ServeError> {
-    let inputs = synth_inputs(ctx.accel.netlist(), seed);
-    let mut ex = ctx.accel.fold_plan().executor();
-    let mut out = Vec::new();
-    for _ in 0..ctx.func_cycles {
-        ex.run_cycle_into(&inputs, &mut out)?;
-    }
-    Ok(hash_outputs(&out))
 }
 
 #[cfg(test)]
@@ -1563,11 +1476,25 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Requests `first..first + n` of a burst starting at `at`: nine
+    /// exclusives at `at`, so the first dispatch finds eight queued beside
+    /// it, then one request per ps, every fifth batchable and the rest
+    /// exclusive.
+    fn burst(first: u64, n: u64, at: Time) -> Vec<Request> {
+        (first..first + n)
+            .map(|i| {
+                let offset = if i - first < 9 { 0 } else { i - first };
+                let tenant = ["a", "b"][i as usize % 2];
+                let mut r = Request::new(tenant, i, "acc", at + offset, 1_000 + i);
+                r.exclusive = i - first < 9 || i % 5 != 4;
+                r
+            })
+            .collect()
+    }
+
     /// A one-slice server over the accumulator (four functional cycles),
-    /// fed `n` requests: nine exclusives at 0 ps, so the first dispatch
-    /// finds eight queued beside it, then one request per ps, every fifth
-    /// batchable and the rest exclusive.
-    fn exclusive_burst(cfg: ServeConfig, n: u64) -> (Server, ServeReport) {
+    /// fed `burst(0, n, 0)`.
+    fn burst_server(cfg: ServeConfig, n: u64) -> Server {
         let mut s = Server::new(ServeConfig { slices: 1, ..cfg }).unwrap();
         let heavy = RequestProfile {
             cycles_per_item: 4,
@@ -1577,13 +1504,19 @@ mod tests {
             .unwrap();
         s.add_tenant("a", 1).unwrap();
         s.add_tenant("b", 1).unwrap();
-        for i in 0..n {
-            let arrival = if i < 9 { 0 } else { i };
-            let mut r = Request::new(["a", "b"][i as usize % 2], i, "acc", arrival, 1_000 + i);
-            r.exclusive = i < 9 || i % 5 != 4;
+        for r in burst(0, n, 0) {
             s.submit(r).unwrap();
         }
-        let r = s.run_to_completion().unwrap();
+        s
+    }
+
+    /// [`burst_server`] run to completion under `hook`.
+    fn exclusive_burst<F>(cfg: ServeConfig, n: u64, hook: F) -> (Server, ServeReport)
+    where
+        F: FnMut(&Outcome) -> Vec<Request>,
+    {
+        let mut s = burst_server(cfg, n);
+        let r = s.run(hook).unwrap();
         (s, r)
     }
 
@@ -1603,28 +1536,30 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_burst_shares_passes_and_matches_the_reference() {
+    fn exclusive_burst_matches_the_reference() {
         let (s, r) = exclusive_burst(
             ServeConfig {
                 queue_depth: 256,
                 ..ServeConfig::default()
             },
             100,
+            |_| Vec::new(),
         );
         assert_eq!(r.completions.len(), 100);
         // With batching on, exactly the exclusives ride alone.
         let exclusives = r.probes.counter("serve.batches.single_lane");
         assert!(exclusives >= 64, "{exclusives} exclusives completed");
         assert_reference_hashes(&s, &r);
-        assert!(s.shared_passes() >= 1, "the burst shares a pass");
-        assert_eq!(s.ready_hashes(), 0, "every precomputed hash was consumed");
+        // One fold pass hashes every exclusive, one batch pass the rest.
+        assert_eq!(r.probes.counter("serve.func.passes"), 2);
+        assert_eq!(r.probes.counter("serve.func.lanes"), 100);
     }
 
     #[test]
-    fn displaced_exclusives_drop_their_precomputed_hashes() {
-        // An eight-deep DropOldest queue: the first dispatch evaluates the
-        // seven exclusives queued behind it, and the arrivals admitted at
-        // the next dispatch displace them before their own dispatch.
+    fn displaced_then_retried_exclusives_match_the_reference() {
+        // An eight-deep DropOldest queue: arrivals admitted at later
+        // dispatches displace exclusives queued at 0 ps, and the hook
+        // retries every displaced request once.
         let (s, r) = exclusive_burst(
             ServeConfig {
                 queue_depth: 8,
@@ -1632,17 +1567,79 @@ mod tests {
                 ..ServeConfig::default()
             },
             80,
+            |o| match o {
+                Outcome::Shed(d) if d.request.retries == 0 => {
+                    let mut retry = d.request.clone();
+                    retry.retries = 1;
+                    vec![retry]
+                }
+                _ => Vec::new(),
+            },
         );
-        assert!(s.shared_passes() >= 1, "a pass ran");
         assert!(
             r.sheds.iter().any(|d| d.reason == ShedReason::Displaced
                 && d.request.arrival_ps == 0
                 && d.at_ps > 0),
-            "exclusives queued at the first pass were displaced later"
+            "exclusives queued at 0 ps were displaced later"
         );
-        assert_eq!(r.completions.len() + r.sheds.len(), 80);
+        let retried = r.probes.counter("serve.requests.retried");
+        assert!(retried > 0, "displaced requests were retried");
+        assert_eq!(
+            r.completions.len() + r.sheds.len(),
+            80 + retried as usize,
+            "every submission and retry terminates once"
+        );
         assert_reference_hashes(&s, &r);
-        assert_eq!(s.ready_hashes(), 0, "displacements dropped their hashes");
+    }
+
+    #[test]
+    fn interleaved_reports_hash_each_completion_once() {
+        // Four bursts 10 µs apart, each drained by two bounded runs and
+        // then reported, against one run over all four.
+        const GAP: Time = 10_000_000;
+        let cfg = ServeConfig {
+            queue_depth: 256,
+            ..ServeConfig::default()
+        };
+        let waves: Vec<Vec<Request>> = (0..4).map(|w| burst(25 * w, 25, w * GAP)).collect();
+        let mut once = burst_server(cfg, 0);
+        for r in waves.iter().flatten() {
+            once.submit(r.clone()).unwrap();
+        }
+        let want = once.run_to_completion().unwrap();
+        assert_eq!(want.completions.len(), 100);
+
+        let mut s = burst_server(cfg, 0);
+        let mut hook = |o: &Outcome| {
+            if let Outcome::Completed(c) = o {
+                assert_eq!(c.output_hash, 0, "a hook sees no output hash");
+            }
+            Vec::new()
+        };
+        for (w, wave) in (0..).zip(waves) {
+            for r in wave {
+                s.submit(r).unwrap();
+            }
+            s.run_until(w * GAP + GAP / 2, &mut hook).unwrap();
+            s.run_until((w + 1) * GAP - 1, &mut hook).unwrap();
+            assert_eq!(s.backlog(), 0, "wave {w} drains within its gap");
+            let r = s.report().unwrap();
+            assert_eq!(r.completions[..], want.completions[..r.completions.len()]);
+            assert_eq!(
+                r.probes.counter("serve.func.lanes"),
+                r.completions.len() as u64,
+                "each completion is hashed exactly once"
+            );
+        }
+        let last = s.report().unwrap();
+        assert_eq!(last.completions, want.completions);
+        assert_eq!(last.dispatches, want.dispatches);
+        assert_eq!(last.probes.counter("serve.func.lanes"), 100);
+        // One fold and one batch pass per wave, against two in all for
+        // the single run.
+        assert_eq!(last.probes.counter("serve.func.passes"), 8);
+        assert_eq!(want.probes.counter("serve.func.passes"), 2);
+        assert_reference_hashes(&s, &last);
     }
 
     #[test]
@@ -2149,7 +2146,7 @@ mod tests {
         }
         assert!(model.is_empty());
         assert!(follow_seq > 1_000, "the hook pushed follow-ups");
-        let r = s.report();
+        let r = s.report().unwrap();
         let submitted = s.probes.counter("serve.requests.submitted") as usize;
         assert_eq!(r.completions.len() + r.sheds.len(), submitted);
     }
