@@ -46,8 +46,8 @@ use crate::error::ServeError;
 use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::server::{
-    clone_sorted_by, completion_key, RequestProfile, ServeConfig, ServeReport, Server,
-    TenantSummary,
+    clone_sorted_by, completion_key, FluidEstimate, RequestProfile, ServeConfig, ServeReport,
+    Server, TenantSummary,
 };
 
 mod autoscale;
@@ -59,7 +59,7 @@ pub use router::RoutePolicy;
 use autoscale::{step_partition, AutoscaleState, ScaleDecision};
 // Re-exported crate-internally: the sampling signature pass drives the
 // real router over its fluid queue model.
-pub(crate) use router::Router;
+pub(crate) use router::{rendezvous_ranking, Router};
 
 /// When and how aggressively shards steal queued work from each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +151,7 @@ impl ClusterConfig {
 }
 
 /// One shard: a full serving engine plus its autoscaler state.
+#[derive(Clone)]
 struct Shard {
     server: Server,
     scale: AutoscaleState,
@@ -206,12 +207,15 @@ impl ClusterReport {
 /// `(seq, retries)` identities submitted cluster-wide. The identity set
 /// answers membership only and is never iterated, so its order cannot
 /// reach a schedule or a report.
+#[derive(Clone)]
 struct ClusterTenant {
     weight: u64,
     ids: HashSet<(u64, u32)>,
 }
 
-/// The cluster: shards, router, and the epoch loop.
+/// The cluster: shards, router, and the epoch loop. A clone is an
+/// independent cluster in the same state.
+#[derive(Clone)]
 pub struct Cluster {
     cfg: ClusterConfig,
     shards: Vec<Shard>,
@@ -359,6 +363,21 @@ impl Cluster {
             },
         );
         Ok(())
+    }
+
+    /// Makes every shard timing-only (see [`Server::set_timing_only`]).
+    /// Only the sampler's replicas are built this way: its estimates read
+    /// simulated timing alone.
+    pub(crate) fn set_timing_only(&mut self) {
+        for sh in &mut self.shards {
+            sh.server.set_timing_only();
+        }
+    }
+
+    /// The fluid cost model of a registered kernel (identical on every
+    /// shard; served from shard 0).
+    pub(crate) fn kernel_fluid_estimate(&self, name: &str) -> Option<FluidEstimate> {
+        self.shards[0].server.kernel_fluid_estimate(name)
     }
 
     /// The mapped netlist of a registered kernel (identical on every
@@ -791,8 +810,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drains shard reports, each with its functional phase run, and
-    /// merges them into the cluster view.
+    /// Drains shard reports, each with its functional phase run (unless
+    /// the cluster is timing-only), and merges them into the cluster view.
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
         let mut probes = self.probes.clone();
         let shard_reports = self
@@ -1298,6 +1317,66 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn timing_only_clusters_change_function_not_timing() {
+        // Two shards that steal, queues that shed, exclusives (two in
+        // three) among batched requests; one fresh cluster, cloned, runs
+        // with and without the functional phase.
+        let mut full = cluster_with(ClusterConfig {
+            shards: 2,
+            steal: Some(StealConfig {
+                imbalance: 4,
+                max_per_epoch: 8,
+            }),
+            shard: ServeConfig {
+                slices: 1,
+                queue_depth: 64,
+                ..ServeConfig::default()
+            },
+            epoch_ps: 10_000,
+            ..ClusterConfig::default()
+        });
+        let mut timing = full.clone();
+        timing.set_timing_only();
+        for i in 0..160u64 {
+            let at = (i / 40) * 30_000 + i;
+            let mut r = Request::new(["a", "b"][i as usize % 2], i, "k", at, 7 * i);
+            r.exclusive = i % 3 != 2;
+            full.submit(r.clone()).unwrap();
+            timing.submit(r).unwrap();
+        }
+        let want = full.run_to_completion().unwrap();
+        let got = timing.run_to_completion().unwrap();
+        assert!(!got.sheds.is_empty(), "the run sheds");
+        assert!(got.steals > 0, "the run steals");
+        assert!(want.completions.iter().all(|c| c.output_hash != 0));
+        assert_eq!(got.completions.len(), want.completions.len());
+        for (g, w) in got.completions.iter().zip(&want.completions) {
+            assert_eq!(g.output_hash, 0, "a timing-only run hashes nothing");
+            let unhashed = Completion {
+                output_hash: 0,
+                ..w.clone()
+            };
+            assert_eq!(*g, unhashed);
+        }
+        assert_eq!(got.sheds, want.sheds);
+        for (g, w) in got.shards.iter().zip(&want.shards) {
+            assert_eq!(g.dispatches, w.dispatches);
+        }
+        let counters = |r: &ClusterReport, func: bool| -> Vec<(String, u64)> {
+            r.probes
+                .counters()
+                .filter(|(k, _)| k.contains("serve.func.") == func)
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect()
+        };
+        assert!(!counters(&want, true).is_empty());
+        assert!(counters(&got, true).is_empty(), "no serve.func.* export");
+        assert_eq!(counters(&got, false), counters(&want, false));
+        let violations = freac_probe::check(&got.probes);
+        assert!(violations.is_empty(), "probe laws violated: {violations:?}");
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub enum RoutePolicy {
 /// The routing state machine. Deterministic: rankings are a pure function
 /// of kernel names and the shard count, and the round-robin cursor advances
 /// once per routed request.
+#[derive(Clone)]
 pub(crate) struct Router {
     policy: RoutePolicy,
     shards: usize,
@@ -40,8 +41,8 @@ pub(crate) struct Router {
     /// Rendezvous rankings memoized per `(kernel, live shard set)` — the
     /// live set is implicit (`self.shards` indices), and [`Router::invalidate`]
     /// flushes the cache whenever a topology event (shard rescale) changes
-    /// what is resident where. Hits take no allocation: the hot path is a
-    /// `BTreeMap` lookup by `&str`, not an owned-key `entry`.
+    /// what is resident where. Hits take no allocation: the hot path is
+    /// one `BTreeMap` lookup by `&str`, not an owned-key `entry`.
     rankings: BTreeMap<String, Vec<usize>>,
     cache_hits: u64,
     cache_misses: u64,
@@ -58,30 +59,6 @@ impl Router {
             cache_hits: 0,
             cache_misses: 0,
         }
-    }
-
-    /// The kernel's rendezvous ranking: shard indices sorted by descending
-    /// per-`(kernel, shard)` hash score (ascending index on score ties),
-    /// memoized per kernel.
-    fn ranking(&mut self, kernel: &str) -> &[usize] {
-        if !self.rankings.contains_key(kernel) {
-            self.cache_misses += 1;
-            let seed = seed_from_name(kernel);
-            let mut scored: Vec<(u64, usize)> = (0..self.shards)
-                .map(|i| {
-                    let lane = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    (Rng64::new(seed ^ lane).next_u64(), i)
-                })
-                .collect();
-            scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            self.rankings.insert(
-                kernel.to_owned(),
-                scored.into_iter().map(|(_, i)| i).collect(),
-            );
-        } else {
-            self.cache_hits += 1;
-        }
-        &self.rankings[kernel]
     }
 
     /// Flushes the ranking cache. Called on every shard rescale: the
@@ -104,34 +81,75 @@ impl Router {
     }
 
     /// The shard the next request for `kernel` should land on, given each
-    /// shard's current backlog.
+    /// shard's current backlog. An affinity route looks the kernel's
+    /// ranking up once in the memo, computing and caching it on a miss.
     pub(crate) fn route(&mut self, kernel: &str, backlogs: &[usize]) -> usize {
         debug_assert_eq!(backlogs.len(), self.shards);
         match self.policy {
-            RoutePolicy::RoundRobin => {
-                let s = self.rr_cursor;
-                self.rr_cursor = (self.rr_cursor + 1) % self.shards;
-                s
-            }
+            RoutePolicy::RoundRobin => self.next_round_robin(),
             RoutePolicy::KernelAffinity { spill_depth } => {
-                let ranking = self.ranking(kernel);
-                for &s in ranking {
-                    if backlogs[s] < spill_depth {
-                        return s;
-                    }
+                if let Some(ranking) = self.rankings.get(kernel) {
+                    self.cache_hits += 1;
+                    return affinity_pick(ranking, backlogs, spill_depth);
                 }
-                // Everything saturated: least-backlogged shard, ranking
-                // order breaking ties.
-                let mut best = ranking[0];
-                for &s in &ranking[1..] {
-                    if backlogs[s] < backlogs[best] {
-                        best = s;
-                    }
-                }
-                best
+                self.cache_misses += 1;
+                let ranking = rendezvous_ranking(kernel, self.shards);
+                let s = affinity_pick(&ranking, backlogs, spill_depth);
+                self.rankings.insert(kernel.to_owned(), ranking);
+                s
             }
         }
     }
+
+    /// [`Router::route`] for a caller that holds the kernel's
+    /// [`rendezvous_ranking`] itself (the sampler's signature pass, which
+    /// indexes kernels by number): the same choice, without the memo.
+    pub(crate) fn route_ranked(&mut self, ranking: &[usize], backlogs: &[usize]) -> usize {
+        debug_assert_eq!(backlogs.len(), self.shards);
+        match self.policy {
+            RoutePolicy::RoundRobin => self.next_round_robin(),
+            RoutePolicy::KernelAffinity { spill_depth } => {
+                affinity_pick(ranking, backlogs, spill_depth)
+            }
+        }
+    }
+
+    fn next_round_robin(&mut self) -> usize {
+        let s = self.rr_cursor;
+        self.rr_cursor = (self.rr_cursor + 1) % self.shards;
+        s
+    }
+}
+
+/// The kernel's rendezvous ranking over `shards` shards: shard indices
+/// sorted by descending per-`(kernel, shard)` hash score (ascending index
+/// on score ties).
+pub(crate) fn rendezvous_ranking(kernel: &str, shards: usize) -> Vec<usize> {
+    let seed = seed_from_name(kernel);
+    let mut scored: Vec<(u64, usize)> = (0..shards)
+        .map(|i| {
+            let lane = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (Rng64::new(seed ^ lane).next_u64(), i)
+        })
+        .collect();
+    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The affinity choice: the first shard in `ranking` whose backlog is
+/// below `spill_depth`, else the least-backlogged shard, ranking order
+/// breaking ties.
+fn affinity_pick(ranking: &[usize], backlogs: &[usize], spill_depth: usize) -> usize {
+    if let Some(&s) = ranking.iter().find(|&&s| backlogs[s] < spill_depth) {
+        return s;
+    }
+    let mut best = ranking[0];
+    for &s in &ranking[1..] {
+        if backlogs[s] < backlogs[best] {
+            best = s;
+        }
+    }
+    best
 }
 
 #[cfg(test)]
@@ -216,6 +234,39 @@ mod tests {
             r.route("aes", &[0, 0, 0]);
         }
         assert_eq!(r.take_cache_stats(), (0, 0));
+    }
+
+    #[test]
+    fn ranked_routing_picks_what_route_picks() {
+        // The sampler's signature pass routes by kernel index through
+        // `route_ranked` over `rendezvous_ranking`; under any backlogs it
+        // must pick the shard `route` picks by name.
+        let kernels = ["add", "mask", "aes", "gemm"];
+        freac_rand::cases(200, 0x0e0b_17e5, |rng| {
+            let shards = 1 + rng.index(6);
+            let policy = if rng.below(4) == 0 {
+                RoutePolicy::RoundRobin
+            } else {
+                RoutePolicy::KernelAffinity {
+                    spill_depth: 1 + rng.index(12),
+                }
+            };
+            let rankings: Vec<Vec<usize>> = kernels
+                .iter()
+                .map(|k| rendezvous_ranking(k, shards))
+                .collect();
+            let (mut by_name, mut by_index) =
+                (Router::new(policy, shards), Router::new(policy, shards));
+            for _ in 0..64 {
+                let kid = rng.index(kernels.len());
+                let backlogs: Vec<usize> = (0..shards).map(|_| rng.index(16)).collect();
+                assert_eq!(
+                    by_index.route_ranked(&rankings[kid], &backlogs),
+                    by_name.route(kernels[kid], &backlogs),
+                    "{policy:?}, {shards} shards, backlogs {backlogs:?}"
+                );
+            }
+        });
     }
 
     #[test]

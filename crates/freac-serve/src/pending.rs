@@ -18,7 +18,7 @@ use crate::request::Request;
 /// instead, and a pop takes the lesser of the two heads. Order keys are
 /// unique (servers and clusters reject duplicate identities at submit),
 /// so the pop sequence is exactly that of one heap over everything.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct PendingSet {
     /// Ascending by order key.
     run: VecDeque<Request>,
@@ -27,7 +27,7 @@ pub(crate) struct PendingSet {
 }
 
 /// Heap entry ordered by the canonical request key.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Keyed(Request);
 
 impl Ord for Keyed {

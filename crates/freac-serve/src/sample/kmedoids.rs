@@ -60,12 +60,7 @@ pub(crate) struct Clustering {
 impl Clustering {
     /// Members of cluster `c` in ascending point order.
     pub(crate) fn members(&self, c: usize) -> Vec<usize> {
-        self.assign
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a == c)
-            .map(|(i, _)| i)
-            .collect()
+        members(&self.assign, c)
     }
 
     /// The member of cluster `c` farthest from its medoid (the "witness"
@@ -104,14 +99,7 @@ pub(crate) fn k_medoids(dist: &DistMatrix, k: usize, seed: u64) -> Clustering {
 
     // Seed medoids.
     let mut medoids: Vec<usize> = Vec::with_capacity(k);
-    let central = (0..n)
-        .min_by(|&a, &b| {
-            let sa: f64 = (0..n).map(|j| dist.get(a, j)).sum();
-            let sb: f64 = (0..n).map(|j| dist.get(b, j)).sum();
-            sa.partial_cmp(&sb).expect("distances are finite")
-        })
-        .expect("n > 0");
-    medoids.push(central);
+    medoids.push(most_central(dist, &(0..n).collect::<Vec<_>>()));
     while medoids.len() < k {
         let weights: Vec<f64> = (0..n)
             .map(|i| {
@@ -141,26 +129,11 @@ pub(crate) fn k_medoids(dist: &DistMatrix, k: usize, seed: u64) -> Clustering {
         }
         let mut changed = false;
         for (c, medoid) in medoids.iter_mut().enumerate() {
-            let members: Vec<usize> = assign
-                .iter()
-                .enumerate()
-                .filter(|(_, &a)| a == c)
-                .map(|(i, _)| i)
-                .collect();
+            let members = members(&assign, c);
             if members.is_empty() {
                 continue;
             }
-            let best = members
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let sa: f64 = members.iter().map(|&j| dist.get(a, j)).sum();
-                    let sb: f64 = members.iter().map(|&j| dist.get(b, j)).sum();
-                    sa.partial_cmp(&sb)
-                        .expect("distances are finite")
-                        .then(a.cmp(&b))
-                })
-                .expect("non-empty members");
+            let best = most_central(dist, &members);
             if *medoid != best {
                 *medoid = best;
                 changed = true;
@@ -174,6 +147,23 @@ pub(crate) fn k_medoids(dist: &DistMatrix, k: usize, seed: u64) -> Clustering {
         *a = nearest(dist, &medoids, i);
     }
     Clustering { medoids, assign }
+}
+
+/// The point of the non-empty ascending `points` with the least summed
+/// distance to the others (the lowest on ties).
+fn most_central(dist: &DistMatrix, points: &[usize]) -> usize {
+    let spread = |a: usize| -> f64 { points.iter().map(|&j| dist.get(a, j)).sum() };
+    points
+        .iter()
+        .map(|&a| (spread(a), a))
+        .min_by(|x, y| x.0.partial_cmp(&y.0).expect("distances are finite"))
+        .expect("non-empty points")
+        .1
+}
+
+/// The points `assign` puts in cluster `c`, ascending.
+fn members(assign: &[usize], c: usize) -> Vec<usize> {
+    (0..assign.len()).filter(|&i| assign[i] == c).collect()
 }
 
 /// Index of the medoid slot nearest to point `i` (lowest slot on ties).

@@ -10,13 +10,17 @@
 //! 2. computes a cheap per-window behavior signature ([`sig`]) from the
 //!    same signals the serving probes export — kernel mix, arrival
 //!    intensity, fluid queue depths, shed/steal pressure, reconfiguration
-//!    churn, way split;
+//!    churn, way split — in the same pass over the trace that resolves
+//!    each request's tenant and kernel and checks its identity;
 //! 3. clusters the signatures with deterministic seeded k-medoids
 //!    ([`kmedoids`], built on `freac-rand`);
 //! 4. simulates only each cluster's medoid window at full fidelity,
 //!    warmed by replaying the `warmup` requests preceding the window so
 //!    queues and residency don't start cold, plus the farthest member of
-//!    each multi-window cluster (the *witness*);
+//!    each multi-window cluster (the *witness*). Every simulated window
+//!    runs on a clone of one replica cluster built per run, and replicas
+//!    are timing-only: estimates never read output hashes, so replicas
+//!    never compute them;
 //! 5. extrapolates cluster-wide throughput and latency quantiles by
 //!    attributing every member window to its nearest simulated exemplar
 //!    (medoid or witness) and scaling each exemplar's measurements by the
@@ -46,7 +50,7 @@ use freac_sim::Time;
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ServeError;
 use crate::request::Request;
-use crate::server::{FluidEstimate, RequestProfile, Server};
+use crate::server::{FluidEstimate, RequestProfile};
 
 use kmedoids::{k_medoids, Clustering, DistMatrix};
 use sig::{feature_names, normalize, window_signatures, WindowSig};
@@ -114,7 +118,7 @@ impl SampleConfig {
 }
 
 /// An extrapolated metric with its declared absolute error bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricEstimate {
     /// The extrapolated value.
     pub value: f64,
@@ -154,8 +158,9 @@ pub struct SampleCluster {
 }
 
 /// The result of a sampled run: extrapolated cluster-wide metrics, their
-/// bounds, and the evidence (clusters, simulated windows, probes).
-#[derive(Debug, Clone)]
+/// bounds, and the evidence (clusters, simulated windows, probes). The
+/// default is the report of an empty trace.
+#[derive(Debug, Clone, Default)]
 pub struct SampleReport {
     /// Requests in the trace.
     pub trace_requests: u64,
@@ -354,11 +359,29 @@ impl SampledServer {
         // trace the identity check rejects) keep the caller's order.
         let mut trace: Vec<&Request> = trace.iter().collect();
         trace.sort_by(|a, b| a.order_key().cmp(&b.order_key()));
-        self.check_identities(&trace)?;
+        let n_windows = trace.len().div_ceil(self.cfg.window);
+        // One pass over the trace resolves each request, checks its
+        // identity and feeds the signature pass, which needs the template's
+        // cost models. A template build error surfaces after the trace's
+        // own errors.
+        let template = self.replica_template();
+        let kernel_names: Vec<String> = self.kernels.keys().cloned().collect();
+        let mut scan = IdentityScan::new(self);
+        let sigs = match &template {
+            Ok((_, estimates)) if n_windows <= MAX_WINDOWS => window_signatures(
+                &trace,
+                |r| scan.resolve(r),
+                self.cfg.window,
+                &kernel_names,
+                estimates,
+                &self.cluster,
+            ),
+            _ => Vec::new(),
+        };
+        scan.check(&trace)?;
         if trace.is_empty() {
             return Ok(self.empty_report());
         }
-        let n_windows = trace.len().div_ceil(self.cfg.window);
         if n_windows > MAX_WINDOWS {
             return Err(ServeError::BadConfig(format!(
                 "trace of {} requests at window {} yields {} windows (max {}); raise the window size",
@@ -368,35 +391,23 @@ impl SampledServer {
                 MAX_WINDOWS
             )));
         }
+        let (template, estimates) = template?;
 
         // Signatures, normalized, clustered.
-        let kernel_names: Vec<String> = self.kernels.keys().cloned().collect();
-        let estimates = self.fluid_estimates()?;
-        let sigs = window_signatures(
-            &trace,
-            self.cfg.window,
-            &kernel_names,
-            &estimates,
-            &self.cluster,
-        );
         debug_assert_eq!(sigs.len(), n_windows);
-        let points = normalize(&sigs);
-        let dist = DistMatrix::new(&points);
+        let dist = DistMatrix::new(&normalize(&sigs));
         let clustering = k_medoids(&dist, self.cfg.max_clusters, self.cfg.seed);
         let clusters = dense_clusters(&clustering, &dist, &sigs);
 
         // Simulate medoids and witnesses at full fidelity, order-preserving
         // fan-out.
-        let mut to_simulate: Vec<usize> = Vec::new();
-        for c in &clusters {
-            to_simulate.push(c.medoid);
-            if let Some(w) = c.witness {
-                to_simulate.push(w);
-            }
-        }
+        let mut to_simulate: Vec<usize> = clusters
+            .iter()
+            .flat_map(|c| std::iter::once(c.medoid).chain(c.witness))
+            .collect();
         to_simulate.sort_unstable();
         to_simulate.dedup();
-        let trace_ref = &trace;
+        let (trace_ref, template_ref, sigs_ref) = (&trace, &template, &sigs);
         // A caught-up replica replays its warm prefix at true arrival
         // spacing, then rests this long before the window starts: enough
         // for every cold-slice setup the prefix triggered to finish (twice
@@ -409,112 +420,52 @@ impl SampledServer {
         // round and perturb the window being measured.
         let epoch = self.cluster.epoch_ps.max(1);
         let boot_ps = estimates
-            .values()
+            .iter()
             .map(|e| e.setup_ps.max(e.swap_ps))
             .max()
             .unwrap_or(0)
             .saturating_mul(2)
             .saturating_add(
                 (self.cfg.warmup as Time)
-                    .saturating_mul(estimates.values().map(|e| e.service_ps).max().unwrap_or(1)),
+                    .saturating_mul(estimates.iter().map(|e| e.service_ps).max().unwrap_or(1)),
             )
             .max(1)
             .div_ceil(epoch)
             .saturating_mul(epoch);
-        let sig_extent: Vec<(usize, usize, f64, bool)> = sigs
-            .iter()
-            .map(|s| (s.start, s.len, s.start_depth_max, s.start_frozen))
-            .collect();
-        let sim_results: Vec<Result<WindowMetrics, ServeError>> =
-            map_with(self.cfg.workers, to_simulate.clone(), move |w: usize| {
-                let (start, len, start_depth, start_frozen) = sig_extent[w];
-                self.simulate_window(trace_ref, start, len, start_depth, start_frozen, boot_ps)
-            });
-        let mut metrics: BTreeMap<usize, WindowMetrics> = BTreeMap::new();
-        for (w, r) in to_simulate.iter().zip(sim_results) {
-            metrics.insert(*w, r?);
-        }
+        let sim_results = map_with(self.cfg.workers, to_simulate.clone(), move |w: usize| {
+            self.simulate_window(template_ref, trace_ref, &sigs_ref[w], boot_ps)
+        });
+        let metrics: BTreeMap<usize, WindowMetrics> = to_simulate
+            .into_iter()
+            .zip(sim_results)
+            .map(|(w, r)| r.map(|m| (w, m)))
+            .collect::<Result<_, _>>()?;
 
         self.extrapolate(&trace, &sigs, clusters, &metrics, &dist)
     }
 
-    /// Rejects the first request of the sorted `trace` that names an
-    /// unknown tenant, names an unknown kernel, or repeats an earlier
-    /// `(tenant, seq)` — checked in that order per request, so the error is
-    /// the one an ordered scan over a growing identity set would return.
-    ///
-    /// One pass resolves tenants and kernels against the registries, up to
-    /// the first unknown request, and collects each tenant's positions.
-    /// Sorting those by `(seq, position)` puts repeats side by side, and
-    /// the earliest second occurrence is the scan's first duplicate. Every
-    /// duplicate found lies before the first unknown request, so it wins.
-    fn check_identities(&self, trace: &[&Request]) -> Result<(), ServeError> {
-        let tenants: Vec<&str> = self.tenants.keys().map(String::as_str).collect();
-        let mut positions: Vec<Vec<usize>> = vec![Vec::new(); tenants.len()];
-        let mut unknown = None;
-        for (i, r) in trace.iter().enumerate() {
-            let Ok(t) = tenants.binary_search(&r.tenant.as_str()) else {
-                unknown = Some(ServeError::UnknownTenant(r.tenant.clone()));
-                break;
-            };
-            if !self.kernels.contains_key(r.kernel.as_str()) {
-                unknown = Some(ServeError::UnknownKernel(r.kernel.clone()));
-                break;
-            }
-            positions[t].push(i);
-        }
-        let mut first_repeat: Option<usize> = None;
-        for ps in &mut positions {
-            ps.sort_unstable_by_key(|&i| (trace[i].seq, i));
-            for pair in ps.windows(2) {
-                if trace[pair[0]].seq == trace[pair[1]].seq {
-                    first_repeat = Some(first_repeat.map_or(pair[1], |d| d.min(pair[1])));
-                }
-            }
-        }
-        if let Some(i) = first_repeat {
-            return Err(ServeError::BadConfig(format!(
-                "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
-                trace[i].tenant, trace[i].seq
-            )));
-        }
-        unknown.map_or(Ok(()), Err)
-    }
-
-    /// Per-kernel fluid cost models from a scratch shard (plans are
-    /// pre-compiled, so this costs registration bookkeeping only).
-    fn fluid_estimates(&self) -> Result<BTreeMap<String, FluidEstimate>, ServeError> {
-        let mut server = Server::new(self.cluster.shard)?;
-        for (name, (accel, plan, profile)) in &self.kernels {
-            server.register_prepared(name, Arc::clone(accel), Arc::clone(plan), *profile)?;
-        }
-        Ok(self
-            .kernels
-            .keys()
-            .map(|k| {
-                let est = server
-                    .kernel_fluid_estimate(k)
-                    .expect("kernel was just registered");
-                (k.clone(), est)
-            })
-            .collect())
-    }
-
-    /// Builds one replica cluster with the shared kernel set and tenants.
-    fn build_cluster(&self) -> Result<Cluster, ServeError> {
+    /// The replica every simulated window clones: a timing-only cluster
+    /// with the shared kernel set and tenants (the sampler's estimates
+    /// read simulated timing alone), plus each kernel's fluid cost model
+    /// in kernel-name order. Plans are pre-compiled, so building it costs
+    /// registration bookkeeping only.
+    fn replica_template(&self) -> Result<(Cluster, Vec<FluidEstimate>), ServeError> {
         // Replicas are pumped from the sampling worker pool; keep each
         // replica itself sequential rather than oversubscribing.
         let mut cluster = Cluster::new(ClusterConfig {
             workers: 1,
             ..self.cluster
         })?;
+        cluster.set_timing_only();
+        let mut estimates = Vec::with_capacity(self.kernels.len());
         for (name, (accel, plan, profile)) in &self.kernels {
             cluster.register_prepared(name, Arc::clone(accel), Arc::clone(plan), *profile)?;
+            estimates.push(cluster.kernel_fluid_estimate(name).expect("registered"));
         }
         for (name, &weight) in &self.tenants {
             cluster.add_tenant(name, weight)?;
         }
-        Ok(cluster)
+        Ok((cluster, estimates))
     }
 
     /// Picks how far before `start` the warm replay must begin.
@@ -543,9 +494,9 @@ impl SampledServer {
         walked
     }
 
-    /// Simulates one window at full fidelity: replay a warm prefix before
-    /// it to reconstruct queue and residency state, then measure only the
-    /// window's own requests.
+    /// Simulates one window at full fidelity on a clone of `template`:
+    /// replay a warm prefix before it to reconstruct queue and residency
+    /// state, then measure only the window's own requests.
     ///
     /// The warmup has two modes, picked by the fluid model's queue-depth
     /// estimate at the window's first arrival:
@@ -571,18 +522,18 @@ impl SampledServer {
     ///   arrivals.
     fn simulate_window(
         &self,
+        template: &Cluster,
         trace: &[&Request],
-        start: usize,
-        len: usize,
-        start_depth: f64,
-        start_frozen: bool,
+        sig: &WindowSig,
         boot_ps: Time,
     ) -> Result<WindowMetrics, ServeError> {
+        let (start, len) = (sig.start, sig.len);
         // Half the admission queue is the discriminator: a saturated full
         // run enters its windows with queues pinned at `queue_depth`
         // (shedding), a caught-up one hovers no deeper than the affinity
         // spill threshold. Halfway between is far from both attractors.
-        let saturated = start_frozen || start_depth >= self.cluster.shard.queue_depth as f64 / 2.0;
+        let saturated =
+            sig.start_frozen || sig.start_depth_max >= self.cluster.shard.queue_depth as f64 / 2.0;
         // Caught-up prefixes split in two: a residency burst (replayed
         // first, absorbed during the boot gap) and a pressure segment
         // (replayed flush against the window so queue occupancy enters at
@@ -595,7 +546,7 @@ impl SampledServer {
         };
         let warm_start = start - warm;
         let end = start + len;
-        let mut cluster = self.build_cluster()?;
+        let mut cluster = template.clone();
         let mut shift: Time = 0;
         if saturated {
             for &r in &trace[warm_start..end] {
@@ -620,22 +571,19 @@ impl SampledServer {
             }
         }
         let rep = cluster.run_to_completion()?;
-        // The window's identities, sorted for binary search (`(tenant,
-        // seq)` is unique in the trace, and the warm prefix never shares
-        // one with the window).
-        let mut ids: Vec<(&str, u64)> = trace[start..end]
-            .iter()
-            .map(|r| (r.tenant.as_str(), r.seq))
-            .collect();
-        ids.sort_unstable();
-        let in_window = |tenant: &str, seq: u64| ids.binary_search(&(tenant, seq)).is_ok();
-        let first_arrival = trace[start].arrival_ps + shift;
+        // The replay keeps the sorted order (the shift moves the pressure
+        // segment and the window alike, past the unshifted burst), so the
+        // window's requests are those keyed at or after its first one;
+        // `(tenant, seq)` is unique, so no retry count is needed.
+        let (first_arrival, head) = (trace[start].arrival_ps + shift, trace[start]);
+        let first = (first_arrival, head.tenant.as_str(), head.seq);
+        let in_window = |arrival: Time, tenant: &str, seq: u64| (arrival, tenant, seq) >= first;
         let last_arrival = trace[end - 1].arrival_ps + shift;
         let mut latency = Histogram::default();
         let mut completed = 0u64;
         let mut last_done = 0u64;
         for c in &rep.completions {
-            if in_window(&c.tenant, c.seq) {
+            if in_window(c.arrival_ps, &c.tenant, c.seq) {
                 latency.observe(c.latency_ps());
                 completed += 1;
                 last_done = last_done.max(c.done_ps);
@@ -644,7 +592,7 @@ impl SampledServer {
         let shed = rep
             .sheds
             .iter()
-            .filter(|s| in_window(&s.request.tenant, s.request.seq))
+            .filter(|s| in_window(s.request.arrival_ps, &s.request.tenant, s.request.seq))
             .count() as u64;
         assert_eq!(
             completed + shed,
@@ -799,31 +747,13 @@ impl SampledServer {
             bound: bound_for(tput_value, tput_dev),
         };
 
-        let simulated_windows = metrics.len();
-        let saturated_windows = metrics.values().filter(|m| m.saturated).count();
-        let simulated_requests: u64 = metrics.values().map(|m| m.simulated).sum();
-
-        let probes = self.export_probes(
-            trace,
-            sigs,
-            &clusters,
-            &latency,
-            (simulated_windows, saturated_windows),
-            simulated_requests,
-            est_completed,
-            est_shed,
-            (&estimates, &throughput_rps),
-        );
-        freac_probe::assert_ok(&probes);
-        freac_probe::global::merge(&probes);
-
-        Ok(SampleReport {
+        let mut report = SampleReport {
             trace_requests: n,
             window_size: self.cfg.window,
             windows: sigs.len(),
             clusters,
-            simulated_windows,
-            simulated_requests,
+            simulated_windows: metrics.len(),
+            simulated_requests: metrics.values().map(|m| m.simulated).sum(),
             est_completed,
             est_shed,
             p50_ps: estimates[0],
@@ -831,44 +761,43 @@ impl SampledServer {
             p99_ps: estimates[2],
             throughput_rps,
             latency,
-            probes,
-        })
+            probes: CounterRegistry::new(),
+        };
+        let saturated_windows = metrics.values().filter(|m| m.saturated).count();
+        report.probes = self.export_probes(&report, sigs, saturated_windows);
+        freac_probe::assert_ok(&report.probes);
+        freac_probe::global::merge(&report.probes);
+        Ok(report)
     }
 
-    /// Builds the `serve.sample.*` registry: window/cluster accounting
-    /// counters (subject to the conservation law), the per-window
-    /// signature distributions, and the extrapolated estimates as gauges.
-    #[allow(
-        clippy::too_many_arguments,
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss
-    )]
+    /// Builds the `serve.sample.*` registry of `rep`: window/cluster
+    /// accounting counters (subject to the conservation law), the
+    /// per-window signature distributions, and the extrapolated estimates
+    /// as gauges.
+    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     fn export_probes(
         &self,
-        trace: &[&Request],
+        rep: &SampleReport,
         sigs: &[WindowSig],
-        clusters: &[SampleCluster],
-        latency: &Histogram,
-        (simulated_windows, saturated_windows): (usize, usize),
-        simulated_requests: u64,
-        est_completed: u64,
-        est_shed: u64,
-        (quantiles, throughput): (&[MetricEstimate], &MetricEstimate),
+        saturated_windows: usize,
     ) -> CounterRegistry {
         let mut reg = CounterRegistry::new();
-        reg.add("serve.sample.trace.requests", trace.len() as u64);
-        reg.add("serve.sample.windows", sigs.len() as u64);
-        reg.add("serve.sample.window_size", self.cfg.window as u64);
-        reg.add("serve.sample.clusters", clusters.len() as u64);
-        reg.add("serve.sample.simulated.windows", simulated_windows as u64);
+        reg.add("serve.sample.trace.requests", rep.trace_requests);
+        reg.add("serve.sample.windows", rep.windows as u64);
+        reg.add("serve.sample.window_size", rep.window_size as u64);
+        reg.add("serve.sample.clusters", rep.clusters.len() as u64);
+        reg.add(
+            "serve.sample.simulated.windows",
+            rep.simulated_windows as u64,
+        );
         reg.add(
             "serve.sample.simulated.saturated_windows",
             saturated_windows as u64,
         );
-        reg.add("serve.sample.simulated.requests", simulated_requests);
-        reg.add("serve.sample.est.completed", est_completed);
-        reg.add("serve.sample.est.shed", est_shed);
-        for (c, info) in clusters.iter().enumerate() {
+        reg.add("serve.sample.simulated.requests", rep.simulated_requests);
+        reg.add("serve.sample.est.completed", rep.est_completed);
+        reg.add("serve.sample.est.shed", rep.est_shed);
+        for (c, info) in rep.clusters.iter().enumerate() {
             reg.add(
                 &format!("serve.sample.cluster.{c}.windows"),
                 info.members.len() as u64,
@@ -892,40 +821,25 @@ impl SampledServer {
             }
         }
         for (name, est) in [
-            ("p50_ps", quantiles[0]),
-            ("p95_ps", quantiles[1]),
-            ("p99_ps", quantiles[2]),
-            ("throughput_rps", *throughput),
+            ("p50_ps", rep.p50_ps),
+            ("p95_ps", rep.p95_ps),
+            ("p99_ps", rep.p99_ps),
+            ("throughput_rps", rep.throughput_rps),
         ] {
             reg.set_gauge(&format!("serve.sample.{name}"), est.value);
             reg.set_gauge(&format!("serve.sample.{name}.bound"), est.bound);
         }
-        reg.merge_histogram("serve.sample.latency_ps", latency);
+        reg.merge_histogram("serve.sample.latency_ps", &rep.latency);
         reg
     }
 
     fn empty_report(&self) -> SampleReport {
-        let zero = MetricEstimate {
-            value: 0.0,
-            bound: 0.0,
-        };
         let mut probes = CounterRegistry::new();
         probes.add("serve.sample.trace.requests", 0);
         SampleReport {
-            trace_requests: 0,
             window_size: self.cfg.window,
-            windows: 0,
-            clusters: Vec::new(),
-            simulated_windows: 0,
-            simulated_requests: 0,
-            est_completed: 0,
-            est_shed: 0,
-            p50_ps: zero,
-            p95_ps: zero,
-            p99_ps: zero,
-            throughput_rps: zero,
-            latency: Histogram::default(),
             probes,
+            ..SampleReport::default()
         }
     }
 }
@@ -943,6 +857,89 @@ struct WindowMetrics {
     tail_ps: Time,
     /// Window-local completion throughput.
     throughput_rps: f64,
+}
+
+/// The identity check over the sorted trace, fed one request at a time by
+/// [`IdentityScan::resolve`] and settled by [`IdentityScan::check`].
+struct IdentityScan<'a> {
+    tenants: Vec<&'a str>,
+    kernels: Vec<&'a str>,
+    /// Per tenant: the last `seq` resolved, and whether a `seq` ever
+    /// failed to rise.
+    last_seq: Vec<Option<u64>>,
+    unordered: Vec<bool>,
+    /// Requests resolved, and the error of the first unknown one.
+    resolved: usize,
+    unknown: Option<ServeError>,
+}
+
+impl<'a> IdentityScan<'a> {
+    fn new(s: &'a SampledServer) -> Self {
+        IdentityScan {
+            tenants: s.tenants.keys().map(String::as_str).collect(),
+            kernels: s.kernels.keys().map(String::as_str).collect(),
+            last_seq: vec![None; s.tenants.len()],
+            unordered: vec![false; s.tenants.len()],
+            resolved: 0,
+            unknown: None,
+        }
+    }
+
+    /// Resolves the next request's tenant and kernel, returning the
+    /// kernel's index: `None` from the first unknown name on.
+    fn resolve(&mut self, r: &Request) -> Option<usize> {
+        if self.unknown.is_some() {
+            return None;
+        }
+        let Ok(t) = self.tenants.binary_search(&r.tenant.as_str()) else {
+            self.unknown = Some(ServeError::UnknownTenant(r.tenant.clone()));
+            return None;
+        };
+        let Ok(k) = self.kernels.binary_search(&r.kernel.as_str()) else {
+            self.unknown = Some(ServeError::UnknownKernel(r.kernel.clone()));
+            return None;
+        };
+        self.unordered[t] |= self.last_seq[t].is_some_and(|s| r.seq <= s);
+        self.last_seq[t] = Some(r.seq);
+        self.resolved += 1;
+        Some(k)
+    }
+
+    /// Resolves the rest of `trace`, then rejects its first request that
+    /// names an unknown tenant, names an unknown kernel, or repeats an
+    /// earlier `(tenant, seq)` — checked in that order per request, so the
+    /// error is the one an ordered scan over a growing identity set would
+    /// return.
+    ///
+    /// A tenant whose `seq`s rise strictly along the trace cannot repeat
+    /// one, so only the other tenants' `(tenant, seq, position)` triples
+    /// are sorted: repeats land side by side, and the earliest second
+    /// occurrence is the scan's first duplicate. Every duplicate found lies
+    /// before the first unknown request, so it wins.
+    fn check(mut self, trace: &[&Request]) -> Result<(), ServeError> {
+        while self.resolved < trace.len() && self.resolve(trace[self.resolved]).is_some() {}
+        if self.unordered.contains(&true) {
+            let mut ids: Vec<(usize, u64, usize)> = (0..self.resolved)
+                .filter_map(|i| {
+                    let t = self.tenants.binary_search(&trace[i].tenant.as_str()).ok()?;
+                    self.unordered[t].then_some((t, trace[i].seq, i))
+                })
+                .collect();
+            ids.sort_unstable();
+            let first_repeat = ids
+                .windows(2)
+                .filter(|p| p[0].0 == p[1].0 && p[0].1 == p[1].1)
+                .map(|p| p[1].2)
+                .min();
+            if let Some(i) = first_repeat {
+                return Err(ServeError::BadConfig(format!(
+                    "sampled traces need unique (tenant, seq): '{}' seq {} repeats",
+                    trace[i].tenant, trace[i].seq
+                )));
+            }
+        }
+        self.unknown.map_or(Ok(()), Err)
+    }
 }
 
 /// Drops empty medoid slots (possible when identical windows collapse) and
@@ -1187,6 +1184,43 @@ mod tests {
         let t = seeded_trace(&mut freac_rand::Rng64::new(5), 64);
         ordered_scan(&s, &t).unwrap();
         s.run(&t).unwrap();
+
+        // Pinned orderings with their exact text; arrivals follow the
+        // listed order.
+        let dup = |t, seq| {
+            format!("bad serve config: sampled traces need unique (tenant, seq): '{t}' seq {seq} repeats")
+        };
+        let ab = |i: u64| ["a", "b"][i as usize % 2];
+        let rising = (0..40).map(|i| (ab(i), i, "k")).chain([("b", 39, "j")]);
+        let falling = (0..40)
+            .map(|i| (ab(i), 99 - i, "j"))
+            .chain([("a", 0, "k"); 2]);
+        for (ids, want) in [
+            // A duplicate before an unknown tenant.
+            (
+                vec![("a", 0, "k"), ("b", 0, "j"), ("a", 0, "k"), ("zz", 0, "k")],
+                dup("a", 0),
+            ),
+            // An unknown kernel before a duplicate.
+            (
+                vec![("a", 0, "k"), ("a", 1, "mystery"), ("a", 0, "k")],
+                "unknown kernel 'mystery'".into(),
+            ),
+            // A duplicate at the very end of rising seqs, and of falling ones.
+            (rising.collect(), dup("b", 39)),
+            (falling.collect(), dup("a", 0)),
+        ] {
+            let t: Vec<Request> = (0..)
+                .zip(ids)
+                .map(|(i, (t, seq, k))| Request::new(t, seq, k, i * 1_000, i))
+                .collect();
+            let got = s.run(&t).expect_err(&want);
+            assert_eq!(got.to_string(), want);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{:?}", ordered_scan(&s, &t).unwrap_err())
+            );
+        }
     }
 
     #[test]

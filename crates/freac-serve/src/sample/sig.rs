@@ -11,9 +11,7 @@
 //! simulation costs milliseconds; its only job is to *discriminate*
 //! behavior regimes, which is what the k-medoids clustering consumes.
 
-use std::collections::BTreeMap;
-
-use crate::cluster::{ClusterConfig, RoutePolicy, Router};
+use crate::cluster::{rendezvous_ranking, ClusterConfig, Router};
 use crate::request::Request;
 use freac_sim::Time;
 
@@ -65,9 +63,12 @@ pub(crate) fn feature_names(kernels: &[String]) -> Vec<String> {
 }
 
 /// Computes the per-window signatures of `trace` (the caller's requests,
-/// borrowed and already sorted by [`Request::order_key`]). `estimates`
-/// maps each registered kernel to its fluid cost model; `kernels` fixes
-/// the feature order.
+/// borrowed and already sorted by [`Request::order_key`]). `kernel_of`
+/// resolves each request to its kernel's index in `kernels`, which fixes
+/// the feature order, and `estimates` holds the kernels' fluid cost models
+/// in that order. The pass stops at the first request `kernel_of` cannot
+/// resolve (the caller, which checks identities in the same call, then
+/// rejects the trace).
 ///
 /// The deposit per admitted request is the *amortized* cost the batched
 /// scheduler would charge it: one wave's service spread over the wave's
@@ -82,39 +83,22 @@ pub(crate) fn feature_names(kernels: &[String]) -> Vec<String> {
 /// residency.
 pub(crate) fn window_signatures(
     trace: &[&Request],
+    mut kernel_of: impl FnMut(&Request) -> Option<usize>,
     window: usize,
     kernels: &[String],
-    estimates: &BTreeMap<String, FluidEstimate>,
+    estimates: &[FluidEstimate],
     cfg: &ClusterConfig,
 ) -> Vec<WindowSig> {
     assert!(window >= 1);
     let shards = cfg.shards;
     let queue_depth = cfg.shard.queue_depth as f64;
-    let kernel_idx: BTreeMap<&str, usize> = kernels
+    let service: Vec<f64> = estimates
         .iter()
-        .enumerate()
-        .map(|(i, k)| (k.as_str(), i))
+        .map(|e| e.service_ps.max(1) as f64 / e.tiles.max(1) as f64)
         .collect();
-    let fallback = FluidEstimate {
-        service_ps: 1,
-        swap_ps: 0,
-        setup_ps: 0,
-        tiles: 1,
-    };
-    let service: Vec<f64> = kernels
+    let rankings: Vec<Vec<usize>> = kernels
         .iter()
-        .map(|k| {
-            let e = estimates.get(k).unwrap_or(&fallback);
-            e.service_ps.max(1) as f64 / e.tiles.max(1) as f64
-        })
-        .collect();
-    let swap: Vec<Time> = kernels
-        .iter()
-        .map(|k| estimates.get(k).unwrap_or(&fallback).swap_ps)
-        .collect();
-    let setup: Vec<Time> = kernels
-        .iter()
-        .map(|k| estimates.get(k).unwrap_or(&fallback).setup_ps)
+        .map(|k| rendezvous_ranking(k, shards))
         .collect();
     // The way split is a configuration constant here (a full run can
     // autoscale it, but the signature pass has no execution to observe);
@@ -147,15 +131,21 @@ pub(crate) fn window_signatures(
     let epoch = cfg.epoch_ps.max(1);
     let mut sigs = Vec::with_capacity(trace.len().div_ceil(window));
     let mut w = WindowAcc::new(kernels.len());
-    let mut start_depth_max = 0.0f64;
-    let mut start_frozen = false;
-    let mut start_epoch_phase = 0.0f64;
     for (i, req) in trace.iter().enumerate() {
+        let Some(kid) = kernel_of(req) else {
+            break;
+        };
+        // The window's position counts in `w.len`, never `i % window`: a
+        // division per request is a measurable share of the pass.
+        let opens_window = w.len == 0;
         // Drain continuously between arrivals: each slot serves one
         // picosecond of backlog per picosecond once its reconfiguration is
-        // done.
+        // done. An empty shard (its depth is zero too) stays empty.
         if let Some(prev) = prev_arrival {
             for s in 0..shards {
+                if backlog_ps[s] == 0.0 {
+                    continue;
+                }
                 let drained: f64 = slots[s]
                     .iter()
                     .map(|&(_, ready)| req.arrival_ps.saturating_sub(prev.max(ready)) as f64)
@@ -169,14 +159,14 @@ pub(crate) fn window_signatures(
                     depth[s] *= keep;
                 }
             }
-            if i % window != 0 {
+            if !opens_window {
                 w.gap_sum += (req.arrival_ps - prev) as f64;
             }
         }
         prev_arrival = Some(req.arrival_ps);
-        if i % window == 0 {
-            start_depth_max = depth.iter().fold(0.0f64, |a, &d| a.max(d));
-            start_frozen = slots
+        if opens_window {
+            w.start_depth_max = depth.iter().fold(0.0f64, |a, &d| a.max(d));
+            w.start_frozen = slots
                 .iter()
                 .any(|sh| !sh.is_empty() && sh.iter().all(|&(_, ready)| ready > req.arrival_ps));
             // Routing rounds are synchronized to the cluster's epoch grid,
@@ -186,22 +176,14 @@ pub(crate) fn window_signatures(
             // `epoch / (window span mod epoch)` windows, and the windows
             // that straddle a boundary inherit its backlog flush. The
             // phase is circular, hence the cos/sin embedding.
-            start_epoch_phase =
+            w.start_epoch_phase =
                 (req.arrival_ps % epoch) as f64 / epoch as f64 * std::f64::consts::TAU;
         }
 
-        let kid = kernel_idx
-            .get(req.kernel.as_str())
-            .copied()
-            .expect("sampled traces only reference registered kernels");
         for (r, d) in backlogs_rounded.iter_mut().zip(depth.iter()) {
             *r = *d as usize;
         }
-        let si = match cfg.route {
-            RoutePolicy::RoundRobin | RoutePolicy::KernelAffinity { .. } => {
-                router.route(&req.kernel, &backlogs_rounded)
-            }
-        };
+        let si = router.route_ranked(&rankings[kid], &backlogs_rounded);
         if depth[si] >= queue_depth {
             w.shed_est += 1.0;
         } else {
@@ -210,10 +192,10 @@ pub(crate) fn window_signatures(
             if !slots[si].iter().any(|&(k, _)| k == kid) {
                 w.switches += 1.0;
                 if slots[si].len() < slice_cap {
-                    slots[si].push((kid, req.arrival_ps.saturating_add(setup[kid])));
+                    slots[si].push((kid, req.arrival_ps.saturating_add(estimates[kid].setup_ps)));
                 } else {
                     let e = evict_rr[si] % slice_cap;
-                    slots[si][e] = (kid, req.arrival_ps.saturating_add(swap[kid]));
+                    slots[si][e] = (kid, req.arrival_ps.saturating_add(estimates[kid].swap_ps));
                     evict_rr[si] += 1;
                 }
             }
@@ -237,16 +219,9 @@ pub(crate) fn window_signatures(
             w.deadline += 1.0;
         }
 
-        if (i + 1) % window == 0 || i + 1 == trace.len() {
+        if w.len == window || i + 1 == trace.len() {
             let start = i + 1 - w.len;
-            sigs.push(w.finish(
-                start,
-                ways_compute,
-                ways_cache,
-                start_depth_max,
-                start_frozen,
-                start_epoch_phase,
-            ));
+            sigs.push(w.finish(start, ways_compute, ways_cache));
             w = WindowAcc::new(kernels.len());
         }
     }
@@ -265,6 +240,10 @@ struct WindowAcc {
     imbalance_sum: f64,
     exclusive: f64,
     deadline: f64,
+    /// The state the window opens on (see [`WindowSig`]).
+    start_depth_max: f64,
+    start_frozen: bool,
+    start_epoch_phase: f64,
 }
 
 impl WindowAcc {
@@ -280,18 +259,13 @@ impl WindowAcc {
             imbalance_sum: 0.0,
             exclusive: 0.0,
             deadline: 0.0,
+            start_depth_max: 0.0,
+            start_frozen: false,
+            start_epoch_phase: 0.0,
         }
     }
 
-    fn finish(
-        self,
-        start: usize,
-        ways_compute: f64,
-        ways_cache: f64,
-        start_depth_max: f64,
-        start_frozen: bool,
-        start_epoch_phase: f64,
-    ) -> WindowSig {
+    fn finish(self, start: usize, ways_compute: f64, ways_cache: f64) -> WindowSig {
         let n = self.len.max(1) as f64;
         let mut features: Vec<f64> = self.mix.iter().map(|&c| c / n).collect();
         features.push((1.0 + self.gap_sum / n).log2());
@@ -302,8 +276,8 @@ impl WindowAcc {
         features.push(self.imbalance_sum / n);
         features.push(self.exclusive / n);
         features.push(self.deadline / n);
-        features.push(start_epoch_phase.cos());
-        features.push(start_epoch_phase.sin());
+        features.push(self.start_epoch_phase.cos());
+        features.push(self.start_epoch_phase.sin());
         features.push(ways_compute);
         features.push(ways_cache);
         debug_assert!(features.iter().all(|f| f.is_finite()));
@@ -311,8 +285,8 @@ impl WindowAcc {
             start,
             len: self.len,
             features,
-            start_depth_max,
-            start_frozen,
+            start_depth_max: self.start_depth_max,
+            start_frozen: self.start_frozen,
         }
     }
 }
@@ -363,25 +337,22 @@ mod tests {
         }
     }
 
-    fn service() -> BTreeMap<String, FluidEstimate> {
+    fn req(kernel: &str, seq: u64, at: freac_sim::Time) -> Request {
+        Request::new("t", seq, kernel, at, seq)
+    }
+
+    /// The pass over `trace` with every kernel at one 50,000 ps wave.
+    fn signatures(trace: &[Request], window: usize, kernels: &[String]) -> Vec<WindowSig> {
         let est = FluidEstimate {
             service_ps: 50_000,
             swap_ps: 0,
             setup_ps: 0,
             tiles: 1,
         };
-        let mut m = BTreeMap::new();
-        m.insert("a".to_owned(), est);
-        m.insert("b".to_owned(), est);
-        m
-    }
-
-    fn req(kernel: &str, seq: u64, at: freac_sim::Time) -> Request {
-        Request::new("t", seq, kernel, at, seq)
-    }
-
-    fn refs(trace: &[Request]) -> Vec<&Request> {
-        trace.iter().collect()
+        let refs: Vec<&Request> = trace.iter().collect();
+        let kernel_of = |r: &Request| kernels.iter().position(|k| *k == r.kernel);
+        let estimates = vec![est; kernels.len()];
+        window_signatures(&refs, kernel_of, window, kernels, &estimates, &cfg())
     }
 
     #[test]
@@ -391,7 +362,7 @@ mod tests {
         // dense burst.
         let mut trace: Vec<Request> = (0..64).map(|i| req("a", i, i * 1_000_000)).collect();
         trace.extend((0..64).map(|i| req("b", 64 + i, 64_000_000 + i * 1_000)));
-        let sigs = window_signatures(&refs(&trace), 32, &kernels, &service(), &cfg());
+        let sigs = signatures(&trace, 32, &kernels);
         assert_eq!(sigs.len(), 4);
         assert_eq!(sigs.iter().map(|s| s.len).sum::<usize>(), 128);
         assert!(sigs
@@ -414,8 +385,8 @@ mod tests {
         let trace: Vec<Request> = (0..100)
             .map(|i| req(if i % 3 == 0 { "b" } else { "a" }, i, i * 7_000))
             .collect();
-        let a = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
-        let b = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
+        let a = signatures(&trace, 16, &kernels);
+        let b = signatures(&trace, 16, &kernels);
         let fa: Vec<&[f64]> = a.iter().map(|s| s.features.as_slice()).collect();
         let fb: Vec<&[f64]> = b.iter().map(|s| s.features.as_slice()).collect();
         assert_eq!(fa, fb);
@@ -425,7 +396,7 @@ mod tests {
     fn normalize_maps_into_unit_range_and_kills_constants() {
         let kernels = vec!["a".to_owned()];
         let trace: Vec<Request> = (0..64).map(|i| req("a", i, i * 5_000)).collect();
-        let sigs = window_signatures(&refs(&trace), 16, &kernels, &service(), &cfg());
+        let sigs = signatures(&trace, 16, &kernels);
         let pts = normalize(&sigs);
         for p in &pts {
             for &f in p {

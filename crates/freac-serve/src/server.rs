@@ -199,6 +199,7 @@ impl ServeConfig {
 }
 
 /// A registered kernel with everything a dispatch needs precomputed.
+#[derive(Clone)]
 struct ServedKernel {
     accel: Arc<Accelerator>,
     /// Compiled batch plan over the mapped netlist (per lane or
@@ -230,6 +231,7 @@ struct ServedKernel {
 /// `(seq, retries)` identities it has submitted and not had stolen away.
 /// The identity set answers membership only and is never iterated, so
 /// its order cannot reach a schedule or a report.
+#[derive(Clone)]
 struct TenantBook {
     ids: HashSet<(u64, u32)>,
     submitted: String,
@@ -260,6 +262,7 @@ impl TenantBook {
 }
 
 /// One compute slice's scheduling state.
+#[derive(Clone)]
 struct SliceState {
     resident: Option<String>,
     free_at: Time,
@@ -376,7 +379,9 @@ impl ServeReport {
     }
 }
 
-/// The multi-tenant request server.
+/// The multi-tenant request server. A clone is an independent server in
+/// the same state.
+#[derive(Clone)]
 pub struct Server {
     cfg: ServeConfig,
     tlb: TenantTlb,
@@ -394,6 +399,9 @@ pub struct Server {
     completions: Vec<Completion>,
     sheds: Vec<Shed>,
     dispatches: Vec<DispatchRecord>,
+    /// Whether reports run the functional phase. Cleared only by
+    /// [`Server::set_timing_only`].
+    functional: bool,
 }
 
 impl Server {
@@ -443,7 +451,18 @@ impl Server {
             completions: Vec::new(),
             sheds: Vec::new(),
             dispatches: Vec::new(),
+            functional: true,
         })
+    }
+
+    /// Makes the server timing-only: dispatches no longer queue their
+    /// completions for hashing, and [`Server::report`] skips the
+    /// functional phase, so every completion keeps `output_hash == 0` and
+    /// no `serve.func.*` counter is exported. The schedule is unchanged,
+    /// since no scheduling decision reads a hash. Set it before the first
+    /// submission.
+    pub(crate) fn set_timing_only(&mut self) {
+        self.functional = false;
     }
 
     /// The configuration this server runs under.
@@ -1107,12 +1126,14 @@ impl Server {
 
         // `react` pushes each rider's completion in lane order, and a hook
         // never completes anything itself.
-        let first = self.completions.len();
-        let ctx = self
-            .kernels
-            .get_mut(&kernel_name)
-            .expect("registered kernel");
-        ctx.unhashed[usize::from(!single_lane)].extend(first..first + k);
+        if self.functional {
+            let first = self.completions.len();
+            let ctx = self
+                .kernels
+                .get_mut(&kernel_name)
+                .expect("registered kernel");
+            ctx.unhashed[usize::from(!single_lane)].extend(first..first + k);
+        }
         for req in batch {
             let completion = Completion {
                 arrival_ps: req.arrival_ps,
@@ -1198,13 +1219,15 @@ impl Server {
     /// [`Server::run_until`] can collect per-shard reports after the last
     /// epoch; [`Server::run`] calls it automatically. Every completion in
     /// the report carries its output hash, and reporting again hashes only
-    /// what completed since.
+    /// what completed since (a timing-only server hashes nothing).
     ///
     /// # Errors
     ///
     /// Propagates functional-execution failures.
     pub fn report(&mut self) -> Result<ServeReport, ServeError> {
-        self.hash_completions()?;
+        if self.functional {
+            self.hash_completions()?;
+        }
         let span_ps = self
             .completions
             .iter()
