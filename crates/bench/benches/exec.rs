@@ -15,7 +15,8 @@
 //! timing, so a divergence fails the bench instead of producing a fast
 //! wrong number. Results land as `BENCH_*.json` (see the `bench` crate
 //! docs); a final `BENCH_exec_speedups.json` records the per-vector batch
-//! speedups over the evaluator, and `BENCH_exec_small_batch.json` the
+//! speedups over the evaluator and the sweep variant the host ran
+//! (`freac_netlist::batch_isa`), and `BENCH_exec_small_batch.json` the
 //! small-batch times.
 
 use bench::BenchResult;
@@ -267,6 +268,9 @@ fn bench_kernel(id: KernelId, label: &'static str) -> KernelSpeedups {
 }
 
 fn main() {
+    // Every batch arm below runs the sweep variant this host dispatches to.
+    let isa = freac_netlist::batch_isa();
+    println!("batch sweep variant: {isa}");
     let results = [
         bench_kernel(KernelId::Aes, "aes"),
         bench_kernel(KernelId::Gemm, "gemm"),
@@ -274,6 +278,7 @@ fn main() {
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"git_rev\": \"{}\",\n", bench::git_rev()));
     body.push_str(&format!("  \"smoke\": {},\n", bench::smoke_mode()));
+    body.push_str(&format!("  \"batch_isa\": \"{isa}\",\n"));
     for (i, r) in results.iter().enumerate() {
         body.push_str(&format!(
             "  \"{}\": {{ \"batch_per_vector_vs_evaluator\": {:.2}, \"batch_w4_per_vector_vs_evaluator\": {:.2}, \"batch_w8_per_vector_vs_evaluator\": {:.2} }}{}\n",

@@ -1,4 +1,4 @@
-//! Sampled-simulation and parallel-stepping benches.
+//! Sampled-simulation and parallel functional-phase benches.
 //!
 //! Replays one pinned phase-structured million-request trace (a ramp
 //! window that pays the cold-slice setups, then phases cycling arrival
@@ -13,16 +13,14 @@
 //!   their declared bounds next to the full run's values. Simulated time
 //!   only, so the document is byte-deterministic and CI diffs it against
 //!   the committed baseline;
-//! * `BENCH_cluster_parallel.json` — wall clock of the cluster epoch loop
-//!   stepping 4 shards with 1 worker vs 4 workers, on a four-kernel
-//!   variant of the trace that loads all four affinity home shards
-//!   evenly (two kernels would idle half the cluster and cap the
-//!   theoretical speedup at the busiest shard's share). The reports must
-//!   be byte-identical; on hosts with at least 4 hardware threads the
-//!   4-worker run must also be at least 2x faster (floor override:
-//!   `FREAC_BENCH_MIN_PARALLEL_SPEEDUP`) or the bench aborts — on
-//!   smaller hosts the wall gate is reported but not enforced, since
-//!   threads that time-slice one core can only lose.
+//! * `BENCH_cluster_parallel.json` — wall clock of a cluster drain whose
+//!   time the report's functional phase dominates (a deep add-xor-rotate
+//!   mixer in 512-lane batches, nothing shed) with the phase on 1 worker
+//!   vs 4. The reports must be byte-identical; on hosts with at least 4
+//!   hardware threads the 4-worker drain must also be at least 2x faster
+//!   (floor override: `FREAC_BENCH_MIN_PARALLEL_SPEEDUP`) or the bench
+//!   aborts — on smaller hosts the wall gate is reported but not
+//!   enforced, since threads that time-slice one core can only lose.
 //!
 //! Wall-clock numbers vary by host, so only the accuracy document is
 //! baseline-diffed; the speedup gates run inside this binary.
@@ -40,9 +38,9 @@ use freac_serve::{
 /// Requests in the sampled-vs-full trace. The ISSUE-level gate is "the
 /// million-request trace in seconds"; smoke mode keeps the full arm.
 const SPEEDUP_REQUESTS: u64 = 1_000_000;
-/// Requests in the parallel-stepping arms: long enough that per-epoch
-/// shard pumping dominates thread bookkeeping.
-const PARALLEL_REQUESTS: u64 = 400_000;
+/// Requests in the functional-phase arms: about 40 full 512-lane passes,
+/// so the phase spreads over every worker.
+const PHASE_REQUESTS: u64 = 20_000;
 
 fn adder() -> Netlist {
     let mut b = CircuitBuilder::new("add");
@@ -60,24 +58,6 @@ fn masker() -> Netlist {
     let m = b.and_words(&a, &x);
     b.word_output("m", &m);
     b.finish().expect("masker builds")
-}
-
-fn xorer() -> Netlist {
-    let mut b = CircuitBuilder::new("xor");
-    let a = b.word_input("a", 8);
-    let x = b.word_input("x", 8);
-    let y = b.xor_words(&a, &x);
-    b.word_output("y", &y);
-    b.finish().expect("xorer builds")
-}
-
-fn subber() -> Netlist {
-    let mut b = CircuitBuilder::new("sub");
-    let a = b.word_input("a", 8);
-    let x = b.word_input("x", 8);
-    let d = b.sub(&a, &x);
-    b.word_output("d", &d);
-    b.finish().expect("subber builds")
 }
 
 fn add_profile() -> RequestProfile {
@@ -121,7 +101,7 @@ fn ramp_trace(n: u64) -> Vec<Request> {
         .collect()
 }
 
-fn cluster_config(workers: usize) -> ClusterConfig {
+fn cluster_config() -> ClusterConfig {
     ClusterConfig {
         shards: 4,
         route: RoutePolicy::KernelAffinity { spill_depth: 64 },
@@ -130,23 +110,16 @@ fn cluster_config(workers: usize) -> ClusterConfig {
             queue_depth: 512,
             ..ServeConfig::default()
         },
-        workers,
         ..ClusterConfig::default()
     }
 }
 
-fn full_cluster(workers: usize, four_kernels: bool) -> Cluster {
-    let mut c = Cluster::new(cluster_config(workers)).expect("config is valid");
+fn full_cluster() -> Cluster {
+    let mut c = Cluster::new(cluster_config()).expect("config is valid");
     c.register_kernel("add", &adder(), add_profile())
         .expect("adder maps");
     c.register_kernel("mask", &masker(), mask_profile())
         .expect("masker maps");
-    if four_kernels {
-        c.register_kernel("xor", &xorer(), mask_profile())
-            .expect("xorer maps");
-        c.register_kernel("sub", &subber(), add_profile())
-            .expect("subber maps");
-    }
     for t in 0..4 {
         c.add_tenant(&format!("t{t}"), 1 + t % 2)
             .expect("unique tenant");
@@ -154,25 +127,81 @@ fn full_cluster(workers: usize, four_kernels: bool) -> Cluster {
     c
 }
 
-/// A four-kernel balanced trace for the parallel-stepping arms: after the
-/// ramp, requests cycle all four kernels so every affinity home shard
-/// carries a quarter of the load.
-fn parallel_trace(n: u64) -> Vec<Request> {
-    const RAMP: u64 = 1_024;
-    const KERNELS: [&str; 4] = ["add", "mask", "xor", "sub"];
-    let mut arrival = 0u64;
+/// A deep mixing datapath for the functional-phase arms: 16 independent
+/// 128-bit states, each through 16 ChaCha-style add-xor-rotate steps, in
+/// registers, so every request hashes four cycles of ~4x an AES round's
+/// logic.
+fn arx_mixer() -> Netlist {
+    let mut b = CircuitBuilder::new("arx");
+    for stream in 0..16 {
+        let mut state = Vec::new();
+        let mut regs = Vec::new();
+        for i in 0..4 {
+            let x = b.word_input(&format!("x{stream}_{i}"), 32);
+            let (q, h) = b.word_reg(0, 32);
+            state.push(b.xor_words(&q, &x));
+            regs.push(h);
+        }
+        for r in 0..16 {
+            let (a, x, c, d) = (r % 4, (r + 1) % 4, (r + 2) % 4, (r + 3) % 4);
+            state[a] = b.add(&state[a], &state[x]);
+            let t = b.xor_words(&state[d], &state[a]);
+            state[d] = b.rotl_const(&t, 16);
+            state[c] = b.add(&state[c], &state[d]);
+            let t = b.xor_words(&state[x], &state[c]);
+            state[x] = b.rotl_const(&t, 12);
+        }
+        for (i, h) in regs.into_iter().enumerate() {
+            b.connect_word_reg(h, &state[i]);
+            b.word_output(&format!("y{stream}_{i}"), &state[i]);
+        }
+    }
+    b.finish().expect("mixer builds")
+}
+
+/// Four shards serving the mixer in 512-lane batches, on 4-MCC tiles (so
+/// its fold fits the configuration rows), with queues deep enough that
+/// nothing sheds: the event loop dispatches once per batch while the
+/// functional phase hashes four cycles of the mixer per request, so the
+/// phase dominates the drain.
+fn phase_cluster(workers: usize, mixer: &Netlist) -> Cluster {
+    let mut c = Cluster::new(ClusterConfig {
+        shards: 4,
+        route: RoutePolicy::RoundRobin,
+        shard: ServeConfig {
+            queue_depth: PHASE_REQUESTS as usize,
+            max_lanes: 512,
+            tile_mccs: 4,
+            ..ServeConfig::default()
+        },
+        workers,
+        ..ClusterConfig::default()
+    })
+    .expect("config is valid");
+    let profile = RequestProfile {
+        cycles_per_item: 4,
+        read_words: 64,
+        write_words: 64,
+    };
+    c.register_kernel("arx", mixer, profile)
+        .expect("mixer maps");
+    for t in 0..4 {
+        c.add_tenant(&format!("t{t}"), 1).expect("unique tenant");
+    }
+    c
+}
+
+/// The functional-phase trace: mixer requests 100 ps apart, so every
+/// slice's queue stays deep and batches fill.
+fn phase_trace(n: u64) -> Vec<Request> {
     (0..n)
-        .map(|i| {
-            arrival += if i < RAMP { 25_000 } else { 250 };
-            let tenant = format!("t{}", i % 4);
-            Request::new(&tenant, i / 4, KERNELS[(i % 4) as usize], arrival, i)
-        })
+        .map(|i| Request::new(&format!("t{}", i % 4), i / 4, "arx", i * 100, i))
         .collect()
 }
 
 fn sampler() -> SampledServer {
     let mut s = SampledServer::new(
-        cluster_config(1),
+        cluster_config(),
         SampleConfig {
             window: 1024,
             max_clusters: 12,
@@ -193,8 +222,7 @@ fn sampler() -> SampledServer {
     s
 }
 
-fn run_full(workers: usize, four_kernels: bool, trace: &[Request]) -> (ClusterReport, f64) {
-    let mut cluster = full_cluster(workers, four_kernels);
+fn run_full(mut cluster: Cluster, trace: &[Request]) -> (ClusterReport, f64) {
     for r in trace.iter().cloned() {
         cluster.submit(r).expect("trace request");
     }
@@ -213,7 +241,7 @@ fn gate_floor(var: &str, default: f64) -> f64 {
 fn main() {
     // Arm 1: full fidelity vs sampled on the million-request trace.
     let trace = ramp_trace(SPEEDUP_REQUESTS);
-    let (full, full_ms) = run_full(1, false, &trace);
+    let (full, full_ms) = run_full(full_cluster(), &trace);
     let h = full
         .probes
         .histogram("serve.latency_ps")
@@ -301,11 +329,17 @@ fn main() {
         h.quantile(0.99).expect("non-empty"),
     );
 
-    // Arm 2: parallel shard stepping, 1 worker vs 4 on 4 shards. Byte
-    // identity first, then the wall-clock gate.
-    let ptrace = parallel_trace(PARALLEL_REQUESTS);
-    let (seq, seq_ms) = run_full(1, true, &ptrace);
-    let (par, par_ms) = run_full(4, true, &ptrace);
+    // Arm 2: the functional phase on 1 worker vs 4. Byte identity first,
+    // then the wall-clock gate.
+    let mixer = arx_mixer();
+    let ptrace = phase_trace(PHASE_REQUESTS);
+    let (seq, seq_ms) = run_full(phase_cluster(1, &mixer), &ptrace);
+    let (par, par_ms) = run_full(phase_cluster(4, &mixer), &ptrace);
+    assert_eq!(
+        seq.completions.len(),
+        ptrace.len(),
+        "the phase arm must complete every request"
+    );
     assert_eq!(
         freac_probe::to_counters_json(&seq.probes),
         freac_probe::to_counters_json(&par.probes),
@@ -321,15 +355,16 @@ fn main() {
     if cores >= 4 {
         assert!(
             pspeed >= pfloor,
-            "4-worker stepping must be at least {pfloor}x faster: \
+            "a 4-worker functional phase must make the drain at least {pfloor}x faster: \
              {seq_ms:.0} ms vs {par_ms:.0} ms ({pspeed:.1}x)"
         );
     } else {
         println!(
-            "cluster parallel stepping: wall gate skipped ({cores} hardware threads < 4); \
+            "functional phase: wall gate skipped ({cores} hardware threads < 4); \
              measured {pspeed:.1}x"
         );
     }
+    let passes = seq.probes.counter("serve.func.passes");
     let mut par_json = String::from("{\n");
     let _ = writeln!(
         par_json,
@@ -345,11 +380,13 @@ fn main() {
         par.completions.len(),
         par_ms
     );
+    let _ = writeln!(par_json, "  \"func_passes\": {passes},");
     let _ = writeln!(par_json, "  \"reports_identical\": true,");
     let _ = writeln!(par_json, "  \"workers4_over_workers1\": {pspeed:.1}");
     par_json.push('}');
     bench::write_bench_json("cluster_parallel", &par_json);
     println!(
-        "cluster parallel stepping: {pspeed:.1}x ({seq_ms:.0} ms at 1 worker vs {par_ms:.0} ms at 4)"
+        "functional phase: {pspeed:.1}x ({seq_ms:.0} ms at 1 worker vs {par_ms:.0} ms at 4, \
+         {passes} passes)"
     );
 }

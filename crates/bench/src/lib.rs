@@ -18,6 +18,8 @@
 //!   bench to one timed iteration: CI proves the benches run without
 //!   paying for statistically meaningful timings.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;

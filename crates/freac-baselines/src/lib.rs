@@ -9,6 +9,8 @@
 //! * [`ec`] — lightweight A7-class embedded cores placed in the LLC
 //!   (the near-cache alternative of Fig. 14).
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod ec;
 pub mod fpga;

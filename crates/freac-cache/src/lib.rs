@@ -19,6 +19,8 @@
 //!   actually resident in a claim, charged through the DRAM/ring timing
 //!   models, plus the MESI litmus machine the property suite drives.
 
+#![forbid(unsafe_code)]
+
 pub mod coherence;
 pub mod flush;
 pub mod geometry;

@@ -50,6 +50,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod accel;
 pub mod bitstream;
 pub mod ccctrl;

@@ -24,6 +24,8 @@
 //! share synthesized circuits through the memoized mapping cache in
 //! [`runner`]; results are bit-identical for any worker count.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod area;
 pub mod energy_breakdown;

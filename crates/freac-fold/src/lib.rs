@@ -45,6 +45,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod constraints;
 pub mod error;
 pub mod plan;

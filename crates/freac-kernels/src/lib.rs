@@ -31,6 +31,8 @@
 //! Inputs are scaled 256x in a batched, data-parallel fashion exactly as
 //! the paper describes.
 
+#![forbid(unsafe_code)]
+
 pub mod aes;
 pub mod conv;
 pub mod data;

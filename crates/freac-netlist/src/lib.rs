@@ -37,6 +37,8 @@
 //! assert_eq!(out, vec![Value::Word(0xAA)]);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod builder;
 pub mod error;
 pub mod eval;
@@ -58,7 +60,7 @@ pub use opt::{
     PassKind, PassManager, WorkGraph,
 };
 pub use plan::{
-    compile, AnyBatchState, BatchState, ExecPlan, PlanState, BATCH_LANES, BATCH_WIDTHS,
+    batch_isa, compile, AnyBatchState, BatchState, ExecPlan, PlanState, BATCH_LANES, BATCH_WIDTHS,
     MAX_BATCH_LANES, MAX_BATCH_WORDS, SCALAR_BATCH_LANES,
 };
 pub use stats::NetlistStats;

@@ -32,7 +32,12 @@
 //! ([`BatchState`] is generic over `N`), so the same plan sweeps 64 lanes
 //! per word (`N = 1`, [`ExecPlan::run_batch_cycle`]), or 256/512 lanes
 //! (`N = 4` / `N = 8`, [`ExecPlan::run_wide_batch_cycle`]) with
-//! straight-line inner loops the autovectorizer turns into SIMD. Callers
+//! straight-line inner loops the autovectorizer turns into SIMD. The
+//! default `x86-64` target only promises SSE2, so the sweep is compiled
+//! three times — for AVX-512 (`avx512f`, `avx512vl`, with AVX2, BMI1/2
+//! and POPCNT), for AVX2, and portably — and each sweep runs the widest
+//! variant the host reports ([`batch_isa`]); all three compute the same
+//! bits. Callers
 //! that only learn the batch size at runtime dispatch through
 //! [`AnyBatchState`], which runs batches of at most
 //! [`SCALAR_BATCH_LANES`] lanes per lane on the single-vector engine —
@@ -344,6 +349,52 @@ impl AnyBatchState {
 /// and would lose on AES at three.
 pub const SCALAR_BATCH_LANES: usize = 2;
 
+/// The compiled variants of the bit-sliced batch sweep, widest first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BatchIsa {
+    /// AVX-512F/VL with AVX2, BMI1/2 and POPCNT.
+    Avx512,
+    /// AVX2.
+    Avx2,
+    /// Whatever the build target guarantees (SSE2 on default `x86-64`).
+    Portable,
+}
+
+impl BatchIsa {
+    /// The widest variant the running host supports. `std` caches the
+    /// CPUID answers, so each check is a load and a bit test.
+    #[inline]
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::is_x86_feature_detected!("avx512f")
+                && std::is_x86_feature_detected!("avx512vl")
+                && std::is_x86_feature_detected!("avx2")
+                && std::is_x86_feature_detected!("bmi1")
+                && std::is_x86_feature_detected!("bmi2")
+                && std::is_x86_feature_detected!("popcnt")
+            {
+                return BatchIsa::Avx512;
+            }
+            if std::is_x86_feature_detected!("avx2") {
+                return BatchIsa::Avx2;
+            }
+        }
+        BatchIsa::Portable
+    }
+}
+
+/// The batch-sweep variant this host runs: `"avx512"`, `"avx2"` or
+/// `"portable"`. Chosen at run time, so one binary uses the widest vector
+/// unit of whatever x86-64 host it lands on; results never depend on it.
+pub fn batch_isa() -> &'static str {
+    match BatchIsa::detect() {
+        BatchIsa::Avx512 => "avx512",
+        BatchIsa::Avx2 => "avx2",
+        BatchIsa::Portable => "portable",
+    }
+}
+
 /// Bit count at which the batch `Pack`/`Unpack` paths switch from
 /// per-lane assembly to a full 64×64 block transpose: the transpose costs
 /// a fixed ~`64 · log2(64)` word ops per block, the per-lane form
@@ -354,6 +405,7 @@ const TRANSPOSE_MIN_BITS: usize = 8;
 /// (bit `j` of `m[i]` is element `(i, j)`): afterwards bit `j` of `m[i]`
 /// holds what bit `i` of `m[j]` held. Recursive block swap (the
 /// Hacker's-Delight butterfly, flipped for LSB-first columns).
+#[inline(always)]
 fn transpose64(m: &mut [u64; 64]) {
     let mut j = 32usize;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
@@ -663,7 +715,7 @@ impl ExecPlan {
             }
         }
 
-        self.exec_batch(&self.ops, &mut state.bits, &mut state.words);
+        self.exec_batch_dispatch(&self.ops, &mut state.bits, &mut state.words);
 
         for (i, &(src, _)) in self.bit_latches.iter().enumerate() {
             state.bit_stage[i] = state.bits[src as usize];
@@ -682,7 +734,7 @@ impl ExecPlan {
                 .copy_from_slice(&state.word_stage[i * width..(i + 1) * width]);
         }
 
-        self.exec_batch(&self.post_ops, &mut state.bits, &mut state.words);
+        self.exec_batch_dispatch(&self.post_ops, &mut state.bits, &mut state.words);
         state.cycles += 1;
 
         out.resize_with(lanes.len(), Vec::new);
@@ -756,6 +808,64 @@ impl ExecPlan {
         }
     }
 
+    /// Runs [`ExecPlan::exec_batch`] compiled for the widest instruction
+    /// set this host supports ([`BatchIsa::detect`]). Every variant is
+    /// the same source, so all of them leave identical planes.
+    #[allow(unsafe_code)]
+    #[inline]
+    fn exec_batch_dispatch<const N: usize>(
+        &self,
+        ops: &[Op],
+        bits: &mut [[u64; N]],
+        words: &mut [u32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let isa = BatchIsa::detect();
+            if isa != BatchIsa::Portable {
+                // SAFETY: `BatchIsa::detect` returns `Avx512` only when
+                // `is_x86_feature_detected!` reported every feature
+                // `exec_batch_avx512` enables, and `Avx2` only when it
+                // reported AVX2, so the variant called here executes no
+                // instruction the host lacks.
+                unsafe {
+                    if isa == BatchIsa::Avx512 {
+                        self.exec_batch_avx512(ops, bits, words);
+                    } else {
+                        self.exec_batch_avx2(ops, bits, words);
+                    }
+                }
+                return;
+            }
+        }
+        self.exec_batch(ops, bits, words);
+    }
+
+    /// [`ExecPlan::exec_batch`] compiled for AVX-512: a 512-lane chunk is
+    /// one `zmm` register.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512vl,avx2,bmi1,bmi2,popcnt")]
+    fn exec_batch_avx512<const N: usize>(
+        &self,
+        ops: &[Op],
+        bits: &mut [[u64; N]],
+        words: &mut [u32],
+    ) {
+        self.exec_batch(ops, bits, words);
+    }
+
+    /// [`ExecPlan::exec_batch`] compiled for AVX2 (256-bit registers).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn exec_batch_avx2<const N: usize>(
+        &self,
+        ops: &[Op],
+        bits: &mut [[u64; N]],
+        words: &mut [u32],
+    ) {
+        self.exec_batch(ops, bits, words);
+    }
+
     /// The `N * 64`-lane batch inner loop over the same records as
     /// [`ExecPlan::exec`]: bit-sliced for bit logic, lane loops for word
     /// arithmetic. All chunk loops run over `[u64; N]` arrays with no
@@ -780,6 +890,12 @@ impl ExecPlan {
     /// run completes before the next starts, keeping a dependent chain's
     /// working set at 64 lanes regardless of `N` instead of streaming
     /// `N * 64`-lane planes through cache once per op.
+    ///
+    /// This is the portable body: it, [`ExecPlan::mux_run`] and
+    /// [`transpose64`] are always inlined, so each `#[target_feature]`
+    /// wrapper below compiles its own copy of the whole sweep.
+    /// [`ExecPlan::exec_batch_dispatch`] picks one per call.
+    #[inline(always)]
     fn exec_batch<const N: usize>(&self, ops: &[Op], bits: &mut [[u64; N]], words: &mut [u32]) {
         let width = N * BATCH_LANES;
         let len = ops.len();
@@ -983,6 +1099,7 @@ impl ExecPlan {
     ///
     /// Leaves are muxed on `x1` as soon as a pair is built, so only the
     /// `2^(K-2)` level-1 values ever reach the scratch array.
+    #[inline(always)]
     fn mux_run<const N: usize, const K: usize>(
         &self,
         run: &[Op],
@@ -1353,7 +1470,7 @@ pub fn compile(netlist: &Netlist) -> Result<ExecPlan, NetlistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::CircuitBuilder;
+    use crate::builder::{CircuitBuilder, Word};
     use crate::eval::Evaluator;
     use crate::techmap::{tech_map, TechMapOptions};
 
@@ -2072,6 +2189,229 @@ mod tests {
                 tables.push(TruthTable::from_fn(n, |r| (word >> r) & 1 == 1).unwrap());
             }
             TableOracle::new(n).check(&tables);
+        }
+    }
+
+    /// A circuit whose unmapped plan holds every batch-sweep form: inline
+    /// mux-tree LUTs of 1-4 inputs, pooled ones of 5 and 6, a pooled
+    /// parity table, a wide (8-input) table, inline parity chains, packs
+    /// and unpack runs both narrower and wider than `TRANSPOSE_MIN_BITS`,
+    /// and a run of `Mac`/`CopyWord` ops.
+    fn every_form_circuit() -> Netlist {
+        let mut b = CircuitBuilder::new("every_form");
+        let a = b.word_input("a", 16);
+        let c = b.word_input("c", 4);
+        let s = b.bit_input("s");
+        let (acc, h) = b.word_reg(3, 16);
+        let ins = [a.bit(0), a.bit(5), c.bit(1), s, acc.bit(2), a.bit(9)];
+        let mut luts = Vec::new();
+        for n in 1..=6usize {
+            let t = TruthTable::from_fn(n, |r| (r * 13 + n) % 7 < 3).unwrap();
+            luts.push(b.lut(t, &ins[..n]));
+        }
+        let parity5 = TruthTable::from_fn(5, |r| r.count_ones() % 2 == 1).unwrap();
+        luts.push(b.lut(parity5, &ins[..5]));
+        let rom: Vec<u32> = (0..256u32).map(|i| ((i * 7 + 1) % 3) & 1).collect();
+        let wide = b.rom(&rom, a.slice(3, 8).bits(), 1);
+        let x = b.xor_words(&a, &acc);
+        let narrow = b.xor_words(&c, &acc.slice(0, 4));
+        let m = b.mac(&a, &x, &acc);
+        let m2 = b.mac(&m, &a, &x);
+        let m3 = b.mac(&m2, &m, &a);
+        b.connect_word_reg(h, &m3);
+        let lut_word = luts[1..].iter().fold(Word::from_wire(luts[0]), |w, &l| {
+            b.concat(&w, &Word::from_wire(l))
+        });
+        b.word_output("luts", &lut_word);
+        b.word_output("wide", &wide);
+        b.word_output("narrow", &narrow);
+        b.word_output("m2", &m2);
+        b.word_output("m3", &m3);
+        b.finish().unwrap()
+    }
+
+    /// An AES round datapath as the AES kernel builds it: four 32-bit
+    /// column registers loaded from the plaintext, S-box ROMs over every
+    /// state byte with ShiftRows, MixColumns (`xtime` and XOR chains), a
+    /// round-key XOR and a 4-bit round counter.
+    fn aes_round_circuit() -> Netlist {
+        let mut b = CircuitBuilder::new("aes_round");
+        let sbox: Vec<u32> = (0..256u32)
+            .map(|i| (i.wrapping_mul(167).wrapping_add(99)) & 0xFF)
+            .collect();
+        let pt: Vec<Word> = (0..4)
+            .map(|c| b.word_input(&format!("pt{c}"), 32))
+            .collect();
+        let mut state = Vec::new();
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let (q, h) = b.word_reg(0, 32);
+            state.push(q);
+            handles.push(h);
+        }
+        let (rc, rc_h) = b.word_reg(0, 4);
+        let zero4 = b.const_word(0, 4);
+        let is_load = b.eq_words(&rc, &zero4);
+        let rc1 = b.inc(&rc);
+        b.connect_word_reg(rc_h, &rc1);
+        for (c, h) in handles.into_iter().enumerate() {
+            let col: Vec<Word> = (0..4)
+                .map(|r| {
+                    let byte = state[(c + r) % 4].slice(8 * r, 8);
+                    b.rom(&sbox, byte.bits(), 8)
+                })
+                .collect();
+            let xt: Vec<Word> = col
+                .iter()
+                .map(|v| {
+                    let shifted = b.shl_const(v, 1);
+                    let poly = b.const_word(0x1b, 8);
+                    let reduced = b.xor_words(&shifted, &poly);
+                    b.mux_word(v.bit(7), &shifted, &reduced)
+                })
+                .collect();
+            let mixed: Vec<Word> = (0..4)
+                .map(|r| {
+                    let t = b.xor_words(&xt[r], &xt[(r + 1) % 4]);
+                    let t = b.xor_words(&t, &col[(r + 1) % 4]);
+                    let t = b.xor_words(&t, &col[(r + 2) % 4]);
+                    b.xor_words(&t, &col[(r + 3) % 4])
+                })
+                .collect();
+            let lo = b.concat(&mixed[0], &mixed[1]);
+            let hi = b.concat(&mixed[2], &mixed[3]);
+            let round = b.concat(&lo, &hi);
+            let key = b.const_word(0x2b7e_1516u32.rotate_left(8 * c as u32), 32);
+            let keyed = b.xor_words(&round, &key);
+            let next = b.mux_word(is_load, &keyed, &pt[c]);
+            b.connect_word_reg(h, &next);
+            b.word_output(&format!("ct{c}"), &state[c]);
+        }
+        b.finish().unwrap()
+    }
+
+    /// The GEMM kernel's processing element: a 32-bit MAC whose
+    /// accumulator clears when an 8-bit K counter wraps.
+    fn gemm_pe_circuit() -> Netlist {
+        let mut b = CircuitBuilder::new("gemm_pe");
+        let a = b.word_input("a", 32);
+        let x = b.word_input("b", 32);
+        let (acc, acc_h) = b.word_reg(0, 32);
+        let (k, k_h) = b.word_reg(0, 8);
+        let zero8 = b.const_word(0, 8);
+        let last = b.const_word(15, 8);
+        let is_first = b.eq_words(&k, &zero8);
+        let is_last = b.eq_words(&k, &last);
+        let zero32 = b.const_word(0, 32);
+        let acc_in = b.mux_word(is_first, &acc, &zero32);
+        let m = b.mac(&a, &x, &acc_in);
+        b.connect_word_reg(acc_h, &m);
+        let k1 = b.inc(&k);
+        let k_next = b.mux_word(is_last, &k1, &zero8);
+        b.connect_word_reg(k_h, &k_next);
+        b.word_output("acc", &m);
+        b.bit_output("done", is_last);
+        b.finish().unwrap()
+    }
+
+    /// Runs the portable sweep and the dispatched one over both op
+    /// streams, from the same random state, `rounds` times, and requires
+    /// identical bit and word planes after every stream.
+    fn dispatch_matches_portable<const N: usize>(plan: &ExecPlan, label: &str, rounds: usize) {
+        let mut rng = freac_rand::Rng64::new(0x6973_615f_6469_7370 ^ N as u64);
+        for round in 0..rounds {
+            let mut portable = plan.new_wide_batch_state::<N>();
+            for chunk in &mut portable.bits {
+                *chunk = std::array::from_fn(|_| rng.next_u64());
+            }
+            for w in &mut portable.words {
+                *w = rng.next_u32();
+            }
+            let mut dispatched = portable.clone();
+            for (stream, ops) in [("main", &plan.ops), ("post", &plan.post_ops)] {
+                plan.exec_batch(ops, &mut portable.bits, &mut portable.words);
+                plan.exec_batch_dispatch(ops, &mut dispatched.bits, &mut dispatched.words);
+                let at = format!("{label} N={N} round {round} {stream} ops ({})", batch_isa());
+                assert!(portable.bits == dispatched.bits, "{at}: bit planes differ");
+                assert!(
+                    portable.words == dispatched.words,
+                    "{at}: word planes differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_sweep_matches_portable_sweep() {
+        let n = every_form_circuit();
+        let raw = compile(&n).unwrap();
+        let has = |pred: &dyn Fn(&Op) -> bool| raw.ops.iter().any(pred);
+        for k in 1..=4u8 {
+            assert!(
+                has(&|o| o.code == OpCode::Lut && o.n == k),
+                "no inline {k}-LUT"
+            );
+        }
+        assert!(has(&|o| o.code == OpCode::Parity), "no inline parity");
+        for (want, what) in [
+            (&|f: LutForm| matches!(f, LutForm::Mux { .. }), "mux"),
+            (&|f: LutForm| matches!(f, LutForm::Parity { .. }), "parity"),
+            (&|f: LutForm| f == LutForm::Wide, "wide"),
+        ] as [(&dyn Fn(LutForm) -> bool, &str); 3]
+        {
+            assert!(
+                has(&|o| o.code == OpCode::PooledLut && want(raw.lut_forms[o.args[1] as usize])),
+                "no pooled {what} LUT"
+            );
+        }
+        for k in [5u8, 6] {
+            assert!(
+                has(&|o| o.code == OpCode::PooledLut && o.n == k),
+                "no pooled {k}-LUT"
+            );
+        }
+        let packs = |narrow: bool| {
+            has(&|o| o.code == OpCode::Pack && ((o.n as usize) < TRANSPOSE_MIN_BITS) == narrow)
+        };
+        assert!(
+            packs(true) && packs(false),
+            "packs on one side of the cut only"
+        );
+        let mut unpack_runs = Vec::new();
+        for (i, o) in raw.ops.iter().enumerate() {
+            let starts = i == 0 || {
+                let p = &raw.ops[i - 1];
+                p.code != OpCode::Unpack || p.args[0] != o.args[0]
+            };
+            if o.code == OpCode::Unpack {
+                if starts {
+                    unpack_runs.push(0usize);
+                }
+                *unpack_runs.last_mut().unwrap() += 1;
+            }
+        }
+        assert!(unpack_runs.iter().any(|&r| r < TRANSPOSE_MIN_BITS));
+        assert!(unpack_runs.iter().any(|&r| r >= TRANSPOSE_MIN_BITS));
+        let word_run = raw.ops.windows(2).any(|w| {
+            w.iter()
+                .all(|o| matches!(o.code, OpCode::Mac | OpCode::CopyWord))
+        });
+        assert!(word_run, "no Mac/CopyWord run");
+        assert!(has(&|o| o.code == OpCode::CopyWord));
+
+        let mapped = compile(&tech_map(&n, TechMapOptions::lut4()).unwrap()).unwrap();
+        for (plan, label) in [(&raw, "every_form"), (&mapped, "every_form lut4")] {
+            dispatch_matches_portable::<1>(plan, label, 3);
+            dispatch_matches_portable::<4>(plan, label, 3);
+            dispatch_matches_portable::<8>(plan, label, 3);
+        }
+        // Miri sees no AVX feature, so there both sides are the portable
+        // sweep; the kernel-sized circuits would only slow the CI step.
+        if !cfg!(miri) {
+            for (circuit, label) in [(aes_round_circuit(), "aes"), (gemm_pe_circuit(), "gemm")] {
+                let mapped = tech_map(&circuit, TechMapOptions::lut4()).unwrap();
+                dispatch_matches_portable::<8>(&compile(&mapped).unwrap(), label, 2);
+            }
         }
     }
 

@@ -14,6 +14,8 @@
 //!   embedded cores for the Fig. 14 comparison);
 //! * [`fpga`] — XPE-like FPGA power for the ZCU102 and Ultra96 baselines.
 
+#![forbid(unsafe_code)]
+
 pub mod cpu;
 pub mod energy;
 pub mod fpga;

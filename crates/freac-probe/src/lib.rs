@@ -24,6 +24,8 @@
 //! assembles a per-run registry (carried on `KernelRun.probes`) and the
 //! harness merges per-run registries into the global probe.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod events;
 pub mod global;

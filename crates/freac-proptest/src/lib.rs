@@ -25,6 +25,8 @@
 //! Every random decision flows from one `u64` seed, so a failing case is
 //! fully described by the one-line corpus entry the report prints.
 
+#![forbid(unsafe_code)]
+
 pub mod circuit;
 pub mod config;
 pub mod corpus;

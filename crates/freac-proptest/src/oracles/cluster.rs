@@ -143,8 +143,8 @@ fn cluster_config(case: &ClusterCase) -> ClusterConfig {
 }
 
 /// Builds and drains the cluster, with tenants/kernels registered in
-/// `reverse`d order (or not), the trace permuted by `rotate`, and shards
-/// pumped by `workers` threads.
+/// `reverse`d order (or not), the trace permuted by `rotate`, and the
+/// report's functional phase on `workers` threads.
 fn run_cluster_with(
     case: &ClusterCase,
     reverse: bool,
@@ -370,9 +370,10 @@ pub fn check_single_shard_equivalence(case: &ClusterCase) -> Result<(), String> 
     Ok(())
 }
 
-/// Parallel shard stepping is byte-identical to sequential: pumping the
-/// epoch loop's shards on 4 worker threads must reproduce the 1-worker
-/// completions, sheds, per-shard schedules, and merged counters exactly.
+/// The worker count is invisible: running the report's functional phase
+/// on 4 worker threads must reproduce the 1-worker completions (output
+/// hashes included), sheds, per-shard schedules, and merged counters
+/// exactly.
 ///
 /// # Errors
 ///
@@ -381,14 +382,14 @@ pub fn check_parallel_equivalence(case: &ClusterCase) -> Result<(), String> {
     let sequential = run_cluster_with(case, false, 0, 1)?;
     let parallel = run_cluster_with(case, false, 0, 4)?;
     if parallel.completions != sequential.completions {
-        return Err("parallel stepping changes the completion sequence".into());
+        return Err("4 workers change the completion sequence".into());
     }
     if parallel.sheds != sequential.sheds {
-        return Err("parallel stepping changes the shed sequence".into());
+        return Err("4 workers change the shed sequence".into());
     }
     if parallel.steals != sequential.steals {
         return Err(format!(
-            "parallel stepping changes steal count: {} vs {}",
+            "4 workers change steal count: {} vs {}",
             parallel.steals, sequential.steals
         ));
     }
@@ -399,7 +400,7 @@ pub fn check_parallel_equivalence(case: &ClusterCase) -> Result<(), String> {
         .enumerate()
     {
         if p.dispatches != s.dispatches {
-            return Err(format!("shard {i}: parallel stepping changes the schedule"));
+            return Err(format!("shard {i}: 4 workers change the schedule"));
         }
     }
     let (a, b) = (
@@ -407,9 +408,7 @@ pub fn check_parallel_equivalence(case: &ClusterCase) -> Result<(), String> {
         to_counters_json(&sequential.probes),
     );
     if a != b {
-        return Err(format!(
-            "parallel stepping changes merged counters:\n{a}\nvs\n{b}"
-        ));
+        return Err(format!("4 workers change merged counters:\n{a}\nvs\n{b}"));
     }
     Ok(())
 }

@@ -11,6 +11,8 @@
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
+#![forbid(unsafe_code)]
+
 /// A deterministic 64-bit PRNG (SplitMix64).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Rng64 {

@@ -19,8 +19,9 @@
 //!   replay.
 //! * `--sample-window N` — requests per sampling window (default 1024).
 //! * `--workers N` — worker threads (overrides `FREAC_WORKERS`): trace
-//!   generation, verification, parallel shard stepping, and medoid
-//!   simulation fan-out. Never affects output.
+//!   generation, verification, the cluster report's functional phase
+//!   (`ClusterConfig::workers`), and medoid simulation fan-out. Never
+//!   affects output.
 //!
 //! Environment:
 //! * `FREAC_SERVE_REQUESTS` — per-tenant request count (default 64).

@@ -25,16 +25,17 @@
 //! prefix-stability of `run_until` deliver every arrival to the shard
 //! before its clock reaches it.
 //!
-//! With [`ClusterConfig::workers`] > 1 the per-epoch shard pumping fans
-//! out over a pool of scoped threads. Shards share no state inside an
-//! epoch, each shard's events are gathered separately and flattened in
-//! shard-index order before the same stable merge sort, and every
-//! cross-shard decision (routing, stealing, autoscaling, the hook) stays
-//! on the calling thread — so parallel stepping is byte-identical to
-//! sequential, which the cluster proptest oracle asserts.
+//! The epoch loop runs on the calling thread. [`ClusterConfig::workers`]
+//! is the thread count of the report's functional phase: every shard's
+//! pending output hashes are split into pure passes (one kernel, one
+//! engine, at most 512 lanes), which run on that many threads and come
+//! back in pass order, each shard counting its own passes — so the report
+//! is byte-identical at any worker count, which the cluster proptest
+//! oracle asserts. Stepping shards in parallel was tried and removed: the
+//! per-epoch barrier cost more than the little work an epoch holds.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use freac_core::{Accelerator, AcceleratorTile};
 use freac_kernels::{kernel, Kernel, KernelId};
@@ -46,8 +47,8 @@ use crate::error::ServeError;
 use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::server::{
-    clone_sorted_by, completion_key, FluidEstimate, RequestProfile, ServeConfig, ServeReport,
-    Server, TenantSummary,
+    clone_sorted_by, completion_key, run_func_passes, FluidEstimate, FuncPass, RequestProfile,
+    ServeConfig, ServeReport, Server, TenantSummary,
 };
 
 mod autoscale;
@@ -100,11 +101,11 @@ pub struct ClusterConfig {
     /// Epoch length in simulated picoseconds — the granularity at which
     /// routing, stealing, and autoscaling decisions happen.
     pub epoch_ps: Time,
-    /// OS threads stepping shards inside each epoch (clamped to the shard
-    /// count). Shards only interact at epoch boundaries, so pumping them
-    /// concurrently and merging their terminal events through the same
-    /// stable sort is byte-identical to sequential stepping — `1` (the
-    /// default) keeps everything on the calling thread.
+    /// OS threads running the report's functional phase: the output-hash
+    /// passes of every shard fan out over this many threads (clamped to
+    /// the pass count), and the hashes return in pass order, so the report
+    /// is byte-identical at any count. The epoch loop itself always runs
+    /// on the calling thread; `1` (the default) keeps everything there.
     pub workers: usize,
 }
 
@@ -143,7 +144,7 @@ impl ClusterConfig {
         }
         if self.workers == 0 {
             return Err(ServeError::BadConfig(
-                "workers must be >= 1 (1 steps shards sequentially)".into(),
+                "workers must be >= 1 (1 runs the functional phase on the calling thread)".into(),
             ));
         }
         Ok(())
@@ -156,13 +157,6 @@ struct Shard {
     server: Server,
     scale: AutoscaleState,
 }
-
-/// One shard dispatched to a pool worker for an epoch of pumping.
-type ShardJob = (usize, Shard, Time);
-/// A pumped shard's epoch outcome: the shard back, plus its events.
-type ShardEpoch = (Shard, Result<Vec<Outcome>, ServeError>);
-/// A worker's reply, labelled by shard index for in-order reinstall.
-type ShardDone = (usize, Shard, Result<Vec<Outcome>, ServeError>);
 
 /// The result of draining a cluster.
 #[derive(Debug, Clone)]
@@ -445,87 +439,21 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        let workers = self.cfg.workers.min(self.cfg.shards);
-        if workers > 1 {
-            self.run_epochs_parallel(workers, &mut hook)?;
-        } else {
-            self.run_epochs(&mut hook)?;
-        }
-        self.report()
-    }
-
-    /// The sequential epoch loop: every shard is pumped on the calling
-    /// thread.
-    fn run_epochs<F>(&mut self, hook: &mut F) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
         let epoch = self.cfg.epoch_ps;
         while let Some(next) = self.next_event_ps() {
             self.skip_idle_epochs(next);
             let epoch_end = self.now.saturating_add(epoch);
             self.autoscale_epoch()?;
-            self.route_arrivals(epoch_end, hook)?;
+            self.route_arrivals(epoch_end, &mut hook)?;
             self.steal_epoch();
-            self.pump_shards(epoch_end, hook)?;
+            self.pump_shards(epoch_end, &mut hook)?;
             self.now = epoch_end;
         }
-        Ok(())
-    }
-
-    /// The same epoch loop with shard pumping fanned out over a pool of
-    /// `workers` scoped threads that live for the whole run (spawning per
-    /// epoch would dwarf the pumping work). Each epoch the shards are sent
-    /// to their fixed workers, pumped concurrently, and barrier-merged:
-    /// every shard's events come back labelled by shard index, are
-    /// flattened in index order — exactly the order the sequential loop
-    /// appends them in — and then pass through the same stable sort, so
-    /// results are byte-identical to sequential stepping. Routing,
-    /// stealing, autoscaling, and the run hook stay on the calling thread.
-    fn run_epochs_parallel<F>(&mut self, workers: usize, hook: &mut F) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
-        std::thread::scope(|scope| {
-            let mut txs: Vec<mpsc::Sender<ShardJob>> = Vec::with_capacity(workers);
-            let (done_tx, done_rx) = mpsc::channel::<ShardDone>();
-            for _ in 0..workers {
-                let (tx, rx) = mpsc::channel::<ShardJob>();
-                txs.push(tx);
-                let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((i, mut shard, epoch_end)) = rx.recv() {
-                        let mut local: Vec<Outcome> = Vec::new();
-                        let r = shard.server.run_until(epoch_end, &mut |o: &Outcome| {
-                            local.push(o.clone());
-                            Vec::new()
-                        });
-                        if done_tx.send((i, shard, r.map(|()| local))).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(done_tx);
-            let epoch = self.cfg.epoch_ps;
-            while let Some(next) = self.next_event_ps() {
-                self.skip_idle_epochs(next);
-                let epoch_end = self.now.saturating_add(epoch);
-                self.autoscale_epoch()?;
-                self.route_arrivals(epoch_end, hook)?;
-                self.steal_epoch();
-                self.pump_shards_pooled(&txs, &done_rx, epoch_end, hook)?;
-                self.now = epoch_end;
-            }
-            // Dropping the job senders ends the workers; the scope joins
-            // them on exit.
-            drop(txs);
-            Ok(())
-        })
+        self.report()
     }
 
     /// Moves `now` past every epoch in which nothing can happen, given the
-    /// next arrival or shard event at `next`. Shared by both epoch loops.
+    /// next arrival or shard event at `next`.
     ///
     /// Two skips, both exact:
     ///
@@ -725,71 +653,6 @@ impl Cluster {
                 Vec::new()
             })?;
         }
-        self.merge_epoch_events(events, hook)
-    }
-
-    /// One epoch of shard pumping on the worker pool: shards are moved to
-    /// their workers (shard `i` of `n` always goes to worker
-    /// `i * workers / n`, a fixed contiguous chunking), pumped to the
-    /// epoch boundary, and reinstalled in index order with their events.
-    fn pump_shards_pooled<F>(
-        &mut self,
-        txs: &[mpsc::Sender<ShardJob>],
-        done_rx: &mpsc::Receiver<ShardDone>,
-        epoch_end: Time,
-        hook: &mut F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
-        let n = self.shards.len();
-        let workers = txs.len();
-        for (i, sh) in std::mem::take(&mut self.shards).into_iter().enumerate() {
-            txs[i * workers / n]
-                .send((i, sh, epoch_end))
-                .expect("shard worker exited before the epoch loop finished");
-        }
-        let mut slots: Vec<Option<ShardEpoch>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let (i, sh, r) = done_rx
-                .recv()
-                .expect("shard worker exited before the epoch loop finished");
-            slots[i] = Some((sh, r));
-        }
-        // Reinstall every shard before surfacing any error so the cluster
-        // stays intact, and flatten events in shard-index order — the same
-        // pre-sort order the sequential pump produces.
-        let mut events: Vec<Outcome> = Vec::new();
-        let mut first_err = None;
-        for slot in slots {
-            let (sh, r) = slot.expect("every shard reports exactly once per epoch");
-            self.shards.push(sh);
-            match r {
-                Ok(mut local) => events.append(&mut local),
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        self.merge_epoch_events(events, hook)
-    }
-
-    /// Stable-sorts one epoch's merged terminal events into the canonical
-    /// order and feeds them to the run hook. Shared by the sequential and
-    /// pooled pumps — identical input order in, identical behavior out.
-    fn merge_epoch_events<F>(
-        &mut self,
-        mut events: Vec<Outcome>,
-        hook: &mut F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
         events.sort_by(|a, b| outcome_key(a).cmp(&outcome_key(b)));
         for o in &events {
             let min_arrival = match o {
@@ -810,15 +673,17 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drains shard reports, each with its functional phase run (unless
-    /// the cluster is timing-only), and merges them into the cluster view.
+    /// Runs every shard's functional phase (none for a timing-only
+    /// cluster) on [`ClusterConfig::workers`] threads, then assembles the
+    /// shard reports and merges them into the cluster view.
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
+        self.run_func_phase()?;
         let mut probes = self.probes.clone();
-        let shard_reports = self
+        let shard_reports: Vec<ServeReport> = self
             .shards
             .iter_mut()
-            .map(|s| s.server.report())
-            .collect::<Result<Vec<ServeReport>, ServeError>>()?;
+            .map(|s| s.server.assemble_report())
+            .collect();
         let mut completions: Vec<&Completion> = Vec::new();
         let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
         for (i, r) in shard_reports.iter().enumerate() {
@@ -849,6 +714,24 @@ impl Cluster {
             probes,
             tenants,
         })
+    }
+
+    /// Every shard's functional phase at once: the passes of all shards
+    /// run on `workers` threads, and each shard takes its own passes'
+    /// hashes back, in order, and counts them.
+    fn run_func_phase(&mut self) -> Result<(), ServeError> {
+        let passes: Vec<Vec<FuncPass>> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.server.take_func_passes())
+            .collect();
+        let mut hashes =
+            run_func_passes(self.cfg.workers, passes.iter().flatten().collect()).into_iter();
+        for (sh, own) in self.shards.iter_mut().zip(passes) {
+            let own_hashes = hashes.by_ref().take(own.len()).collect();
+            sh.server.apply_func_hashes(own, own_hashes)?;
+        }
+        Ok(())
     }
 
     /// Cluster-wide per-tenant summaries from the merged registry.
@@ -1156,7 +1039,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_shard_stepping_is_byte_identical_to_sequential() {
+    fn functional_phase_workers_are_byte_identical_to_one() {
         let cfg = ClusterConfig {
             shards: 4,
             steal: Some(StealConfig {
@@ -1168,13 +1051,21 @@ mod tests {
         };
         let run = |workers: usize| {
             let mut cluster = cluster_with(ClusterConfig { workers, ..cfg });
-            for r in trace(128, 30_000) {
+            // Enough requests that the home shard hashes several passes
+            // and every other shard hashes the work it stole.
+            for r in trace(3_000, 20_000) {
                 cluster.submit(r).unwrap();
             }
             cluster.run_to_completion().unwrap()
         };
         let seq = run(1);
         let par = run(4);
+        let passes = |r: &ClusterReport, i: usize| {
+            r.probes
+                .counter(&format!("cluster.shard.{i}.serve.func.passes"))
+        };
+        assert!((0..4).all(|i| passes(&seq, i) >= 1));
+        assert!((0..4).any(|i| passes(&seq, i) > 1));
         assert_eq!(par.completions, seq.completions);
         assert_eq!(par.sheds, seq.sheds);
         assert_eq!(par.steals, seq.steals);

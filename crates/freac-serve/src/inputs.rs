@@ -13,15 +13,25 @@ use freac_rand::Rng64;
 /// One input vector for `netlist`'s primary inputs, respecting kinds,
 /// derived entirely from `seed`.
 pub fn synth_inputs(netlist: &Netlist, seed: u64) -> Vec<Value> {
+    let mut out = Vec::new();
+    synth_inputs_into(netlist, seed, &mut out);
+    out
+}
+
+/// [`synth_inputs`] into `out`, which is cleared and refilled: a caller
+/// synthesizing many vectors reuses one allocation per vector slot.
+pub fn synth_inputs_into(netlist: &Netlist, seed: u64, out: &mut Vec<Value>) {
     let mut rng = Rng64::new(seed ^ 0x5EED_F00D_CAFE_D00D);
-    netlist
-        .primary_inputs()
-        .iter()
-        .map(|&id| match netlist.nodes()[id.index()].kind {
-            NodeKind::BitInput { .. } => Value::Bit(rng.bool()),
-            _ => Value::Word(rng.next_u32()),
-        })
-        .collect()
+    out.clear();
+    out.extend(
+        netlist
+            .primary_inputs()
+            .iter()
+            .map(|&id| match netlist.nodes()[id.index()].kind {
+                NodeKind::BitInput { .. } => Value::Bit(rng.bool()),
+                _ => Value::Word(rng.next_u32()),
+            }),
+    );
 }
 
 /// FNV-1a over the primary-output values — the per-request result
@@ -87,6 +97,9 @@ mod tests {
         assert_eq!(synth_inputs(&n, 7), synth_inputs(&n, 7));
         assert_ne!(synth_inputs(&n, 7), synth_inputs(&n, 8));
         assert_eq!(synth_inputs(&n, 7).len(), n.primary_inputs().len());
+        let mut reused = synth_inputs(&n, 8);
+        synth_inputs_into(&n, 7, &mut reused);
+        assert_eq!(reused, synth_inputs(&n, 7));
     }
 
     #[test]

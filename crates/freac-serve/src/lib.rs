@@ -40,6 +40,8 @@
 //! assert_eq!(report.completions.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cluster;
 pub mod inputs;

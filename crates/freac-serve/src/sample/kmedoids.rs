@@ -9,23 +9,22 @@
 use freac_rand::Rng64;
 
 /// Pairwise Euclidean distances between `n` signature points, precomputed
-/// once (the window count is capped well below the point where this matrix
-/// would matter for memory).
+/// once. The matrix is symmetric with a zero diagonal, so only the strict
+/// upper triangle is stored, row by row: `n (n - 1) / 2` entries.
 pub(crate) struct DistMatrix {
     n: usize,
     d: Vec<f64>,
 }
 
 impl DistMatrix {
-    /// Distances between every pair of `points` (rows of equal dimension).
+    /// Distances between every pair of `points` (rows of equal dimension),
+    /// each computed once with the lower index first.
     pub(crate) fn new(points: &[Vec<f64>]) -> Self {
         let n = points.len();
-        let mut d = vec![0.0f64; n * n];
+        let mut d = Vec::with_capacity(n * n.saturating_sub(1) / 2);
         for i in 0..n {
             for j in (i + 1)..n {
-                let dist = euclid(&points[i], &points[j]);
-                d[i * n + j] = dist;
-                d[j * n + i] = dist;
+                d.push(euclid(&points[i], &points[j]));
             }
         }
         DistMatrix { n, d }
@@ -33,7 +32,12 @@ impl DistMatrix {
 
     #[inline]
     pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
-        self.d[i * self.n + j]
+        if i == j {
+            return 0.0;
+        }
+        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        // Rows before `a` hold `(n - 1) + … + (n - a)` entries.
+        self.d[a * (2 * self.n - a - 1) / 2 + (b - a - 1)]
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -191,6 +195,23 @@ mod tests {
             pts.push(vec![10.0 + 0.1 * i as f64, 10.0]);
         }
         pts
+    }
+
+    #[test]
+    fn triangle_returns_every_pairs_distance_both_ways() {
+        let pts: Vec<Vec<f64>> = (0..7u32)
+            .map(|i| vec![f64::from(i * i % 5), f64::from(i) * 0.3])
+            .collect();
+        let dist = DistMatrix::new(&pts);
+        assert_eq!(dist.d.len(), 7 * 6 / 2);
+        for i in 0..7 {
+            assert_eq!(dist.get(i, i).to_bits(), 0.0f64.to_bits());
+            for j in (i + 1)..7 {
+                let want = euclid(&pts[i], &pts[j]).to_bits();
+                assert_eq!(dist.get(i, j).to_bits(), want, "({i}, {j})");
+                assert_eq!(dist.get(j, i).to_bits(), want, "({j}, {i})");
+            }
+        }
     }
 
     #[test]

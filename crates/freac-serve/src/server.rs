@@ -43,12 +43,13 @@
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use freac_core::{
     reconfig_cost, way_conversion_charge, Accelerator, AcceleratorTile, CoherenceStats,
     HandoffMode, ReconfigCost, RoundQuote, SlicePartition,
 };
+use freac_experiments::parallel::map_with;
 use freac_kernels::{kernel, Kernel, KernelId, Workload};
 use freac_netlist::{compile, ExecPlan, Netlist, Value, BATCH_LANES, MAX_BATCH_LANES};
 use freac_probe::CounterRegistry;
@@ -56,7 +57,7 @@ use freac_sim::Time;
 
 use crate::batch::take_batch;
 use crate::error::ServeError;
-use crate::inputs::{hash_outputs, synth_inputs};
+use crate::inputs::{hash_outputs, synth_inputs_into};
 use crate::pending::PendingSet;
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
@@ -1170,47 +1171,55 @@ impl Server {
         Ok(())
     }
 
-    /// The functional phase: fills in `output_hash` on every completion
-    /// added since the last report, each exactly once. Completions are
-    /// grouped by kernel and engine, and each group runs in
-    /// [`MAX_BATCH_LANES`]-wide passes from power-on state over the
-    /// kernel's functional depth; inputs are synthesized one pass at a time.
-    /// Exports `serve.func.passes` and `serve.func.lanes`.
-    fn hash_completions(&mut self) -> Result<(), ServeError> {
-        let (mut passes, mut lanes) = (0u64, 0u64);
-        let mut inputs: Vec<Vec<Value>> = Vec::new();
-        let mut out: Vec<Vec<Value>> = Vec::new();
+    /// Takes every completion added since the last report into the
+    /// functional phase's passes: grouped by kernel and engine, in
+    /// [`MAX_BATCH_LANES`]-wide chunks, each completion exactly once. A
+    /// timing-only server queues nothing, so it yields no pass.
+    pub(crate) fn take_func_passes(&mut self) -> Vec<FuncPass> {
+        let mut passes = Vec::new();
         for k in self.kernels.values_mut() {
             for (engine, unhashed) in k.unhashed.iter_mut().enumerate() {
                 for chunk in std::mem::take(unhashed).chunks(MAX_BATCH_LANES) {
-                    inputs.clear();
-                    inputs.extend(
-                        chunk
+                    passes.push(FuncPass {
+                        accel: Arc::clone(&k.accel),
+                        plan: (engine == 1).then(|| Arc::clone(&k.plan)),
+                        cycles: k.func_cycles,
+                        lanes: chunk
                             .iter()
-                            .map(|&i| synth_inputs(k.accel.netlist(), self.completions[i].seed)),
-                    );
-                    if engine == 0 {
-                        // The fold plan.
-                        let mut ex = k.accel.fold_plan().batch_executor(chunk.len());
-                        for _ in 0..k.func_cycles {
-                            ex.run_batch_cycle_into(&inputs, &mut out)?;
-                        }
-                    } else {
-                        let mut state = k.plan.new_batch_state_for(chunk.len());
-                        for _ in 0..k.func_cycles {
-                            k.plan.run_batch_cycle_any(&mut state, &inputs, &mut out)?;
-                        }
-                    }
-                    for (&i, o) in chunk.iter().zip(&out) {
-                        self.completions[i].output_hash = hash_outputs(o);
-                    }
-                    passes += 1;
-                    lanes += chunk.len() as u64;
+                            .map(|&i| (i, self.completions[i].seed))
+                            .collect(),
+                    });
                 }
             }
         }
-        self.probes.add("serve.func.passes", passes);
-        self.probes.add("serve.func.lanes", lanes);
+        passes
+    }
+
+    /// Writes the hashes of this server's `passes` (as
+    /// [`run_func_passes`] returned them, in pass order) into their
+    /// completions and exports `serve.func.passes` and `serve.func.lanes`.
+    /// Consumes the passes, so none outlives the phase.
+    ///
+    /// # Errors
+    ///
+    /// The first failed pass's error; passes before it keep their hashes.
+    pub(crate) fn apply_func_hashes(
+        &mut self,
+        passes: Vec<FuncPass>,
+        hashes: Vec<Result<Vec<u64>, ServeError>>,
+    ) -> Result<(), ServeError> {
+        let count = passes.len() as u64;
+        let mut lanes = 0u64;
+        for (pass, hashes) in passes.into_iter().zip(hashes) {
+            for (&(i, _), h) in pass.lanes.iter().zip(hashes?) {
+                self.completions[i].output_hash = h;
+            }
+            lanes += pass.lanes.len() as u64;
+        }
+        if self.functional {
+            self.probes.add("serve.func.passes", count);
+            self.probes.add("serve.func.lanes", lanes);
+        }
         Ok(())
     }
 
@@ -1225,9 +1234,16 @@ impl Server {
     ///
     /// Propagates functional-execution failures.
     pub fn report(&mut self) -> Result<ServeReport, ServeError> {
-        if self.functional {
-            self.hash_completions()?;
-        }
+        let passes = self.take_func_passes();
+        let hashes = run_func_passes(1, passes.iter().collect());
+        self.apply_func_hashes(passes, hashes)?;
+        Ok(self.assemble_report())
+    }
+
+    /// Exports end-of-drain counters and assembles the report, with no
+    /// functional phase: [`Server::report`] runs it first, and a cluster
+    /// runs every shard's at once before assembling each shard's report.
+    pub(crate) fn assemble_report(&mut self) -> ServeReport {
         let span_ps = self
             .completions
             .iter()
@@ -1301,7 +1317,7 @@ impl Server {
         freac_probe::assert_ok(&self.probes);
         freac_probe::global::merge(&self.probes);
 
-        Ok(ServeReport {
+        ServeReport {
             completions,
             sheds: self.sheds.clone(),
             dispatches: self.dispatches.clone(),
@@ -1309,8 +1325,92 @@ impl Server {
             teardown_ps,
             probes: self.probes.clone(),
             tenants,
-        })
+        }
     }
+}
+
+/// One pass of the functional phase: up to [`MAX_BATCH_LANES`]
+/// completions of one kernel on one engine, run from power-on state over
+/// the kernel's functional depth. A pass owns what it reads and its hashes
+/// are a pure function of its seeds, so the passes of any number of
+/// servers can run on any threads in any order.
+pub(crate) struct FuncPass {
+    accel: Arc<Accelerator>,
+    /// The batch plan, or `None` for the fold plan (exclusive requests,
+    /// and every request with batching off).
+    plan: Option<Arc<ExecPlan>>,
+    cycles: u64,
+    /// `(completion index, seed)` of each lane, in lane order.
+    lanes: Vec<(usize, u64)>,
+}
+
+/// The buffers a pass refills: one input and one output vector per lane,
+/// kept across passes so steady-state hashing allocates per pass, not
+/// per lane.
+#[derive(Default)]
+pub(crate) struct PassScratch {
+    inputs: Vec<Vec<Value>>,
+    /// Exactly one vector per lane of the current pass: the plans resize
+    /// `out` to the lane count, which would drop any surplus.
+    out: Vec<Vec<Value>>,
+    /// Output vectors parked while a narrower pass runs.
+    spare: Vec<Vec<Value>>,
+}
+
+impl FuncPass {
+    /// The output hash of every lane, in lane order.
+    fn hashes(&self, scratch: &mut PassScratch) -> Result<Vec<u64>, ServeError> {
+        let n = self.lanes.len();
+        if scratch.inputs.len() < n {
+            scratch.inputs.resize_with(n, Vec::new);
+        }
+        let netlist = self.accel.netlist();
+        for (v, &(_, seed)) in scratch.inputs.iter_mut().zip(&self.lanes) {
+            synth_inputs_into(netlist, seed, v);
+        }
+        scratch
+            .spare
+            .extend(scratch.out.drain(n.min(scratch.out.len())..));
+        while scratch.out.len() < n {
+            scratch.out.push(scratch.spare.pop().unwrap_or_default());
+        }
+        let (inputs, out) = (&scratch.inputs[..n], &mut scratch.out);
+        if let Some(plan) = &self.plan {
+            let mut state = plan.new_batch_state_for(n);
+            for _ in 0..self.cycles {
+                plan.run_batch_cycle_any(&mut state, inputs, out)?;
+            }
+        } else {
+            let mut ex = self.accel.fold_plan().batch_executor(n);
+            for _ in 0..self.cycles {
+                ex.run_batch_cycle_into(inputs, out)?;
+            }
+        }
+        Ok(out.iter().map(|o| hash_outputs(o)).collect())
+    }
+}
+
+/// Runs functional passes on `workers` threads — on the calling thread
+/// when `workers` is 1 — and returns each pass's hashes in pass order,
+/// so the result is the same at any worker count.
+pub(crate) fn run_func_passes(
+    workers: usize,
+    passes: Vec<&FuncPass>,
+) -> Vec<Result<Vec<u64>, ServeError>> {
+    // One scratch per concurrently running pass, reused by later ones.
+    let pool = Mutex::new(Vec::<PassScratch>::new());
+    map_with(workers, passes, |pass| {
+        let mut scratch = pool
+            .lock()
+            .expect("no pass panics while holding the scratch pool")
+            .pop()
+            .unwrap_or_default();
+        let hashes = pass.hashes(&mut scratch);
+        pool.lock()
+            .expect("no pass panics while holding the scratch pool")
+            .push(scratch);
+        hashes
+    })
 }
 
 #[cfg(test)]

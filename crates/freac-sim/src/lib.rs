@@ -19,6 +19,8 @@
 //! 3 GHz (~333 ps) cycles representable without floating-point drift over
 //! multi-second simulations.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod dram;
 pub mod resource;

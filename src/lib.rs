@@ -17,6 +17,8 @@
 //! * [`probe`] — observability: counters, tracing, invariant checks
 //! * [`serve`] — multi-tenant request serving: admission, batching, slice scheduling
 
+#![forbid(unsafe_code)]
+
 pub use freac_baselines as baselines;
 pub use freac_cache as cache;
 pub use freac_core as core;
