@@ -1,7 +1,7 @@
 //! Sampled-simulation oracle: the representative-interval sampler must
 //! honor its own declared error bounds against full-fidelity replay.
 //!
-//! Three contracts, checked on random phase-structured traces (alternating
+//! Four contracts, checked on random phase-structured traces (alternating
 //! dense/sparse arrival regimes with shifting kernel bias — the behavior
 //! diversity the signature clustering exists to separate) over random
 //! sampling configurations:
@@ -9,6 +9,9 @@
 //! * **Within-bounds extrapolation** — each extrapolated latency quantile
 //!   (p50/p95/p99) covers the full-fidelity value within its reported
 //!   bound, and the extrapolated terminal counts conserve the trace.
+//! * **Degenerate exactness** — with a cluster budget of at least the
+//!   window count, the sampled run is one replay of the trace: its latency
+//!   mixture, quantiles and terminal counts equal full fidelity exactly.
 //! * **Determinism** — the same case twice, at different sampling worker
 //!   counts, and with the trace handed over in a seeded random order,
 //!   yields byte-identical reports and probe exports.
@@ -18,11 +21,11 @@
 
 use std::sync::Arc;
 
-use freac_probe::to_counters_json;
+use freac_probe::{to_counters_json, Histogram};
 use freac_rand::Rng64;
 use freac_serve::{
-    ClusterConfig, Request, RoutePolicy, SampleConfig, SampleReport, SampledServer, ServeConfig,
-    StealConfig,
+    Cluster, ClusterConfig, ClusterReport, Request, RoutePolicy, SampleConfig, SampleReport,
+    SampledServer, ServeConfig, StealConfig,
 };
 
 use super::serve::{kernel_pool, TENANTS};
@@ -55,7 +58,7 @@ pub struct SampleCase {
     pub window: usize,
     /// k-medoids cluster budget.
     pub max_clusters: usize,
-    /// Shard count for the replica clusters.
+    /// Shard count of the sampled and full-fidelity clusters.
     pub shards: usize,
     /// Work stealing enabled.
     pub steal: bool,
@@ -203,6 +206,28 @@ fn run_sampled_trace(
     server.run(trace).map_err(|e| format!("sampled run: {e}"))
 }
 
+/// Replays `trace` through a full-fidelity cluster configured as `case`.
+fn run_full(case: &SampleCase, trace: Vec<Request>) -> Result<ClusterReport, String> {
+    let mut cluster =
+        Cluster::new(cluster_config(case)).map_err(|e| format!("cluster config rejected: {e}"))?;
+    for (name, accel, profile) in kernel_pool() {
+        cluster
+            .register_accelerator(name, Arc::clone(accel), *profile)
+            .map_err(|e| format!("register {name}: {e}"))?;
+    }
+    for (t, name) in TENANTS.iter().enumerate().take(case.tenant_count) {
+        cluster
+            .add_tenant(name, 1 + t as u64 % 2)
+            .map_err(|e| format!("add tenant: {e}"))?;
+    }
+    for r in trace {
+        cluster.submit(r).map_err(|e| format!("submit: {e}"))?;
+    }
+    cluster
+        .run_to_completion()
+        .map_err(|e| format!("full run: {e}"))
+}
+
 /// Extrapolated quantiles must cover the full-fidelity values within their
 /// own reported bounds, and the extrapolated terminals must conserve the
 /// trace.
@@ -227,24 +252,7 @@ pub fn check_within_bounds(case: &SampleCase) -> Result<(), String> {
         return Err(format!("sample probe laws violated: {violations:?}"));
     }
 
-    let mut cluster = freac_serve::Cluster::new(cluster_config(case))
-        .map_err(|e| format!("cluster config rejected: {e}"))?;
-    for (name, accel, profile) in kernel_pool() {
-        cluster
-            .register_accelerator(name, Arc::clone(accel), *profile)
-            .map_err(|e| format!("register {name}: {e}"))?;
-    }
-    for (t, name) in TENANTS.iter().enumerate().take(case.tenant_count) {
-        cluster
-            .add_tenant(name, 1 + t as u64 % 2)
-            .map_err(|e| format!("add tenant: {e}"))?;
-    }
-    for r in trace {
-        cluster.submit(r).map_err(|e| format!("submit: {e}"))?;
-    }
-    let full = cluster
-        .run_to_completion()
-        .map_err(|e| format!("full run: {e}"))?;
+    let full = run_full(case, trace)?;
     let Some(h) = full.probes.histogram("serve.latency_ps") else {
         // Nothing completed at full fidelity; the sampled estimate must
         // agree that (almost) nothing completes.
@@ -266,6 +274,63 @@ pub fn check_within_bounds(case: &SampleCase) -> Result<(), String> {
                 sampled.clusters.len()
             ));
         }
+    }
+    Ok(())
+}
+
+/// With a cluster budget of at least the window count, every window is
+/// simulated and the simulated windows replay the whole trace as one
+/// segment, so nothing is extrapolated: the latency mixture must equal the
+/// full run's `serve.latency_ps`, each quantile estimate its full-fidelity
+/// value bit for bit, and the terminal counts the full counts.
+///
+/// # Errors
+///
+/// Returns a description of the first inexact figure.
+pub fn check_degenerate_exact(case: &SampleCase) -> Result<(), String> {
+    let trace = trace_of(case);
+    let case = SampleCase {
+        max_clusters: trace.len().div_ceil(case.window),
+        ..case.clone()
+    };
+    let sampled = run_sampled(&case, 1)?;
+    let n = trace.len() as u64;
+    let full = run_full(&case, trace)?;
+    let counts = (full.completions.len() as u64, full.sheds.len() as u64);
+    if (sampled.est_completed, sampled.est_shed) != counts {
+        return Err(format!(
+            "sampled completed/shed {:?} != full {counts:?}",
+            (sampled.est_completed, sampled.est_shed)
+        ));
+    }
+    let h = full
+        .probes
+        .histogram("serve.latency_ps")
+        .cloned()
+        .unwrap_or_default();
+    if sampled.latency != h {
+        let brief = |h: &Histogram| (h.count(), h.sum(), h.min(), h.max(), h.nonzero_buckets());
+        return Err(format!(
+            "latency mixture (count, sum, min, max, buckets) {:?} != full {:?}",
+            brief(&sampled.latency),
+            brief(&h)
+        ));
+    }
+    for (name, est, q) in [
+        ("p50", sampled.p50_ps, 0.5),
+        ("p95", sampled.p95_ps, 0.95),
+        ("p99", sampled.p99_ps, 0.99),
+    ] {
+        let actual = h.quantile(q).unwrap_or(0.0);
+        if est.value.to_bits() != actual.to_bits() {
+            return Err(format!("{name}: sampled {} != full {actual}", est.value));
+        }
+    }
+    if sampled.simulated_requests != n {
+        return Err(format!(
+            "{} of {n} requests replayed ({} of {} windows simulated)",
+            sampled.simulated_requests, sampled.simulated_windows, sampled.windows
+        ));
     }
     Ok(())
 }
@@ -330,6 +395,7 @@ mod tests {
         for _ in 0..4 {
             let case = generate(&mut rng);
             check_within_bounds(&case).expect("bounds hold");
+            check_degenerate_exact(&case).expect("every window simulated is exact");
             check_determinism(&case).expect("determinism holds");
         }
     }

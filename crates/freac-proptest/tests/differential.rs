@@ -248,6 +248,20 @@ fn sampled_simulation_stays_within_its_bounds() {
 }
 
 #[test]
+fn sampled_simulation_is_exact_when_every_window_is_simulated() {
+    // With a cluster budget of at least the window count the sampled run
+    // is one replay of the trace, so its figures must equal full fidelity
+    // exactly. Two replays of a few hundred requests per case: this
+    // property runs the full configured case count.
+    check(
+        "sample/degenerate-exact",
+        sample::generate,
+        sample::shrink,
+        sample::check_degenerate_exact,
+    );
+}
+
+#[test]
 fn sampled_simulation_is_deterministic() {
     let mut runner = Runner::from_env();
     let mut config = runner.config().clone();

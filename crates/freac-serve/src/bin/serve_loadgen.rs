@@ -14,13 +14,13 @@
 //! * `--spike` — compress arrival gaps into a burst and enable elastic way
 //!   autoscaling, the load shape the autoscaler exists for.
 //! * `--sample` — representative-interval sampling: cluster the trace's
-//!   windows by behavior signature and simulate only medoid windows,
-//!   printing extrapolated metrics with error bounds instead of the full
-//!   replay.
+//!   windows by behavior signature, simulate only medoid and witness
+//!   windows (adjacent ones replayed as one segment), and print
+//!   extrapolated metrics with error bounds instead of the full replay.
 //! * `--sample-window N` — requests per sampling window (default 1024).
 //! * `--workers N` — worker threads (overrides `FREAC_WORKERS`): trace
 //!   generation, verification, the cluster report's functional phase
-//!   (`ClusterConfig::workers`), and medoid simulation fan-out. Never
+//!   (`ClusterConfig::workers`), and sampled segment fan-out. Never
 //!   affects output.
 //!
 //! Environment:
@@ -194,8 +194,9 @@ fn main() {
     println!("{}", freac_probe::to_counters_json(&report.probes));
 }
 
-/// The `--sample` path: same scenario, but only medoid windows are
-/// simulated and the printed metrics are extrapolations with bounds.
+/// The `--sample` path: same scenario, but only medoid and witness windows
+/// are simulated, adjacent ones as one replayed segment, and the printed
+/// metrics are extrapolations with bounds.
 fn run_sampled(shards: usize, spike: bool, workers: usize, window: usize, specs: &[TenantSpec]) {
     let mut server = SampledServer::new(
         cluster_config(shards, spike, 1),

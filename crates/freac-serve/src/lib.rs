@@ -17,7 +17,7 @@
 //! | [`loadgen`] | synthetic tenants: open-loop traces, closed-loop driver |
 //! | [`report`]  | fixed-width per-tenant latency tables |
 //! | [`cluster`] | N shards under one clock: affinity routing, stealing, autoscaling |
-//! | [`sample`]  | representative-interval sampling: medoid windows stand in for the trace |
+//! | [`sample`]  | representative-interval sampling: medoid and witness windows, replayed as segments on a clone of one template cluster, stand in for the trace |
 //!
 //! The event loop computes the schedule only; each report then computes
 //! every new completion's output hash in full-width passes, on the

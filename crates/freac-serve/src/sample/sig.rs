@@ -27,7 +27,7 @@ pub(crate) struct WindowSig {
     /// Raw (un-normalized) features, in [`feature_names`] order.
     pub(crate) features: Vec<f64>,
     /// Deepest fluid shard queue at the window's first arrival — the
-    /// state estimate the medoid simulation's warmup reconstructs (not a
+    /// state estimate a simulated segment's warmup reconstructs (not a
     /// clustering feature; `depth.*` already covers discrimination).
     pub(crate) start_depth_max: f64,
     /// Whether some shard enters the window with every claimed slot still
@@ -110,7 +110,7 @@ pub(crate) fn window_signatures(
 
     // Fluid per-shard state, carried across windows so a window inherits
     // the backlog its predecessors built up (the same role warmup plays in
-    // the full-fidelity medoid simulation).
+    // the full-fidelity segment simulation).
     //
     // Each shard holds up to `slices` slots of (resident kernel, ready
     // time). A kernel already in a slot dispatches free; a free slot

@@ -3,8 +3,8 @@
 //! per run.
 //!
 //! The sampler's estimates read only simulated timing, so a change to how
-//! a run resolves its requests, builds its replicas or evaluates (or
-//! skips) output hashes must leave these digests byte-identical. The runs
+//! a run resolves its requests, builds its template cluster or evaluates
+//! (or skips) output hashes must leave these digests byte-identical. The runs
 //! cover a phase-structured trace shaped like the `sampled_long`
 //! benchmark at reduced size, a saturated trace that sheds, and a trace
 //! with exclusive requests and deadlines, each at 1 and 3 workers.
@@ -17,11 +17,11 @@ use freac::serve::{
 };
 
 /// Digest of the phase-structured run.
-const PHASE_DIGEST: u64 = 0x67b7_efe5_5010_183d;
+const PHASE_DIGEST: u64 = 0x92a7_d5b0_a051_4bb9;
 /// Digest of the saturated run.
-const SATURATED_DIGEST: u64 = 0xa0d2_1fbc_a914_d52e;
+const SATURATED_DIGEST: u64 = 0x5c97_5299_1aaa_da01;
 /// Digest of the exclusive-and-deadline run.
-const EXCLUSIVE_DEADLINE_DIGEST: u64 = 0x231f_8e9a_0380_f127;
+const EXCLUSIVE_DEADLINE_DIGEST: u64 = 0x4291_691b_e4d6_7076;
 
 /// FNV-1a over the report's canonical rendering: the scalar accounting,
 /// every estimate with its bound, the cluster list, the latency mixture
