@@ -25,9 +25,11 @@ pub struct Config {
     /// failure.
     pub max_shrink_evals: usize,
     /// Regression corpus to replay before random cases (and to append
-    /// shrunk failures to). `None` disables the corpus entirely.
+    /// shrunk failures to, when `record` is set). `None` disables the
+    /// corpus entirely.
     pub corpus: Option<PathBuf>,
-    /// Whether failures are appended to the corpus.
+    /// Whether failures are appended to the corpus. Off by default: the
+    /// corpus is a tracked file, and a plain test run must not rewrite it.
     pub record: bool,
 }
 
@@ -38,7 +40,7 @@ impl Default for Config {
             seed: DEFAULT_SEED,
             max_shrink_evals: DEFAULT_SHRINK_EVALS,
             corpus: Some(crate::corpus::default_path()),
-            record: true,
+            record: false,
         }
     }
 }
@@ -48,7 +50,8 @@ impl Config {
     /// `FREAC_PROPTEST_CASES` (decimal count), `FREAC_PROPTEST_SEED`
     /// (decimal, `0x`-hex, or any other string hashed to a seed),
     /// `FREAC_PROPTEST_CORPUS` (path, or `none` to disable), and
-    /// `FREAC_PROPTEST_RECORD` (`0`/`false` to disable appending).
+    /// `FREAC_PROPTEST_RECORD` (`1`/`true` to append shrunk failures to
+    /// the corpus; anything else leaves it untouched).
     pub fn from_env() -> Self {
         let mut c = Config::default();
         if let Ok(v) = std::env::var("FREAC_PROPTEST_CASES") {
@@ -69,7 +72,7 @@ impl Config {
         }
         if let Ok(v) = std::env::var("FREAC_PROPTEST_RECORD") {
             let v = v.trim();
-            c.record = !(v == "0" || v.eq_ignore_ascii_case("false"));
+            c.record = v == "1" || v.eq_ignore_ascii_case("true");
         }
         c
     }
@@ -127,6 +130,15 @@ mod tests {
         assert_eq!(c.cases, DEFAULT_CASES);
         let p = c.corpus.expect("default corpus enabled");
         assert!(p.ends_with("tests/regressions/corpus.txt"), "{p:?}");
+    }
+
+    #[test]
+    fn default_config_does_not_record() {
+        // Replaying the corpus is on by default; appending to it is opt-in
+        // (`FREAC_PROPTEST_RECORD=1`), so a local run leaves it unchanged.
+        let c = Config::default();
+        assert!(c.corpus.is_some());
+        assert!(!c.record);
     }
 
     #[test]

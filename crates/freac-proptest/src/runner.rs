@@ -103,8 +103,8 @@ impl Runner {
         }
     }
 
-    /// Minimizes the failing input, records it, and panics with the
-    /// replayable report.
+    /// Minimizes the failing input, records it in the corpus when the
+    /// configuration asks for that, and panics with the replayable report.
     fn report<T, S, P>(&self, name: &str, failure: Failure<T>, shrink: &S, prop: &P) -> !
     where
         T: Clone + Debug,

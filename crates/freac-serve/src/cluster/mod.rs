@@ -33,6 +33,16 @@
 //! is byte-identical at any worker count, which the cluster proptest
 //! oracle asserts. Stepping shards in parallel was tried and removed: the
 //! per-epoch barrier cost more than the little work an epoch holds.
+//!
+//! # Accounting
+//!
+//! Like each shard's loop, the cluster tallies its per-request counters —
+//! `cluster.requests.{submitted,completed,shed}` and
+//! `cluster.route.shard.<i>` — in plain fields and writes them to its
+//! registry at the top of every report, so the report holds exactly the
+//! keys and values direct registry calls would have left. Per-epoch and
+//! rare events (route-cache stats, steals, autoscaling) go to the registry
+//! directly.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -50,6 +60,7 @@ use crate::server::{
     clone_sorted_by, completion_key, run_func_passes, FluidEstimate, FuncPass, RequestProfile,
     ServeConfig, ServeReport, Server, TenantSummary,
 };
+use crate::tally::Count;
 
 mod autoscale;
 mod router;
@@ -207,6 +218,18 @@ struct ClusterTenant {
     ids: HashSet<(u64, u32)>,
 }
 
+/// The cluster's per-request counters between reports (see the module
+/// docs' *Accounting*).
+#[derive(Clone, Default)]
+struct ClusterTally {
+    submitted: Count,
+    completed: Count,
+    shed: Count,
+    /// Requests routed to each shard, by shard index
+    /// (`cluster.route.shard.<i>`).
+    routed: Vec<Count>,
+}
+
 /// The cluster: shards, router, and the epoch loop. A clone is an
 /// independent cluster in the same state.
 #[derive(Clone)]
@@ -220,8 +243,8 @@ pub struct Cluster {
     /// Cluster-level metrics only (`cluster.*`); shard probes are merged
     /// in at report time.
     probes: CounterRegistry,
-    /// `cluster.route.shard.<i>` counter names, one per shard.
-    route_keys: Vec<String>,
+    /// Per-request counters since the last report.
+    tally: ClusterTally,
     /// Per-shard backlog snapshot, reused across routing decisions.
     backlogs: Vec<usize>,
     router_sheds: Vec<Shed>,
@@ -254,9 +277,10 @@ impl Cluster {
             tenants: BTreeMap::new(),
             kernels: BTreeSet::new(),
             probes: CounterRegistry::new(),
-            route_keys: (0..cfg.shards)
-                .map(|si| format!("cluster.route.shard.{si}"))
-                .collect(),
+            tally: ClusterTally {
+                routed: vec![Count::default(); cfg.shards],
+                ..ClusterTally::default()
+            },
             backlogs: Vec::with_capacity(cfg.shards),
             router_sheds: Vec::new(),
             now: 0,
@@ -403,7 +427,7 @@ impl Cluster {
                 retries: req.retries,
             });
         }
-        self.probes.inc("cluster.requests.submitted");
+        self.tally.submitted.inc();
         self.pending.push(req);
         Ok(())
     }
@@ -569,7 +593,7 @@ impl Cluster {
                 .extend(self.shards.iter().map(|s| s.server.backlog()));
             if self.backlogs.iter().sum::<usize>() >= self.cfg.budget {
                 let at = req.arrival_ps;
-                self.probes.inc("cluster.requests.shed");
+                self.tally.shed.inc();
                 let shed = Shed {
                     request: req,
                     at_ps: at,
@@ -584,7 +608,7 @@ impl Cluster {
                 continue;
             }
             let si = self.router.route(&req.kernel, &self.backlogs);
-            self.probes.inc(&self.route_keys[si]);
+            self.tally.routed[si].inc();
             self.shards[si].server.submit(req)?;
         }
         let (hits, misses) = self.router.take_cache_stats();
@@ -654,11 +678,11 @@ impl Cluster {
         for o in &events {
             let min_arrival = match o {
                 Outcome::Completed(c) => {
-                    self.probes.inc("cluster.requests.completed");
+                    self.tally.completed.inc();
                     c.done_ps
                 }
                 Outcome::Shed(s) => {
-                    self.probes.inc("cluster.requests.shed");
+                    self.tally.shed.inc();
                     s.at_ps.saturating_add(1)
                 }
             };
@@ -674,6 +698,7 @@ impl Cluster {
     /// cluster) on [`ClusterConfig::workers`] threads, then assembles the
     /// shard reports and merges them into the cluster view.
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
+        self.flush_tallies();
         self.run_func_phase()?;
         let mut probes = self.probes.clone();
         let shard_reports: Vec<ServeReport> = self
@@ -711,6 +736,18 @@ impl Cluster {
             probes,
             tenants,
         })
+    }
+
+    /// Writes the per-request tallies to the cluster registry and resets
+    /// them.
+    fn flush_tallies(&mut self) {
+        let (t, probes) = (&mut self.tally, &mut self.probes);
+        t.submitted.flush(probes, "cluster.requests.submitted");
+        t.completed.flush(probes, "cluster.requests.completed");
+        t.shed.flush(probes, "cluster.requests.shed");
+        for (si, routed) in t.routed.iter_mut().enumerate() {
+            routed.flush(probes, &format!("cluster.route.shard.{si}"));
+        }
     }
 
     /// Every shard's functional phase at once: the passes of all shards

@@ -25,6 +25,8 @@
 //! the fold plan for `exclusive` ones (see [`server`]). Reconfiguration and way-reclaim costs come
 //! from [`freac_core::reconfig_cost`]; latency is
 //! `queue wait + reconfiguration + fold execution` on the tile clock.
+//! The loop tallies its per-request counters in plain fields, and each
+//! report writes them to the probe registry once (see [`server`]).
 //! Everything — schedule, completion order, counters — is a pure function
 //! of the submitted request set and the configuration, independent of
 //! tenant enumeration order, submission order, and worker count.
@@ -53,6 +55,7 @@ pub mod request;
 pub mod sample;
 pub mod sched;
 pub mod server;
+mod tally;
 pub mod tlb;
 
 mod error;

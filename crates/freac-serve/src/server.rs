@@ -40,6 +40,21 @@
 //! fresh fold executor at power-on state, and every batch lane has its own
 //! fresh latch state. Were exclusives to carry register state from one
 //! dispatch to the next, hashes would have to be computed in the loop.
+//!
+//! # Per-request accounting
+//!
+//! The loop's per-request probes — request, batch, lane, reconfiguration
+//! and deadline counters, the queue-depth and widest-batch high-water
+//! marks, the occupancy, wait and latency histograms, and each tenant's
+//! submitted/completed/shed/reconfiguration counters and latency
+//! histogram — are tallied in plain fields rather than looked up by name
+//! in the registry on every event. Each report (a cluster's shard reports
+//! included) writes them to the registry once, before anything else reads
+//! it, and resets them, so a report's `probes`
+//! hold exactly the keys and values direct registry calls would have left:
+//! a key appears only once touched (even at 0), and counters stay
+//! cumulative across reports. Rare events (steals, TLB accesses,
+//! rescales) still go to the registry directly.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
@@ -52,7 +67,7 @@ use freac_core::{
 use freac_experiments::parallel::map_with;
 use freac_kernels::{kernel, Kernel, KernelId, Workload};
 use freac_netlist::{compile, ExecPlan, Netlist, Value, BATCH_LANES, MAX_BATCH_LANES};
-use freac_probe::CounterRegistry;
+use freac_probe::{CounterRegistry, Histogram};
 use freac_sim::Time;
 
 use crate::batch::take_batch;
@@ -62,6 +77,7 @@ use crate::pending::PendingSet;
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::sched::{pick, SchedPolicy, TenantState};
+use crate::tally::{flush_histogram, Count, HighWater};
 use crate::tlb::{TenantTlb, TlbSegment};
 
 /// Functional-execution depth: output hashes are computed over this many
@@ -229,13 +245,15 @@ struct ServedKernel {
 
 /// A tenant's per-request bookkeeping, reached through one lookup by name:
 /// its `serve.tenant.<name>.*` probe keys, formatted once when the tenant
-/// is added so per-request accounting allocates nothing, and the
-/// `(seq, retries)` identities it has submitted and not had stolen away.
-/// The identity set answers membership only and is never iterated, so
-/// its order cannot reach a schedule or a report.
+/// is added so per-request accounting allocates nothing, the tallies of
+/// its per-request probes, and the `(seq, retries)` identities it has
+/// submitted and not had stolen away. The identity set answers membership
+/// only and is never iterated, so its order cannot reach a schedule or a
+/// report.
 #[derive(Clone)]
 struct TenantBook {
     ids: HashSet<(u64, u32)>,
+    tally: TenantTally,
     submitted: String,
     completed: String,
     shed: String,
@@ -246,11 +264,22 @@ struct TenantBook {
     reconfig_ps: String,
 }
 
+/// One tenant's per-request probes between reports.
+#[derive(Clone, Default)]
+struct TenantTally {
+    submitted: Count,
+    completed: Count,
+    shed: Count,
+    reconfig_ps: Count,
+    latency_ps: Histogram,
+}
+
 impl TenantBook {
     fn new(name: &str) -> Self {
         let key = |suffix: &str| format!("serve.tenant.{name}.{suffix}");
         TenantBook {
             ids: HashSet::new(),
+            tally: TenantTally::default(),
             submitted: key("submitted"),
             completed: key("completed"),
             shed: key("shed"),
@@ -260,6 +289,69 @@ impl TenantBook {
             tlb_faults: key("tlb_faults"),
             reconfig_ps: key("reconfig_ps"),
         }
+    }
+
+    /// Writes the tenant's tallies to `probes` and resets them.
+    fn flush(&mut self, probes: &mut CounterRegistry) {
+        let t = &mut self.tally;
+        t.submitted.flush(probes, &self.submitted);
+        t.completed.flush(probes, &self.completed);
+        t.shed.flush(probes, &self.shed);
+        t.reconfig_ps.flush(probes, &self.reconfig_ps);
+        flush_histogram(&mut t.latency_ps, probes, &self.latency_ps);
+    }
+}
+
+/// The server-wide per-request probes between reports, one field per
+/// `serve.*` key.
+#[derive(Clone, Default)]
+struct ServeTally {
+    submitted: Count,
+    retried: Count,
+    admitted: Count,
+    shed: Count,
+    completed: Count,
+    dispatched: Count,
+    single_lane: Count,
+    coalesced: Count,
+    lanes_occupied: Count,
+    lanes_capacity: Count,
+    waves: Count,
+    reconfigs: Count,
+    reconfig_ps: Count,
+    deadlines_met: Count,
+    deadlines_missed: Count,
+    queue_depth_hw: HighWater,
+    lanes_widest: HighWater,
+    occupancy: Histogram,
+    queue_wait_ps: Histogram,
+    latency_ps: Histogram,
+}
+
+impl ServeTally {
+    /// Writes the tallies to `probes` and resets them.
+    fn flush(&mut self, probes: &mut CounterRegistry) {
+        self.submitted.flush(probes, "serve.requests.submitted");
+        self.retried.flush(probes, "serve.requests.retried");
+        self.admitted.flush(probes, "serve.requests.admitted");
+        self.shed.flush(probes, "serve.requests.shed");
+        self.completed.flush(probes, "serve.requests.completed");
+        self.dispatched.flush(probes, "serve.batches.dispatched");
+        self.single_lane.flush(probes, "serve.batches.single_lane");
+        self.coalesced.flush(probes, "serve.batches.coalesced");
+        self.lanes_occupied.flush(probes, "serve.lanes.occupied");
+        self.lanes_capacity.flush(probes, "serve.lanes.capacity");
+        self.waves.flush(probes, "serve.batch.waves");
+        self.reconfigs.flush(probes, "serve.reconfigs");
+        self.reconfig_ps.flush(probes, "serve.reconfig.total_ps");
+        self.deadlines_met.flush(probes, "serve.deadlines.met");
+        self.deadlines_missed
+            .flush(probes, "serve.deadlines.missed");
+        self.queue_depth_hw.flush(probes, "serve.queue.depth_hw");
+        self.lanes_widest.flush(probes, "serve.lanes.widest");
+        flush_histogram(&mut self.occupancy, probes, "serve.batch.occupancy");
+        flush_histogram(&mut self.queue_wait_ps, probes, "serve.queue.wait_ps");
+        flush_histogram(&mut self.latency_ps, probes, "serve.latency_ps");
     }
 }
 
@@ -394,7 +486,10 @@ pub struct Server {
     queues: BTreeMap<String, AdmissionQueue>,
     pending: PendingSet,
     slices: Vec<SliceState>,
+    /// Every probe exported so far; the per-request ones since the last
+    /// report are still in `tally` and the tenant books.
     probes: CounterRegistry,
+    tally: ServeTally,
     queued: usize,
     now: Time,
     batch_seq: u64,
@@ -447,6 +542,7 @@ impl Server {
             pending: PendingSet::default(),
             slices,
             probes: CounterRegistry::new(),
+            tally: ServeTally::default(),
             queued: 0,
             now: 0,
             batch_seq: 0,
@@ -676,14 +772,14 @@ impl Server {
                 retries: req.retries,
             });
         }
-        self.probes.inc("serve.requests.submitted");
-        self.probes.inc(&book.submitted);
+        self.tally.submitted.inc();
+        book.tally.submitted.inc();
         if stolen {
             self.probes.inc("serve.requests.stolen_in");
             self.probes.inc(&book.stolen_in);
         }
         if req.retries > 0 {
-            self.probes.inc("serve.requests.retried");
+            self.tally.retried.inc();
         }
         self.pending.push(req);
         Ok(())
@@ -973,9 +1069,16 @@ impl Server {
         Ok(())
     }
 
+    /// The book of a tenant a queued or completed request belongs to.
+    fn book_mut(&mut self, tenant: &str) -> &mut TenantBook {
+        self.tenant_books
+            .get_mut(tenant)
+            .expect("requests belong to registered tenants")
+    }
+
     fn note_admission(&mut self, depth: usize) {
-        self.probes.inc("serve.requests.admitted");
-        self.probes.gauge_max("serve.queue.depth_hw", depth as f64);
+        self.tally.admitted.inc();
+        self.tally.queue_depth_hw.raise(depth as f64);
     }
 
     fn shed<F>(
@@ -988,9 +1091,8 @@ impl Server {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
-        self.probes.inc("serve.requests.shed");
-        self.probes
-            .inc(&self.tenant_books[request.tenant.as_str()].shed);
+        self.tally.shed.inc();
+        self.book_mut(&request.tenant).tally.shed.inc();
         let outcome = Outcome::Shed(Shed {
             request,
             at_ps,
@@ -1084,46 +1186,36 @@ impl Server {
         let batch_id = self.batch_seq;
         self.batch_seq += 1;
         let slice = &mut self.slices[si];
-        slice.resident = Some(kernel_name.clone());
-        slice.free_at = done;
-        slice.busy_ps += reconfig_ps + exec_ps;
         if !resident {
+            slice.resident = Some(kernel_name.clone());
             slice.reconfigs += 1;
         }
+        slice.free_at = done;
+        slice.busy_ps += reconfig_ps + exec_ps;
 
-        self.probes.inc("serve.batches.dispatched");
-        self.probes.inc(if single_lane {
-            "serve.batches.single_lane"
+        let tally = &mut self.tally;
+        tally.dispatched.inc();
+        if single_lane {
+            tally.single_lane.inc();
         } else {
-            "serve.batches.coalesced"
-        });
-        self.probes.observe("serve.batch.occupancy", k as u64);
+            tally.coalesced.inc();
+        }
+        tally.occupancy.observe(k as u64);
         // Lane occupancy: occupied ≤ offered capacity per dispatch (a
         // registered probe law), plus the widest batch seen and the
         // compute waves it queued.
-        self.probes.add("serve.lanes.occupied", k as u64);
-        self.probes.add("serve.lanes.capacity", cap as u64);
-        self.probes.gauge_max("serve.lanes.widest", k as f64);
-        self.probes.add("serve.batch.waves", waves);
+        tally.lanes_occupied.add(k as u64);
+        tally.lanes_capacity.add(cap as u64);
+        tally.lanes_widest.raise(k as f64);
+        tally.waves.add(waves);
         if !resident {
-            self.probes.inc("serve.reconfigs");
-            self.probes.add("serve.reconfig.total_ps", reconfig_ps);
-            self.probes
-                .add(&self.tenant_books[anchor_tenant].reconfig_ps, reconfig_ps);
+            tally.reconfigs.inc();
+            tally.reconfig_ps.add(reconfig_ps);
+            self.book_mut(anchor_tenant)
+                .tally
+                .reconfig_ps
+                .add(reconfig_ps);
         }
-
-        self.dispatches.push(DispatchRecord {
-            batch_id,
-            at_ps: t,
-            slice: si,
-            kernel: kernel_name.clone(),
-            lanes: k,
-            reconfigured: !resident,
-            requests: batch
-                .iter()
-                .map(|r| (r.tenant.clone(), r.seq, r.retries))
-                .collect(),
-        });
 
         // `react` pushes each rider's completion in lane order, and a hook
         // never completes anything itself.
@@ -1135,6 +1227,19 @@ impl Server {
                 .expect("registered kernel");
             ctx.unhashed[usize::from(!single_lane)].extend(first..first + k);
         }
+        self.dispatches.push(DispatchRecord {
+            batch_id,
+            at_ps: t,
+            slice: si,
+            kernel: kernel_name,
+            lanes: k,
+            reconfigured: !resident,
+            requests: batch
+                .iter()
+                .map(|r| (r.tenant.clone(), r.seq, r.retries))
+                .collect(),
+        });
+
         for req in batch {
             let completion = Completion {
                 arrival_ps: req.arrival_ps,
@@ -1152,20 +1257,19 @@ impl Server {
                 seq: req.seq,
                 kernel: req.kernel,
             };
-            let keys = &self.tenant_books[completion.tenant.as_str()];
-            self.probes.inc("serve.requests.completed");
-            self.probes.inc(&keys.completed);
-            self.probes
-                .observe("serve.queue.wait_ps", completion.queue_wait_ps());
-            self.probes
-                .observe("serve.latency_ps", completion.latency_ps());
-            self.probes
-                .observe(&keys.latency_ps, completion.latency_ps());
+            let latency_ps = completion.latency_ps();
+            let tally = &mut self.tally;
+            tally.completed.inc();
+            tally.queue_wait_ps.observe(completion.queue_wait_ps());
+            tally.latency_ps.observe(latency_ps);
             match completion.deadline_met {
-                Some(true) => self.probes.inc("serve.deadlines.met"),
-                Some(false) => self.probes.inc("serve.deadlines.missed"),
+                Some(true) => tally.deadlines_met.inc(),
+                Some(false) => tally.deadlines_missed.inc(),
                 None => {}
             }
+            let book = self.book_mut(&completion.tenant);
+            book.tally.completed.inc();
+            book.tally.latency_ps.observe(latency_ps);
             self.react(Outcome::Completed(completion), done, hook)?;
         }
         Ok(())
@@ -1240,10 +1344,20 @@ impl Server {
         Ok(self.assemble_report())
     }
 
+    /// Writes the per-request tallies to the registry and resets them (see
+    /// the module docs' *Per-request accounting*).
+    fn flush_tallies(&mut self) {
+        self.tally.flush(&mut self.probes);
+        for book in self.tenant_books.values_mut() {
+            book.flush(&mut self.probes);
+        }
+    }
+
     /// Exports end-of-drain counters and assembles the report, with no
     /// functional phase: [`Server::report`] runs it first, and a cluster
     /// runs every shard's at once before assembling each shard's report.
     pub(crate) fn assemble_report(&mut self) -> ServeReport {
+        self.flush_tallies();
         let span_ps = self
             .completions
             .iter()
@@ -1435,6 +1549,21 @@ mod tests {
             cycles_per_item: 2,
             read_words: 4,
             write_words: 2,
+        }
+    }
+
+    impl Server {
+        /// The registry as a report would export it now: everything
+        /// exported so far plus the unflushed tallies, leaving the server
+        /// untouched.
+        fn probes_now(&self) -> CounterRegistry {
+            let mut probes = self.probes.clone();
+            self.tally.clone().flush(&mut probes);
+            for book in self.tenant_books.values() {
+                let mut book = book.clone();
+                book.flush(&mut probes);
+            }
+            probes
         }
     }
 
@@ -2245,8 +2374,8 @@ mod tests {
                 check(&s, &model);
             }
             let taken = |s: &Server| {
-                s.probes.counter("serve.requests.admitted")
-                    + s.probes.counter("serve.requests.shed")
+                let probes = s.probes_now();
+                probes.counter("serve.requests.admitted") + probes.counter("serve.requests.shed")
             };
             let before = taken(&s);
             let mut followups: Vec<Key> = Vec::new();
@@ -2270,7 +2399,7 @@ mod tests {
         assert!(model.is_empty());
         assert!(follow_seq > 1_000, "the hook pushed follow-ups");
         let r = s.report().unwrap();
-        let submitted = s.probes.counter("serve.requests.submitted") as usize;
+        let submitted = r.probes.counter("serve.requests.submitted") as usize;
         assert_eq!(r.completions.len() + r.sheds.len(), submitted);
     }
 
