@@ -51,13 +51,11 @@ fn specs() -> Vec<TenantSpec> {
 }
 
 fn run_arm(
-    batching: bool,
     max_lanes: usize,
     accels: &[(KernelId, Arc<Accelerator>)],
     specs: &[TenantSpec],
 ) -> ServeReport {
     let mut server = Server::new(ServeConfig {
-        batching,
         max_lanes,
         // One slice, deep queues: the pinned trace backs up instead of
         // shedding, and the two kernels contend for one fabric, so every
@@ -232,9 +230,9 @@ fn main() {
 
     // The single-server arms keep their original two-kernel registration
     // so the committed serve baselines stay byte-stable.
-    let batched = run_arm(true, 64, &accels[..2], &specs);
-    let wide = run_arm(true, 256, &accels[..2], &specs);
-    let single = run_arm(false, 64, &accels[..2], &specs);
+    let batched = run_arm(64, &accels[..2], &specs);
+    let wide = run_arm(256, &accels[..2], &specs);
+    let single = run_arm(1, &accels[..2], &specs);
 
     assert_eq!(
         batched.completions.len(),

@@ -3,8 +3,10 @@
 //! When neither variable is set (the normal case), [`global`] is `None`
 //! and every hook in the stack is a single branch on an `Option` — no
 //! locks, no allocation, no I/O. When either is set, components merge
-//! their per-run registries and push trace events here, and the harness
-//! writes the output files at exit via [`finish`].
+//! what each run recorded and push trace events here, and the harness
+//! writes the output files at exit via [`finish`]. A component that
+//! reports more than once (a serving server or cluster) merges only what
+//! it recorded since its previous report, so every count arrives once.
 //!
 //! Variable values: unset, empty, or `0` disable; `1` enables with the
 //! default output path (`freac-trace.json` / `freac-metrics.json` in the

@@ -112,10 +112,9 @@ fn cluster_config(case: &ClusterCase) -> ClusterConfig {
         shard: ServeConfig {
             policy: case.serve.policy,
             shed: case.serve.shed,
-            batching: case.serve.batching,
             slices: case.serve.slices,
             queue_depth: case.serve.queue_depth,
-            max_lanes: case.serve.max_lanes,
+            max_lanes: case.serve.lane_cap(),
             ..ServeConfig::default()
         },
         route: if case.affinity {

@@ -59,7 +59,8 @@ pub struct ServeCase {
     pub policy: SchedPolicy,
     /// Backpressure policy.
     pub shed: ShedPolicy,
-    /// Batch coalescer on/off.
+    /// Batch coalescer on/off: off serves the case at a one-lane cap
+    /// (see [`ServeCase::lane_cap`]).
     pub batching: bool,
     /// Compute slices.
     pub slices: usize,
@@ -68,6 +69,18 @@ pub struct ServeCase {
     /// Lanes-per-dispatch cap (64/256/512 — one per bit-sliced sweep
     /// width, so the oracle exercises every execution path).
     pub max_lanes: usize,
+}
+
+impl ServeCase {
+    /// The `max_lanes` the case's servers run with: `max_lanes`, or 1 with
+    /// the coalescer off.
+    pub fn lane_cap(&self) -> usize {
+        if self.batching {
+            self.max_lanes
+        } else {
+            1
+        }
+    }
 }
 
 /// Draws a random [`ServeCase`].
@@ -224,10 +237,9 @@ pub(crate) fn run_case(
     let mut server = Server::new(ServeConfig {
         policy: case.policy,
         shed: case.shed,
-        batching: case.batching,
         slices: case.slices,
         queue_depth: case.queue_depth,
-        max_lanes: case.max_lanes,
+        max_lanes: case.lane_cap(),
         ..ServeConfig::default()
     })
     .map_err(|e| format!("server config rejected: {e}"))?;

@@ -43,6 +43,8 @@
 //! keys and values direct registry calls would have left. Per-epoch and
 //! rare events (route-cache stats, steals, autoscaling) go to the registry
 //! directly.
+//! A report clones each completion and shed once, straight from the
+//! shards, and exports to the global probe as a server's does.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -57,10 +59,10 @@ use crate::error::ServeError;
 use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::server::{
-    clone_sorted_by, completion_key, run_func_passes, FluidEstimate, FuncPass, RequestProfile,
-    ServeConfig, ServeReport, Server, TenantSummary,
+    clone_sorted_by, completion_key, run_func_passes, DispatchRecord, FluidEstimate, FuncPass,
+    RequestProfile, ServeConfig, Server, TenantSummary,
 };
-use crate::tally::Count;
+use crate::tally::{Count, Probes};
 
 mod autoscale;
 mod router;
@@ -178,8 +180,8 @@ pub struct ClusterReport {
     /// Every shed — shard sheds plus router (budget) sheds — ordered by
     /// `(at_ps, tenant, seq, retries)`.
     pub sheds: Vec<Shed>,
-    /// Per-shard reports, shard-index order.
-    pub shards: Vec<ServeReport>,
+    /// What each shard adds to the fields above, shard-index order.
+    pub shards: Vec<ShardReport>,
     /// Last completion time across the cluster (0 when nothing completed).
     pub span_ps: Time,
     /// Cross-shard migrations performed.
@@ -206,6 +208,16 @@ impl ClusterReport {
     pub fn tenant(&self, name: &str) -> Option<&TenantSummary> {
         self.tenants.iter().find(|t| t.name == name)
     }
+}
+
+/// One shard's part of a [`ClusterReport`]: what the cluster-level fields
+/// do not already hold.
+#[derive(Debug, Clone)]
+pub struct ShardReport {
+    /// The shard's schedule, in dispatch order.
+    pub dispatches: Vec<DispatchRecord>,
+    /// The shard's own registry, as a plain [`Server`]'s report holds it.
+    pub probes: CounterRegistry,
 }
 
 /// A tenant as the cluster sees it: its fair-share weight and the
@@ -242,14 +254,13 @@ pub struct Cluster {
     kernels: BTreeSet<String>,
     /// Cluster-level metrics only (`cluster.*`); shard probes are merged
     /// in at report time.
-    probes: CounterRegistry,
+    probes: Probes,
     /// Per-request counters since the last report.
     tally: ClusterTally,
     /// Per-shard backlog snapshot, reused across routing decisions.
     backlogs: Vec<usize>,
     router_sheds: Vec<Shed>,
     now: Time,
-    steals: u64,
 }
 
 impl Cluster {
@@ -276,7 +287,7 @@ impl Cluster {
             pending: PendingSet::default(),
             tenants: BTreeMap::new(),
             kernels: BTreeSet::new(),
-            probes: CounterRegistry::new(),
+            probes: Probes::new(),
             tally: ClusterTally {
                 routed: vec![Count::default(); cfg.shards],
                 ..ClusterTally::default()
@@ -284,7 +295,6 @@ impl Cluster {
             backlogs: Vec::with_capacity(cfg.shards),
             router_sheds: Vec::new(),
             now: 0,
-            steals: 0,
         })
     }
 
@@ -366,10 +376,12 @@ impl Cluster {
         Ok(())
     }
 
-    /// Makes every shard timing-only (see [`Server::set_timing_only`]).
-    /// Only the sampler's template is built this way: its estimates read
+    /// Makes every shard timing-only (see [`Server::set_timing_only`]),
+    /// and the cluster's reports export nothing to the global probe. Only
+    /// the sampler's template is built this way: its estimates read
     /// simulated timing alone.
     pub(crate) fn set_timing_only(&mut self) {
+        self.probes.stop_exporting();
         for sh in &mut self.shards {
             sh.server.set_timing_only();
         }
@@ -569,13 +581,13 @@ impl Cluster {
             // topology (decisions are unchanged — rankings are pure — but
             // the cache must not outlive the shard set it was keyed on).
             self.router.invalidate();
-            self.probes.inc(if up {
+            let probes = self.probes.sink();
+            probes.inc(if up {
                 "cluster.autoscale.up"
             } else {
                 "cluster.autoscale.down"
             });
-            self.probes
-                .add("cluster.autoscale.conversion_ps", conversion);
+            probes.add("cluster.autoscale.conversion_ps", conversion);
         }
         Ok(())
     }
@@ -613,8 +625,9 @@ impl Cluster {
         }
         let (hits, misses) = self.router.take_cache_stats();
         if hits + misses > 0 {
-            self.probes.add("cluster.route.cache.hits", hits);
-            self.probes.add("cluster.route.cache.misses", misses);
+            let probes = self.probes.sink();
+            probes.add("cluster.route.cache.hits", hits);
+            probes.add("cluster.route.cache.misses", misses);
         }
         Ok(())
     }
@@ -637,8 +650,7 @@ impl Cluster {
                 .server
                 .submit_stolen(req)
                 .expect("stolen identity was released by its victim");
-            self.probes.inc("cluster.steals");
-            self.steals += 1;
+            self.probes.sink().inc("cluster.steals");
         }
     }
 
@@ -695,44 +707,43 @@ impl Cluster {
     }
 
     /// Runs every shard's functional phase (none for a timing-only
-    /// cluster) on [`ClusterConfig::workers`] threads, then assembles the
-    /// shard reports and merges them into the cluster view.
+    /// cluster) on [`ClusterConfig::workers`] threads, closes the books of
+    /// the cluster and of every shard, and merges the shards' records into
+    /// the cluster view, cloning each completion and shed once.
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
         self.flush_tallies();
         self.run_func_phase()?;
-        let mut probes = self.probes.clone();
-        let shard_reports: Vec<ServeReport> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.server.assemble_report())
-            .collect();
         let mut completions: Vec<&Completion> = Vec::new();
         let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
-        for (i, r) in shard_reports.iter().enumerate() {
-            completions.extend(&r.completions);
-            sheds.extend(&r.sheds);
-            // Un-prefixed rollup (counters sum, gauges max, histograms
-            // bucket-add) plus a per-shard namespaced copy.
-            probes.merge(&r.probes);
-            probes.merge_namespaced(&format!("cluster.shard.{i}."), &r.probes);
+        for sh in &self.shards {
+            let (shard_completions, shard_sheds) = sh.server.records();
+            completions.extend(shard_completions);
+            sheds.extend(shard_sheds);
         }
         let completions = clone_sorted_by(&completions, completion_key);
         let sheds = clone_sorted_by(&sheds, |s: &Shed| {
             let r = &s.request;
             (s.at_ps, r.tenant.as_str(), r.seq, r.retries)
         });
-        let span_ps = completions.iter().map(|c| c.done_ps).max().unwrap_or(0);
+        let mut probes = self.probes.export().clone();
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for (i, sh) in self.shards.iter_mut().enumerate() {
+            let shard = sh.server.close_books();
+            // Un-prefixed rollup (counters sum, gauges max, histograms
+            // bucket-add) plus a per-shard namespaced copy.
+            probes.merge(&shard.probes);
+            probes.merge_namespaced(&format!("cluster.shard.{i}."), &shard.probes);
+            shards.push(shard);
+        }
+        let span_ps = completions.last().map_or(0, |c| c.done_ps);
         let tenants = self.tenant_summaries(&probes);
         freac_probe::assert_ok(&probes);
-        // Shard reports already merged their own probes into the global
-        // registry; only the cluster's own metrics are new here.
-        freac_probe::global::merge(&self.probes);
         Ok(ClusterReport {
             completions,
             sheds,
-            shards: shard_reports,
+            shards,
             span_ps,
-            steals: self.steals,
+            steals: probes.counter("cluster.steals"),
             probes,
             tenants,
         })
@@ -741,7 +752,7 @@ impl Cluster {
     /// Writes the per-request tallies to the cluster registry and resets
     /// them.
     fn flush_tallies(&mut self) {
-        let (t, probes) = (&mut self.tally, &mut self.probes);
+        let (t, probes) = (&mut self.tally, self.probes.sink());
         t.submitted.flush(probes, "cluster.requests.submitted");
         t.completed.flush(probes, "cluster.requests.completed");
         t.shed.flush(probes, "cluster.requests.shed");
@@ -980,7 +991,7 @@ mod tests {
                 queue_depth: 256,
                 // Single-lane service keeps the home queue deep across
                 // epochs — batching would drain the burst in one dispatch.
-                batching: false,
+                max_lanes: 1,
                 ..ServeConfig::default()
             },
             epoch_ps: 10_000,
@@ -1007,7 +1018,7 @@ mod tests {
         let active = rep
             .shards
             .iter()
-            .filter(|s| !s.completions.is_empty())
+            .filter(|s| s.probes.counter("serve.requests.completed") > 0)
             .count();
         assert!(
             active > 1,
@@ -1184,7 +1195,7 @@ mod tests {
                     partition: freac_core::SlicePartition::new(4, 10, 6).unwrap(),
                     slices: 1,
                     queue_depth: 16,
-                    batching: false,
+                    max_lanes: 1,
                     ..ServeConfig::default()
                 },
                 ..ClusterConfig::default()
@@ -1340,9 +1351,9 @@ mod tests {
         let thief = 1 - victim;
         assert_eq!(rep.shards[thief].probes.counter("serve.requests.stolen"), 0);
         let stolen_exclusives = rep.shards[thief]
-            .completions
+            .dispatches
             .iter()
-            .filter(|c| c.lanes == 1)
+            .filter(|d| d.lanes == 1)
             .count();
         assert!(
             stolen_exclusives >= 8,
@@ -1359,7 +1370,7 @@ mod tests {
         for sh in &rep.shards {
             assert_eq!(
                 sh.probes.counter("serve.func.lanes"),
-                sh.completions.len() as u64,
+                sh.probes.counter("serve.requests.completed"),
                 "each shard hashes its own completions once"
             );
         }
@@ -1394,7 +1405,7 @@ mod tests {
                 partition: freac_core::SlicePartition::new(4, 10, 6).unwrap(),
                 slices: 1,
                 queue_depth: 512,
-                batching: false,
+                max_lanes: 1,
                 ..ServeConfig::default()
             },
             epoch_ps: 10_000,

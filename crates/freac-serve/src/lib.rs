@@ -26,7 +26,8 @@
 //! from [`freac_core::reconfig_cost`]; latency is
 //! `queue wait + reconfiguration + fold execution` on the tile clock.
 //! The loop tallies its per-request counters in plain fields, and each
-//! report writes them to the probe registry once (see [`server`]).
+//! report writes them to the probe registry once and exports only what
+//! is new since the last report to the global probe (see [`server`]).
 //! Everything — schedule, completion order, counters — is a pure function
 //! of the submitted request set and the configuration, independent of
 //! tenant enumeration order, submission order, and worker count.
@@ -61,7 +62,7 @@ pub mod tlb;
 mod error;
 
 pub use cluster::{
-    AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, RoutePolicy, StealConfig,
+    AutoscaleConfig, Cluster, ClusterConfig, ClusterReport, RoutePolicy, ShardReport, StealConfig,
 };
 pub use error::ServeError;
 pub use freac_core::HandoffMode;

@@ -54,7 +54,9 @@
 //! hold exactly the keys and values direct registry calls would have left:
 //! a key appears only once touched (even at 0), and counters stay
 //! cumulative across reports. Rare events (steals, TLB accesses,
-//! rescales) still go to the registry directly.
+//! rescales) still go to the registry directly. A report exports to the
+//! global probe only what was recorded since the previous one, and a
+//! timing-only server exports nothing there.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
@@ -71,13 +73,14 @@ use freac_probe::{CounterRegistry, Histogram};
 use freac_sim::Time;
 
 use crate::batch::take_batch;
+use crate::cluster::ShardReport;
 use crate::error::ServeError;
 use crate::inputs::{hash_outputs, synth_inputs_into};
 use crate::pending::PendingSet;
 use crate::queue::{AdmissionQueue, AdmitResult, ShedPolicy};
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::sched::{pick, SchedPolicy, TenantState};
-use crate::tally::{flush_histogram, Count, HighWater};
+use crate::tally::{flush_histogram, Count, HighWater, Probes};
 use crate::tlb::{TenantTlb, TlbSegment};
 
 /// Functional-execution depth: output hashes are computed over this many
@@ -151,13 +154,12 @@ pub struct ServeConfig {
     pub shed: ShedPolicy,
     /// Anchor-selection policy.
     pub policy: SchedPolicy,
-    /// Whether the batch coalescer runs (off = single-lane everything,
-    /// the baseline the `serve` bench compares against).
-    pub batching: bool,
     /// Upper bound on lanes per dispatch (further capped by
     /// [`MAX_BATCH_LANES`], the widest bit-sliced sweep). Batches wider
     /// than the partition's tile count execute in compute waves rather
-    /// than being truncated.
+    /// than being truncated. `1` turns the batch coalescer off: every
+    /// request then rides alone on the folded path, the single-lane
+    /// baseline the `serve` bench compares against.
     pub max_lanes: usize,
     /// How way handoffs are charged: the conservative whole-claim flush,
     /// or the invalidation-based coherence protocol (targeted
@@ -177,7 +179,6 @@ impl Default for ServeConfig {
             queue_depth: 64,
             shed: ShedPolicy::RejectNew,
             policy: SchedPolicy::WeightedFair,
-            batching: true,
             max_lanes: BATCH_LANES,
             handoff: HandoffMode::ConservativeFlush,
         }
@@ -486,9 +487,9 @@ pub struct Server {
     queues: BTreeMap<String, AdmissionQueue>,
     pending: PendingSet,
     slices: Vec<SliceState>,
-    /// Every probe exported so far; the per-request ones since the last
+    /// Every probe written so far; the per-request ones since the last
     /// report are still in `tally` and the tenant books.
-    probes: CounterRegistry,
+    probes: Probes,
     tally: ServeTally,
     queued: usize,
     now: Time,
@@ -541,7 +542,7 @@ impl Server {
             queues: BTreeMap::new(),
             pending: PendingSet::default(),
             slices,
-            probes: CounterRegistry::new(),
+            probes: Probes::new(),
             tally: ServeTally::default(),
             queued: 0,
             now: 0,
@@ -556,11 +557,13 @@ impl Server {
     /// Makes the server timing-only: dispatches no longer queue their
     /// completions for hashing, and [`Server::report`] skips the
     /// functional phase, so every completion keeps `output_hash == 0` and
-    /// no `serve.func.*` counter is exported. The schedule is unchanged,
-    /// since no scheduling decision reads a hash. Set it before the first
+    /// no `serve.func.*` counter is exported. Its reports export nothing
+    /// to the global probe either. The schedule is unchanged, since no
+    /// scheduling decision reads a hash. Set it before the first
     /// submission.
     pub(crate) fn set_timing_only(&mut self) {
         self.functional = false;
+        self.probes.stop_exporting();
     }
 
     /// The configuration this server runs under.
@@ -728,8 +731,8 @@ impl Server {
 
     /// The cost model a fluid queue approximation needs for one kernel:
     /// per-wave service time, the reconfiguration quotes a batch amortizes,
-    /// and how many lanes one wave carries (1 when batching is off — every
-    /// request then pays a full wave).
+    /// and how many lanes one wave carries (1 when `max_lanes` is 1 —
+    /// every request then pays a full wave).
     pub fn kernel_fluid_estimate(&self, name: &str) -> Option<FluidEstimate> {
         self.kernels.get(name).map(|k| FluidEstimate {
             service_ps: k
@@ -739,11 +742,7 @@ impl Server {
                 .max(1),
             swap_ps: k.cost.swap_ps(),
             setup_ps: k.cost.setup_ps(),
-            tiles: if self.cfg.batching {
-                k.quote.area_tiles().min(k.lanes_cap).max(1)
-            } else {
-                1
-            },
+            tiles: k.quote.area_tiles().min(k.lanes_cap).max(1),
         })
     }
 
@@ -775,8 +774,9 @@ impl Server {
         self.tally.submitted.inc();
         book.tally.submitted.inc();
         if stolen {
-            self.probes.inc("serve.requests.stolen_in");
-            self.probes.inc(&book.stolen_in);
+            let probes = self.probes.sink();
+            probes.inc("serve.requests.stolen_in");
+            probes.inc(&book.stolen_in);
         }
         if req.retries > 0 {
             self.tally.retried.inc();
@@ -941,8 +941,9 @@ impl Server {
                 .get_mut(req.tenant.as_str())
                 .expect("queued requests belong to registered tenants");
             book.ids.remove(&(req.seq, req.retries));
-            self.probes.inc("serve.requests.stolen");
-            self.probes.inc(&book.stolen);
+            let probes = self.probes.sink();
+            probes.inc("serve.requests.stolen");
+            probes.inc(&book.stolen);
             out.push(req);
         }
         out
@@ -996,7 +997,7 @@ impl Server {
             let mut delta = CoherenceStats::default();
             charge.accumulate_into(&mut delta);
             self.coh.merge(&delta);
-            delta.export_into(&mut self.probes, "cache.coh");
+            delta.export_into(self.probes.sink(), "cache.coh");
         }
         for k in self.kernels.values_mut() {
             k.cost = reconfig_cost(
@@ -1016,9 +1017,9 @@ impl Server {
             s.resident = None;
             s.free_at = s.free_at.max(at).saturating_add(conversion_ps);
         }
-        self.probes.inc("serve.rescales");
-        self.probes
-            .add("serve.rescale.conversion_ps", conversion_ps);
+        let probes = self.probes.sink();
+        probes.inc("serve.rescales");
+        probes.add("serve.rescale.conversion_ps", conversion_ps);
         Ok(conversion_ps)
     }
 
@@ -1034,14 +1035,14 @@ impl Server {
             // declared address outside the tenant's segment faults here,
             // deterministically, and never reaches a slice.
             if let Some(addr) = req.spad_addr {
-                self.probes.inc("serve.tlb.accesses");
+                let probes = self.probes.sink();
+                probes.inc("serve.tlb.accesses");
                 if self.tlb.translate(&req.tenant, addr).is_some() {
-                    self.probes.inc("serve.tlb.hits");
+                    probes.inc("serve.tlb.hits");
                 } else {
-                    self.probes.inc("serve.tlb.misses");
-                    self.probes.inc("serve.tlb.faults");
-                    self.probes
-                        .inc(&self.tenant_books[req.tenant.as_str()].tlb_faults);
+                    probes.inc("serve.tlb.misses");
+                    probes.inc("serve.tlb.faults");
+                    probes.inc(&self.tenant_books[req.tenant.as_str()].tlb_faults);
                     self.shed(req, at, ShedReason::TlbFault, hook)?;
                     continue;
                 }
@@ -1135,11 +1136,7 @@ impl Server {
     {
         let (kernel_name, anchor) =
             pick(self.cfg.policy, &self.queues, &self.tenants).expect("queued > 0");
-        let cap = if self.cfg.batching {
-            self.kernels[&kernel_name].lanes_cap
-        } else {
-            1
-        };
+        let cap = self.kernels[&kernel_name].lanes_cap;
         let queue = self.queues.get_mut(&kernel_name).expect("kernel queue");
         let batch = take_batch(queue, anchor, cap);
         self.queued -= batch.len();
@@ -1160,9 +1157,9 @@ impl Server {
         let start = t.saturating_add(reconfig_ps);
         let done = start.saturating_add(exec_ps);
         // Exclusive requests own the accelerator's register state, so they
-        // (and, with batching off, every request) run on the folded path;
+        // (and, with a one-lane cap, every request) run on the folded path;
         // everything else rides the bit-sliced batch plan.
-        let single_lane = batch[0].exclusive || !self.cfg.batching;
+        let single_lane = batch[0].exclusive || cap == 1;
 
         // Accounting: execution is split evenly across the riders. A
         // kernel *swap* is charged to the anchor's tenant — churning the
@@ -1321,18 +1318,20 @@ impl Server {
             lanes += pass.lanes.len() as u64;
         }
         if self.functional {
-            self.probes.add("serve.func.passes", count);
-            self.probes.add("serve.func.lanes", lanes);
+            let probes = self.probes.sink();
+            probes.add("serve.func.passes", count);
+            probes.add("serve.func.lanes", lanes);
         }
         Ok(())
     }
 
-    /// Runs the functional phase, exports end-of-drain counters and
-    /// assembles the report. Public so a cluster that drives shards via
-    /// [`Server::run_until`] can collect per-shard reports after the last
-    /// epoch; [`Server::run`] calls it automatically. Every completion in
-    /// the report carries its output hash, and reporting again hashes only
-    /// what completed since (a timing-only server hashes nothing).
+    /// Runs the functional phase, closes the report's books (see
+    /// [`Server::close_books`]) and assembles the report. Public so a
+    /// caller that drives the loop via [`Server::run_until`] can report
+    /// after the last step; [`Server::run`] calls it automatically. Every
+    /// completion in the report carries its output hash, and reporting
+    /// again hashes only what completed since (a timing-only server hashes
+    /// nothing).
     ///
     /// # Errors
     ///
@@ -1341,85 +1340,23 @@ impl Server {
         let passes = self.take_func_passes();
         let hashes = run_func_passes(1, passes.iter().collect());
         self.apply_func_hashes(passes, hashes)?;
-        Ok(self.assemble_report())
-    }
-
-    /// Writes the per-request tallies to the registry and resets them (see
-    /// the module docs' *Per-request accounting*).
-    fn flush_tallies(&mut self) {
-        self.tally.flush(&mut self.probes);
-        for book in self.tenant_books.values_mut() {
-            book.flush(&mut self.probes);
-        }
-    }
-
-    /// Exports end-of-drain counters and assembles the report, with no
-    /// functional phase: [`Server::report`] runs it first, and a cluster
-    /// runs every shard's at once before assembling each shard's report.
-    pub(crate) fn assemble_report(&mut self) -> ServeReport {
-        self.flush_tallies();
-        let span_ps = self
-            .completions
-            .iter()
-            .map(|c| c.done_ps)
-            .max()
-            .unwrap_or(0);
-        let mut teardown_ps = 0;
-        for (i, s) in self.slices.iter_mut().enumerate() {
-            // Slice counters are exported as deltas against the last
-            // report, so repeated runs stay additive and the
-            // busy <= span probe law holds for every export: a slice's
-            // new busy intervals all lie within its own free_at advance.
-            let busy_delta = s.busy_ps - s.reported_busy_ps;
-            let span_delta = s.free_at - s.reported_span_ps;
-            self.probes
-                .add(&format!("serve.slice.{i}.busy_ps"), busy_delta);
-            self.probes
-                .add(&format!("serve.slice.{i}.span_ps"), span_delta);
-            s.reported_busy_ps = s.busy_ps;
-            s.reported_span_ps = s.free_at;
-            if s.free_at > 0 {
-                self.probes.gauge_max(
-                    &format!("serve.slice.{i}.utilization"),
-                    s.busy_ps as f64 / s.free_at as f64,
-                );
-            }
-            self.probes
-                .add(&format!("serve.slice.{i}.reconfigs"), s.reconfigs);
-            s.reconfigs = 0;
-            if let Some(name) = &s.resident {
-                teardown_ps += self.kernels[name].cost.reclaim_ps;
-            }
-        }
-        self.probes.add("serve.teardown.reclaim_ps", teardown_ps);
-        // Way-utilization gauges: the partition the scheduler hands out.
-        self.probes.set_gauge(
-            "serve.ways.compute",
-            self.cfg.partition.compute_ways() as f64,
-        );
-        self.probes.set_gauge(
-            "serve.ways.scratchpad",
-            self.cfg.partition.scratchpad_ways() as f64,
-        );
-        self.probes
-            .set_gauge("serve.ways.cache", self.cfg.partition.cache_ways() as f64);
-        self.probes
-            .set_gauge("serve.slices", self.cfg.slices as f64);
-
+        // Sorting before the books close keeps the sort's index buffer
+        // from coexisting with the dispatch-log and registry clones.
         let completions = clone_sorted_by(&self.completions, completion_key);
+        let ShardReport { dispatches, probes } = self.close_books();
         let tenants = self
             .tenants
             .iter()
             .map(|(name, ts)| {
                 let keys = &self.tenant_books[name];
-                let hist = self.probes.histogram(&keys.latency_ps);
+                let hist = probes.histogram(&keys.latency_ps);
                 let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
                 TenantSummary {
                     name: name.clone(),
                     weight: ts.weight,
-                    submitted: self.probes.counter(&keys.submitted),
-                    completed: self.probes.counter(&keys.completed),
-                    shed: self.probes.counter(&keys.shed),
+                    submitted: probes.counter(&keys.submitted),
+                    completed: probes.counter(&keys.completed),
+                    shed: probes.counter(&keys.shed),
                     p50_ps: q(0.5),
                     p95_ps: q(0.95),
                     p99_ps: q(0.99),
@@ -1427,19 +1364,80 @@ impl Server {
                 }
             })
             .collect();
-
-        freac_probe::assert_ok(&self.probes);
-        freac_probe::global::merge(&self.probes);
-
-        ServeReport {
+        Ok(ServeReport {
+            span_ps: completions.last().map_or(0, |c| c.done_ps),
             completions,
             sheds: self.sheds.clone(),
-            dispatches: self.dispatches.clone(),
-            span_ps,
-            teardown_ps,
-            probes: self.probes.clone(),
+            dispatches,
+            teardown_ps: self.teardown_ps(),
+            probes,
             tenants,
+        })
+    }
+
+    /// Way-reclaim time for the accelerators resident right now.
+    fn teardown_ps(&self) -> Time {
+        self.slices
+            .iter()
+            .filter_map(|s| s.resident.as_ref())
+            .map(|name| self.kernels[name].cost.reclaim_ps)
+            .sum()
+    }
+
+    /// Closes a report's books after its functional phase: writes the
+    /// tallies, the slice counters since the last report and the snapshot
+    /// gauges to the registry, checks the probe laws, and exports what is
+    /// new to the global probe. [`Server::report`] and every cluster shard
+    /// run it. Returns all a shard adds to a cluster report.
+    pub(crate) fn close_books(&mut self) -> ShardReport {
+        let teardown_ps = self.teardown_ps();
+        let probes = self.probes.sink();
+        self.tally.flush(probes);
+        for book in self.tenant_books.values_mut() {
+            book.flush(probes);
         }
+        for (i, s) in self.slices.iter_mut().enumerate() {
+            // Slice counters are exported as deltas against the last
+            // report, so repeated runs stay additive and the
+            // busy <= span probe law holds for every export: a slice's
+            // new busy intervals all lie within its own free_at advance.
+            let busy_delta = s.busy_ps - s.reported_busy_ps;
+            let span_delta = s.free_at - s.reported_span_ps;
+            probes.add(&format!("serve.slice.{i}.busy_ps"), busy_delta);
+            probes.add(&format!("serve.slice.{i}.span_ps"), span_delta);
+            s.reported_busy_ps = s.busy_ps;
+            s.reported_span_ps = s.free_at;
+            if s.free_at > 0 {
+                probes.gauge_max(
+                    &format!("serve.slice.{i}.utilization"),
+                    s.busy_ps as f64 / s.free_at as f64,
+                );
+            }
+            probes.add(&format!("serve.slice.{i}.reconfigs"), s.reconfigs);
+            s.reconfigs = 0;
+        }
+        probes.add("serve.teardown.reclaim_ps", teardown_ps);
+        // Way-utilization gauges: the partition the scheduler hands out.
+        let partition = self.cfg.partition;
+        for (name, ways) in [
+            ("serve.ways.compute", partition.compute_ways()),
+            ("serve.ways.scratchpad", partition.scratchpad_ways()),
+            ("serve.ways.cache", partition.cache_ways()),
+            ("serve.slices", self.cfg.slices),
+        ] {
+            self.probes.set_gauge(name, ways as f64);
+        }
+        let probes = self.probes.export();
+        freac_probe::assert_ok(probes);
+        ShardReport {
+            dispatches: self.dispatches.clone(),
+            probes: probes.clone(),
+        }
+    }
+
+    /// Every completion and shed so far, in the order they happened.
+    pub(crate) fn records(&self) -> (&[Completion], &[Shed]) {
+        (&self.completions, &self.sheds)
     }
 }
 
@@ -1451,7 +1449,7 @@ impl Server {
 pub(crate) struct FuncPass {
     accel: Arc<Accelerator>,
     /// The batch plan, or `None` for the fold plan (exclusive requests,
-    /// and every request with batching off).
+    /// and every request under a one-lane cap).
     plan: Option<Arc<ExecPlan>>,
     cycles: u64,
     /// `(completion index, seed)` of each lane, in lane order.
@@ -1557,7 +1555,9 @@ mod tests {
         /// exported so far plus the unflushed tallies, leaving the server
         /// untouched.
         fn probes_now(&self) -> CounterRegistry {
-            let mut probes = self.probes.clone();
+            let mut written = self.probes.clone();
+            written.stop_exporting();
+            let mut probes = written.total().clone();
             self.tally.clone().flush(&mut probes);
             for book in self.tenant_books.values() {
                 let mut book = book.clone();
@@ -1672,7 +1672,7 @@ mod tests {
         });
         let mut single = server_with(ServeConfig {
             slices: 1,
-            batching: false,
+            max_lanes: 1,
             ..ServeConfig::default()
         });
         for i in 0..8 {

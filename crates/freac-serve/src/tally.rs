@@ -8,8 +8,77 @@
 //! have. Flushing resets the tally, so registry counters stay cumulative
 //! across reports while each report adds only what happened since the
 //! last.
+//!
+//! [`Probes`] applies the same rule to the process-wide probe: a report
+//! exports to it only what was recorded since the same registry's last
+//! report.
 
 use freac_probe::{CounterRegistry, Histogram};
+
+/// A server's or cluster's registry, with what the global probe has not
+/// seen yet kept apart.
+///
+/// While a global probe is active and this registry exports to it, writes
+/// land in `fresh`, and [`Probes::export`] folds them into `total` and
+/// into the global probe. Otherwise (the probe off, or a timing-only
+/// server or cluster) `fresh` is `None` and writes go straight to
+/// `total`, so nothing extra runs. Either way `total` ends up with the
+/// keys and values the same writes made directly would have left.
+#[derive(Debug, Clone)]
+pub(crate) struct Probes {
+    total: CounterRegistry,
+    fresh: Option<CounterRegistry>,
+}
+
+impl Probes {
+    /// An empty registry that exports to the global probe, if one is
+    /// active.
+    pub(crate) fn new() -> Self {
+        Probes {
+            total: CounterRegistry::new(),
+            fresh: freac_probe::global::enabled().then(CounterRegistry::new),
+        }
+    }
+
+    /// Stops exporting: later writes go straight to the total, and no
+    /// report exports to the global probe.
+    pub(crate) fn stop_exporting(&mut self) {
+        if let Some(fresh) = self.fresh.take() {
+            self.total.merge(&fresh);
+        }
+    }
+
+    /// Where writes go until the next [`Probes::export`].
+    pub(crate) fn sink(&mut self) -> &mut CounterRegistry {
+        self.fresh.as_mut().unwrap_or(&mut self.total)
+    }
+
+    /// Sets a snapshot gauge: the total holds `value` whatever it held
+    /// before, and the next export raises the global gauge to it.
+    pub(crate) fn set_gauge(&mut self, name: &str, value: f64) {
+        self.total.set_gauge(name, value);
+        if let Some(fresh) = &mut self.fresh {
+            fresh.set_gauge(name, value);
+        }
+    }
+
+    /// Folds everything written since the last export into the total and
+    /// into the global probe, and returns the total.
+    pub(crate) fn export(&mut self) -> &CounterRegistry {
+        if let Some(fresh) = &mut self.fresh {
+            let fresh = std::mem::take(fresh);
+            self.total.merge(&fresh);
+            freac_probe::global::merge(&fresh);
+        }
+        &self.total
+    }
+
+    /// The total as of the last export.
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> &CounterRegistry {
+        &self.total
+    }
+}
 
 /// A counter tallied between reports: `None` until first touched.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,6 +138,29 @@ pub(crate) fn flush_histogram(h: &mut Histogram, probes: &mut CounterRegistry, n
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exports_leave_the_total_direct_writes_leave() {
+        let mut direct = CounterRegistry::new();
+        let mut kept = Probes {
+            total: CounterRegistry::new(),
+            fresh: Some(CounterRegistry::new()),
+        };
+        for (ways, n) in [(8.0, 3u32), (4.0, 0)] {
+            direct.add("n", u64::from(n));
+            kept.sink().add("n", u64::from(n));
+            direct.gauge_max("hw", f64::from(n));
+            kept.sink().gauge_max("hw", f64::from(n));
+            direct.observe("h", u64::from(n));
+            kept.sink().observe("h", u64::from(n));
+            // A snapshot gauge may fall between reports.
+            direct.set_gauge("ways", ways);
+            kept.set_gauge("ways", ways);
+            assert_eq!(*kept.export(), direct);
+            assert_eq!(kept.fresh, Some(CounterRegistry::new()));
+        }
+        assert_eq!(kept.total().gauge("ways"), Some(4.0));
+    }
 
     #[test]
     fn flushes_build_the_registry_direct_calls_build() {

@@ -36,9 +36,10 @@ fn specs() -> Vec<TenantSpec> {
     vec![web, train, etl]
 }
 
-fn serve(batching: bool) -> Result<ServeReport, Box<dyn std::error::Error>> {
+/// Serves the workload with up to `max_lanes` lanes per dispatch.
+fn serve(max_lanes: usize) -> Result<ServeReport, Box<dyn std::error::Error>> {
     let mut server = Server::new(ServeConfig {
-        batching,
+        max_lanes,
         policy: SchedPolicy::WeightedFair,
         ..ServeConfig::default()
     })?;
@@ -56,7 +57,7 @@ fn serve(batching: bool) -> Result<ServeReport, Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let batched = serve(true)?;
+    let batched = serve(ServeConfig::default().max_lanes)?;
     println!("three tenants, aes+gemm, weighted-fair over 4 slices:\n");
     print!("{}", tenant_table(&batched));
     println!(
@@ -76,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batched.probes.counter("serve.deadlines.missed"),
     );
 
-    let single = serve(false)?;
+    let single = serve(1)?;
     println!(
         "\nsame workload single-lane: {:.1} us vs {:.1} us batched ({:.2}x)",
         single.span_ps as f64 / 1e6,
@@ -87,6 +88,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batched.span_ps < single.span_ps,
         "batching must win on this workload"
     );
+    // A report exports to the global probe only what is new since the
+    // server's last one, so it holds each completion of both runs once.
+    if let Some(probe) = freac::probe::global::global() {
+        assert_eq!(
+            probe.snapshot().counter("serve.requests.completed"),
+            (batched.completions.len() + single.completions.len()) as u64,
+            "the global probe counts every completion once"
+        );
+    }
     freac::probe::global::finish()?;
     Ok(())
 }

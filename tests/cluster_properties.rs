@@ -42,7 +42,7 @@ fn multi_kernel_cluster(route: RoutePolicy) -> ClusterReport {
             queue_depth: 512,
             // Single-lane service: every dispatch makes a fresh residency
             // decision, so placement quality shows directly in reconfigs.
-            batching: false,
+            max_lanes: 1,
             ..ServeConfig::default()
         },
         ..ClusterConfig::default()
@@ -107,7 +107,7 @@ fn skewed_cluster(steal: Option<StealConfig>) -> ClusterReport {
         shard: ServeConfig {
             slices: 1,
             queue_depth: 512,
-            batching: false,
+            max_lanes: 1,
             ..ServeConfig::default()
         },
         epoch_ps: 10_000,

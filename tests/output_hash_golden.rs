@@ -6,14 +6,15 @@
 //! hashes on the reference evaluator; these digests cover all of them, so
 //! any change to which engine evaluates a request, at what width, or when,
 //! must leave every hash byte-identical. The runs cover batching on with
-//! exclusive bursts and 512-lane batches, batching off, and a 4-shard
-//! stealing cluster at 1 and 4 workers.
+//! exclusive bursts and 512-lane batches, batching off (a one-lane cap), a
+//! 4-shard stealing cluster at 1 and 4 workers, and a 2-shard stealing
+//! cluster reported twice.
 //!
 //! The probe digests pin which keys a report's registry holds and their
 //! values: the per-request counters, gauges and histograms, the per-tenant
 //! keys, and the cluster's `cluster.*` and `cluster.shard.<i>.*` keys. A
-//! server reported twice pins that each report exports exactly what
-//! happened since the last one and that counters stay cumulative.
+//! server and a cluster reported twice pin that each report adds exactly
+//! what happened since the last one and that counters stay cumulative.
 
 use freac::kernels::KernelId;
 use freac::probe::{to_metrics_json, CounterRegistry};
@@ -41,6 +42,10 @@ const SINGLE_LANE_PROBES_DIGEST: u64 = 0x7073_b4aa_65af_9fed;
 const CLUSTER_PROBES_DIGEST: u64 = 0x53e2_e1c9_8133_b22d;
 /// Probe-export digest of both reports of the server reported twice.
 const TWICE_REPORTED_PROBES_DIGEST: u64 = 0x14f3_8d20_8565_1576;
+/// Digests of the first and second report of the cluster reported twice.
+const TWICE_REPORTED_CLUSTER_DIGESTS: [u64; 2] = [0x79f3_42a2_5580_323a, 0xfa8d_9b77_de6b_e82d];
+/// Probe-export digest of both reports of the cluster reported twice.
+const TWICE_REPORTED_CLUSTER_PROBES_DIGEST: u64 = 0x1ef8_2cda_d34e_4850;
 
 /// FNV-1a over byte strings, fed in order.
 struct Fnv(u64);
@@ -124,10 +129,9 @@ fn bursty_trace() -> Vec<Request> {
 
 fn server_config(batching: bool) -> ServeConfig {
     ServeConfig {
-        batching,
         policy: SchedPolicy::WeightedFair,
         queue_depth: 1024,
-        max_lanes: 512,
+        max_lanes: if batching { 512 } else { 1 },
         ..ServeConfig::default()
     }
 }
@@ -301,4 +305,77 @@ fn twice_reported_server_probes_match_the_golden_digest() {
     );
     let got = probes_digest([&first.probes, &last.probes]);
     assert_eq!(got, TWICE_REPORTED_PROBES_DIGEST, "{got:#x}");
+}
+
+#[test]
+fn twice_reported_cluster_matches_the_golden_digests() {
+    // A 2-shard stealing cluster drains the bursty trace and reports, then
+    // drains a second copy of it under fresh sequence numbers, arriving
+    // 50 us later (before the cluster's clock, which the first drain left
+    // near 70 us), and reports again.
+    let second: Vec<Request> = bursty_trace()
+        .into_iter()
+        .map(|mut r| {
+            r.seq += 100_000;
+            r.arrival_ps += 50_000_000;
+            r
+        })
+        .collect();
+    let mut cluster = Cluster::new(ClusterConfig {
+        shards: 2,
+        route: RoutePolicy::KernelAffinity { spill_depth: 48 },
+        steal: Some(StealConfig {
+            imbalance: 2,
+            max_per_epoch: 8,
+        }),
+        shard: ServeConfig {
+            slices: 1,
+            queue_depth: 256,
+            ..ServeConfig::default()
+        },
+        epoch_ps: 20_000,
+        ..ClusterConfig::default()
+    })
+    .expect("config is valid");
+    cluster
+        .register_paper_kernel(KernelId::Aes)
+        .expect("aes maps");
+    cluster
+        .register_paper_kernel(KernelId::Gemm)
+        .expect("gemm maps");
+    for s in specs(0) {
+        cluster
+            .add_tenant(&s.name, s.weight)
+            .expect("unique tenant");
+    }
+    let mut reports = Vec::new();
+    for half in [bursty_trace(), second] {
+        for r in half {
+            cluster.submit(r).expect("trace request is valid");
+        }
+        let report = cluster.run_to_completion().expect("cluster drains");
+        let shard_completed: u64 = report
+            .shards
+            .iter()
+            .map(|s| s.probes.counter("serve.requests.completed"))
+            .sum();
+        assert_eq!(shard_completed, report.completions.len() as u64);
+        reports.push(report);
+    }
+    let (first, last) = (&reports[0], &reports[1]);
+    assert!(
+        first.steals > 0 && last.steals > first.steals,
+        "both drains steal"
+    );
+    assert!(
+        !first.sheds.is_empty() && last.sheds.len() > first.sheds.len(),
+        "both drains shed"
+    );
+    let got = [digest(&first.completions), digest(&last.completions)];
+    assert_eq!(got, TWICE_REPORTED_CLUSTER_DIGESTS, "{got:#x?}");
+    let probes = probes_digest([&first.probes, &last.probes]);
+    assert_eq!(
+        probes, TWICE_REPORTED_CLUSTER_PROBES_DIGEST,
+        "probes: {probes:#x}"
+    );
 }

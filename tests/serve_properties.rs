@@ -5,7 +5,7 @@
 
 use freac::core::{Accelerator, AcceleratorTile};
 use freac::kernels::KernelId;
-use freac::netlist::OptLevel;
+use freac::netlist::{OptLevel, BATCH_LANES};
 use freac::serve::{
     open_loop_trace, Request, RequestProfile, SchedPolicy, ServeConfig, ServeReport, Server,
     TenantSpec,
@@ -31,7 +31,7 @@ fn mixed_specs() -> Vec<TenantSpec> {
 
 fn serve_mixed(batching: bool, workers: usize) -> ServeReport {
     let mut server = Server::new(ServeConfig {
-        batching,
+        max_lanes: if batching { BATCH_LANES } else { 1 },
         policy: SchedPolicy::WeightedFair,
         ..ServeConfig::default()
     })
@@ -315,7 +315,7 @@ fn stolen_then_shed_requests_terminate_exactly_once() {
     // the merged ledger still balances.
     let mut victim = Server::new(ServeConfig {
         slices: 1,
-        batching: false,
+        max_lanes: 1,
         ..ServeConfig::default()
     })
     .expect("victim config");
@@ -341,7 +341,7 @@ fn stolen_then_shed_requests_terminate_exactly_once() {
     // overflow it, so some stolen requests are shed on arrival.
     let mut thief = Server::new(ServeConfig {
         slices: 1,
-        batching: false,
+        max_lanes: 1,
         queue_depth: 1,
         ..ServeConfig::default()
     })
