@@ -165,6 +165,14 @@ impl FoldBatchExecutor<'_> {
         self.plan.export_passes(reg, prefix, self.lane_passes);
     }
 
+    /// Returns every lane to power-on values and the lane-pass count to 0,
+    /// reusing the state's buffers: the executor then runs and exports
+    /// exactly as a fresh [`FoldPlan::batch_executor`] of its width.
+    pub fn reset(&mut self) {
+        self.plan.plan.reset_batch_state(&mut self.state);
+        self.lane_passes = 0;
+    }
+
     /// Runs one original clock cycle for every supplied lane at once,
     /// writing lane `l`'s primary outputs into `out[l]` without
     /// steady-state allocation.
@@ -673,6 +681,47 @@ mod tests {
                 "k {k}: batch counters must equal the merged single-lane counters"
             );
         }
+    }
+
+    #[test]
+    fn reset_batch_executor_reruns_like_a_fresh_one() {
+        let mut b = CircuitBuilder::new("acc");
+        let x = b.word_input("x", 16);
+        let (acc, h) = b.word_reg(9, 16);
+        let sum = b.add(&acc, &x);
+        b.connect_word_reg(h, &sum);
+        b.word_output("acc", &acc);
+        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
+        let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
+        let schedule = schedule_fold(&n, &cons).unwrap();
+        let plan = compile_fold(&n, &schedule).unwrap();
+        for &k in &[1usize, 2, 5, 100, 300] {
+            let lanes: Vec<Vec<Value>> = (0..k as u32)
+                .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & 0xFFFF)])
+                .collect();
+            let run = |bx: &mut FoldBatchExecutor<'_>| {
+                let mut out = Vec::new();
+                let outs: Vec<Vec<Vec<Value>>> = (0..3)
+                    .map(|_| {
+                        bx.run_batch_cycle_into(&lanes, &mut out).unwrap();
+                        out.clone()
+                    })
+                    .collect();
+                let mut reg = CounterRegistry::new();
+                bx.export_into(&mut reg, "fold");
+                (outs, to_counters(&reg))
+            };
+            let mut bx = plan.batch_executor(k);
+            let first = run(&mut bx);
+            bx.reset();
+            assert_eq!(bx.lane_passes(), 0, "k {k}");
+            assert_eq!(run(&mut bx), first, "k {k}");
+        }
+    }
+
+    /// A registry's counters as owned pairs.
+    fn to_counters(reg: &CounterRegistry) -> Vec<(String, u64)> {
+        reg.counters().map(|(k, v)| (k.to_owned(), v)).collect()
     }
 
     #[test]

@@ -245,7 +245,7 @@ pub struct ExecPlan {
 }
 
 /// Mutable single-vector execution state for an [`ExecPlan`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanState {
     /// Byte-per-slot bit plane (0 or 1): single-vector LUT input gathers
     /// are one indexed load each, with no shift/mask to locate the bit.
@@ -274,7 +274,7 @@ impl PlanState {
 /// state. `N` is the bit-slice width in `u64` words — `N = 1` (the
 /// default) is the classic 64-lane state, `N = 4` / `N = 8` widen one
 /// sweep to 256 / 512 lanes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchState<const N: usize = 1> {
     /// One `[u64; N]` chunk per bit slot; bit `l % 64` of word `l / 64`
     /// is lane `l`.
@@ -306,8 +306,9 @@ impl<const N: usize> BatchState<N> {
 /// single-vector engine; wider ones run one of the supported monomorphized
 /// bit-sliced widths ([`BATCH_WIDTHS`]) with its straight-line `[u64; N]`
 /// loops. Build with [`ExecPlan::new_batch_state_for`], run with
-/// [`ExecPlan::run_batch_cycle_any`].
-#[derive(Debug, Clone)]
+/// [`ExecPlan::run_batch_cycle_any`]; [`ExecPlan::reset_batch_state`]
+/// returns one to power-on values for the next batch without allocating.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnyBatchState {
     /// One single-vector state per lane (1 to [`SCALAR_BATCH_LANES`]).
     Scalar(Vec<PlanState>),
@@ -395,6 +396,12 @@ pub fn batch_isa() -> &'static str {
     }
 }
 
+/// Sets `v` to `len` copies of `value`, reusing its buffer.
+fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
+    v.clear();
+    v.resize(len, value);
+}
+
 /// Bit count at which the batch `Pack`/`Unpack` paths switch from
 /// per-lane assembly to a full 64×64 block transpose: the transpose costs
 /// a fixed ~`64 · log2(64)` word ops per block, the per-lane form
@@ -473,6 +480,60 @@ impl ExecPlan {
             AnyBatchState::W4(self.new_wide_batch_state())
         } else {
             AnyBatchState::W8(self.new_wide_batch_state())
+        }
+    }
+
+    /// Returns `state` to the power-on values [`ExecPlan::new_state`]
+    /// builds, reusing its buffers.
+    fn reset_state(&self, state: &mut PlanState) {
+        state.bits.clear();
+        state.bits.extend_from_slice(&self.bit_init);
+        state.words.clear();
+        state.words.extend_from_slice(&self.word_init);
+        refill(&mut state.bit_stage, self.bit_latches.len().max(1), 0);
+        refill(&mut state.word_stage, self.word_latches.len().max(1), 0);
+        state.cycles = 0;
+    }
+
+    /// Returns `state` to the power-on values
+    /// [`ExecPlan::new_wide_batch_state`] builds, reusing its buffers.
+    fn reset_wide_batch_state<const N: usize>(&self, state: &mut BatchState<N>) {
+        let lanes = N * BATCH_LANES;
+        state.bits.clear();
+        state.bits.extend(
+            self.bit_init
+                .iter()
+                .map(|&b| [u64::from(b).wrapping_neg(); N]),
+        );
+        // Every word of the plane is refilled below, so growing it with
+        // zeros costs nothing a fresh state's `vec!` would not.
+        state.words.resize(self.word_init.len() * lanes, 0);
+        for (s, &init) in self.word_init.iter().enumerate() {
+            state.words[s * lanes..(s + 1) * lanes].fill(init);
+        }
+        refill(&mut state.bit_stage, self.bit_latches.len().max(1), [0; N]);
+        refill(
+            &mut state.word_stage,
+            self.word_latches.len() * lanes + 1,
+            0,
+        );
+        state.cycles = 0;
+    }
+
+    /// Returns a batch state of any width to power-on values, as
+    /// [`ExecPlan::new_batch_state_for`] builds that width, reusing its
+    /// buffers: a caller running many batches keeps one state per width
+    /// and allocates nothing per batch.
+    pub fn reset_batch_state(&self, state: &mut AnyBatchState) {
+        match state {
+            AnyBatchState::Scalar(lanes) => {
+                for lane in lanes {
+                    self.reset_state(lane);
+                }
+            }
+            AnyBatchState::W1(s) => self.reset_wide_batch_state(s),
+            AnyBatchState::W4(s) => self.reset_wide_batch_state(s),
+            AnyBatchState::W8(s) => self.reset_wide_batch_state(s),
         }
     }
 
@@ -1895,6 +1956,41 @@ mod tests {
         b.bit_output("q", q);
         b.bit_output("f5", f5);
         b.finish().unwrap()
+    }
+
+    #[test]
+    fn reset_states_equal_fresh_ones_at_every_width() {
+        // Scalar (one and two lanes), W1, W4 and W8: three cycles move
+        // every register and latch stage off its power-on value, and a
+        // reset brings the whole state back to a fresh one's.
+        let plan = compile(&every_op_circuit()).unwrap();
+        for lanes in [1, SCALAR_BATCH_LANES, 64, 256, 512] {
+            let fresh = plan.new_batch_state_for(lanes);
+            let inputs: Vec<Vec<Value>> = (0..lanes as u32)
+                .map(|l| {
+                    vec![
+                        Value::Word(l * 37 % 256),
+                        Value::Word(l * 11 % 256 + 1),
+                        Value::Bit(l % 3 == 0),
+                    ]
+                })
+                .collect();
+            let mut state = fresh.clone();
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                plan.run_batch_cycle_any(&mut state, &inputs, &mut out)
+                    .unwrap();
+            }
+            let first = out.clone();
+            assert_ne!(state, fresh, "{lanes} lanes: the cycles left no trace");
+            plan.reset_batch_state(&mut state);
+            assert_eq!(state, fresh, "{lanes} lanes");
+            for _ in 0..3 {
+                plan.run_batch_cycle_any(&mut state, &inputs, &mut out)
+                    .unwrap();
+            }
+            assert_eq!(out, first, "{lanes} lanes: a reset state reruns alike");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod fold;
 pub mod metrics;
 pub mod optimize;
 pub mod queue;
+pub mod reports;
 pub mod round;
 pub mod sample;
 pub mod serve;

@@ -6,8 +6,8 @@
 //! and the one-line corpus entry that replays it.
 
 use freac_proptest::oracles::{
-    bitstream, burst, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, round,
-    sample, serve,
+    bitstream, burst, cache, cluster, coherence, compiled, fold, metrics, optimize, queue, reports,
+    round, sample, serve,
 };
 use freac_proptest::{check, Runner};
 
@@ -170,6 +170,21 @@ fn serve_exclusive_burst_matches_reference() {
         burst::generate,
         burst::shrink,
         burst::check,
+    );
+}
+
+#[test]
+fn serve_reports_keep_the_canonical_order() {
+    // Random traces with exclusives over 1-8 slices and lane caps 1-512,
+    // bounded runs to random instants with a report after each, a
+    // rescale and stolen older arrivals mid-run: every report must be the
+    // hook's completions stably sorted by (done, tenant, seq) with
+    // reference hashes, and what a report settled must open the next.
+    check(
+        "serve/report-order",
+        reports::generate,
+        reports::shrink,
+        reports::check,
     );
 }
 

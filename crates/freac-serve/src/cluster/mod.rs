@@ -16,7 +16,8 @@
 //!
 //! Shards are pumped in index order, but their terminal events are merged
 //! and re-sorted by `(time, tenant, seq, kind)` before the run hook sees
-//! them, and all routing state (rendezvous rankings, the round-robin
+//! them (a drain without a hook, [`Cluster::run_to_completion`], only
+//! counts them), and all routing state (rendezvous rankings, the round-robin
 //! cursor, the pending set) iterates canonically — so traces, completion
 //! hashes, and merged counters are a pure function of the submitted
 //! request set and the configuration, never of registration or submission
@@ -43,8 +44,9 @@
 //! keys and values direct registry calls would have left. Per-epoch and
 //! rare events (route-cache stats, steals, autoscaling) go to the registry
 //! directly.
-//! A report clones each completion and shed once, straight from the
-//! shards, and exports to the global probe as a server's does.
+//! A report merges the completions the shards hand over, already in
+//! canonical order, by move, clones each shed once, and exports to the
+//! global probe as a server's does.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -59,7 +61,7 @@ use crate::error::ServeError;
 use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::server::{
-    clone_sorted_by, completion_key, run_func_passes, DispatchRecord, FluidEstimate, FuncPass,
+    clone_sorted_by, least, run_func_passes, DispatchRecord, FluidEstimate, FuncPass,
     RequestProfile, ServeConfig, Server, TenantSummary,
 };
 use crate::tally::{Count, Probes};
@@ -444,13 +446,16 @@ impl Cluster {
         Ok(())
     }
 
-    /// Drains everything submitted, with no closed-loop reaction.
+    /// Drains everything submitted, with no closed-loop reaction. With no
+    /// hook to show them to, the shards' outcomes are only counted: each
+    /// epoch skips the merge [`Cluster::run`] sorts them in.
     ///
     /// # Errors
     ///
     /// See [`Cluster::run`].
     pub fn run_to_completion(&mut self) -> Result<ClusterReport, ServeError> {
-        self.run(|_| Vec::new())
+        self.drive::<fn(&Outcome) -> Vec<Request>>(None)?;
+        self.report()
     }
 
     /// Runs the epoch loop until every shard and the pending set drain,
@@ -472,17 +477,27 @@ impl Cluster {
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
+        self.drive(Some(&mut hook))?;
+        self.report()
+    }
+
+    /// The epoch loop of [`Cluster::run`], showing outcomes to `hook` if
+    /// there is one.
+    fn drive<F>(&mut self, mut hook: Option<&mut F>) -> Result<(), ServeError>
+    where
+        F: FnMut(&Outcome) -> Vec<Request>,
+    {
         let epoch = self.cfg.epoch_ps;
         while let Some(next) = self.next_event_ps() {
             self.skip_idle_epochs(next);
             let epoch_end = self.now.saturating_add(epoch);
             self.autoscale_epoch()?;
-            self.route_arrivals(epoch_end, &mut hook)?;
+            self.route_arrivals(epoch_end, hook.as_deref_mut())?;
             self.steal_epoch();
-            self.pump_shards(epoch_end, &mut hook)?;
+            self.pump_shards(epoch_end, hook.as_deref_mut())?;
             self.now = epoch_end;
         }
-        self.report()
+        Ok(())
     }
 
     /// Moves `now` past every epoch in which nothing can happen, given the
@@ -594,8 +609,12 @@ impl Cluster {
 
     /// Routes every pending arrival at or before `epoch_end` (inclusive,
     /// matching the bound of [`Server::run_until`]) to a shard, or sheds
-    /// it when the global budget is exhausted.
-    fn route_arrivals<F>(&mut self, epoch_end: Time, hook: &mut F) -> Result<(), ServeError>
+    /// it when the global budget is exhausted, showing the shed to `hook`.
+    fn route_arrivals<F>(
+        &mut self,
+        epoch_end: Time,
+        mut hook: Option<&mut F>,
+    ) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
@@ -606,14 +625,16 @@ impl Cluster {
             if self.backlogs.iter().sum::<usize>() >= self.cfg.budget {
                 let at = req.arrival_ps;
                 self.tally.shed.inc();
-                let shed = Shed {
+                let outcome = Outcome::Shed(Shed {
                     request: req,
                     at_ps: at,
                     reason: ShedReason::ClusterBudget,
-                };
-                let outcome = Outcome::Shed(shed.clone());
-                self.router_sheds.push(shed);
-                for mut f in hook(&outcome) {
+                });
+                let followups = hook.as_mut().map_or_else(Vec::new, |hook| hook(&outcome));
+                if let Outcome::Shed(shed) = outcome {
+                    self.router_sheds.push(shed);
+                }
+                for mut f in followups {
                     f.arrival_ps = f.arrival_ps.max(at.saturating_add(1));
                     self.submit(f)?;
                 }
@@ -674,11 +695,31 @@ impl Cluster {
     }
 
     /// Pumps every shard to the epoch boundary, then feeds the merged,
-    /// canonically ordered terminal events to the run hook.
-    fn pump_shards<F>(&mut self, epoch_end: Time, hook: &mut F) -> Result<(), ServeError>
+    /// canonically ordered terminal events to the run hook. Without a
+    /// hook, the shards' new outcomes are only counted.
+    fn pump_shards<F>(&mut self, epoch_end: Time, hook: Option<&mut F>) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
+        let Some(hook) = hook else {
+            for sh in &mut self.shards {
+                let (completed, shed) = sh.server.outcome_counts();
+                sh.server
+                    .run_until(epoch_end, &mut |_: &Outcome| Vec::new())?;
+                let (now_completed, now_shed) = sh.server.outcome_counts();
+                // A tally touched by nothing stays untouched, as with a
+                // hook: its key appears only once an outcome happens.
+                for (tally, new) in [
+                    (&mut self.tally.completed, now_completed - completed),
+                    (&mut self.tally.shed, now_shed - shed),
+                ] {
+                    if new > 0 {
+                        tally.add(new as u64);
+                    }
+                }
+            }
+            return Ok(());
+        };
         let mut events: Vec<Outcome> = Vec::new();
         for sh in &mut self.shards {
             sh.server.run_until(epoch_end, &mut |o: &Outcome| {
@@ -709,18 +750,21 @@ impl Cluster {
     /// Runs every shard's functional phase (none for a timing-only
     /// cluster) on [`ClusterConfig::workers`] threads, closes the books of
     /// the cluster and of every shard, and merges the shards' records into
-    /// the cluster view, cloning each completion and shed once.
+    /// the cluster view: the completions the shards hand over by move, the
+    /// sheds cloned once each.
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
         self.flush_tallies();
         self.run_func_phase()?;
-        let mut completions: Vec<&Completion> = Vec::new();
+        let completions = merge_completions(
+            self.shards
+                .iter_mut()
+                .map(|s| s.server.hand_over())
+                .collect(),
+        );
         let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
         for sh in &self.shards {
-            let (shard_completions, shard_sheds) = sh.server.records();
-            completions.extend(shard_completions);
-            sheds.extend(shard_sheds);
+            sheds.extend(sh.server.sheds());
         }
-        let completions = clone_sorted_by(&completions, completion_key);
         let sheds = clone_sorted_by(&sheds, |s: &Shed| {
             let r = &s.request;
             (s.at_ps, r.tenant.as_str(), r.seq, r.retries)
@@ -812,6 +856,22 @@ impl Cluster {
     }
 }
 
+/// Merges canonically ordered completion lists into one by move, in
+/// canonical order; among equal keys the earlier list goes first, as a
+/// stable sort of their concatenation would leave them.
+fn merge_completions(lists: Vec<Vec<Completion>>) -> Vec<Completion> {
+    let mut lists: Vec<Vec<Completion>> = lists.into_iter().filter(|l| !l.is_empty()).collect();
+    if lists.len() <= 1 {
+        return lists.pop().unwrap_or_default();
+    }
+    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+    let mut lists: Vec<_> = lists.into_iter().map(Vec::into_iter).collect();
+    while let Some(i) = least(lists.iter().map(|l| l.as_slice().first())) {
+        out.extend(lists[i].next());
+    }
+    out
+}
+
 /// Canonical ordering of merged terminal events: time, then identity,
 /// completions before sheds at the same instant.
 fn outcome_key(o: &Outcome) -> (Time, &str, u64, u8, u32) {
@@ -877,9 +937,9 @@ mod tests {
                 }
                 let epoch_end = self.now.saturating_add(epoch);
                 self.autoscale_epoch().unwrap();
-                self.route_arrivals(epoch_end, hook).unwrap();
+                self.route_arrivals(epoch_end, Some(&mut *hook)).unwrap();
                 self.steal_epoch();
-                self.pump_shards(epoch_end, hook).unwrap();
+                self.pump_shards(epoch_end, Some(&mut *hook)).unwrap();
                 self.now = epoch_end;
                 visited += 1;
             }

@@ -41,6 +41,20 @@
 //! fresh latch state. Were exclusives to carry register state from one
 //! dispatch to the next, hashes would have to be computed in the loop.
 //!
+//! # Completion log
+//!
+//! Completions are kept in canonical `(done_ps, tenant, seq)` order while
+//! the loop writes them, so no report sorts them. Each slice holds its
+//! last batch *in flight*, riders in `(tenant, seq)` order, since a later
+//! dispatch elsewhere may finish first; a dispatch at `t` first retires
+//! every batch finished by `t` to the log, batches finishing together
+//! merged by `(tenant, seq)`. That is exact because every dispatch
+//! finishes strictly after it starts, which the loop asserts. A report
+//! takes the completions through [`Server::hand_over`]: those of earlier
+//! reports rebuilt from a compact history, the log moved out, and clones
+//! of what is still in flight. The schedule log keeps kernel and tenant
+//! ids, and each report builds its [`DispatchRecord`]s.
+//!
 //! # Per-request accounting
 //!
 //! The loop's per-request probes — request, batch, lane, reconfiguration
@@ -67,8 +81,12 @@ use freac_core::{
     HandoffMode, ReconfigCost, RoundQuote, SlicePartition,
 };
 use freac_experiments::parallel::map_with;
+use freac_fold::{FoldBatchExecutor, FoldPlan};
 use freac_kernels::{kernel, Kernel, KernelId, Workload};
-use freac_netlist::{compile, ExecPlan, Netlist, Value, BATCH_LANES, MAX_BATCH_LANES};
+use freac_netlist::{
+    compile, AnyBatchState, ExecPlan, Netlist, Value, BATCH_LANES, BATCH_WIDTHS, MAX_BATCH_LANES,
+    SCALAR_BATCH_LANES,
+};
 use freac_probe::{CounterRegistry, Histogram};
 use freac_sim::Time;
 
@@ -238,21 +256,21 @@ struct ServedKernel {
     cost: ReconfigCost,
     /// Lane capacity per dispatch.
     lanes_cap: usize,
-    /// Completions of this kernel still awaiting their output hash, as
-    /// indices into `Server::completions`, by the engine their dispatch
-    /// selected: `[fold plan, batch plan]`.
-    unhashed: [Vec<usize>; 2],
+    /// Registration index, the id the server's logs record.
+    id: u32,
 }
 
 /// A tenant's per-request bookkeeping, reached through one lookup by name:
-/// its `serve.tenant.<name>.*` probe keys, formatted once when the tenant
-/// is added so per-request accounting allocates nothing, the tallies of
-/// its per-request probes, and the `(seq, retries)` identities it has
+/// its registration index (the id the server's logs record), its
+/// `serve.tenant.<name>.*` probe keys, formatted once when the tenant is
+/// added so per-request accounting allocates nothing, the tallies of its
+/// per-request probes, and the `(seq, retries)` identities it has
 /// submitted and not had stolen away. The identity set answers membership
 /// only and is never iterated, so its order cannot reach a schedule or a
 /// report.
 #[derive(Clone)]
 struct TenantBook {
+    id: u32,
     ids: HashSet<(u64, u32)>,
     tally: TenantTally,
     submitted: String,
@@ -276,9 +294,10 @@ struct TenantTally {
 }
 
 impl TenantBook {
-    fn new(name: &str) -> Self {
+    fn new(name: &str, id: u32) -> Self {
         let key = |suffix: &str| format!("serve.tenant.{name}.{suffix}");
         TenantBook {
+            id,
             ids: HashSet::new(),
             tally: TenantTally::default(),
             submitted: key("submitted"),
@@ -367,6 +386,136 @@ struct SliceState {
     /// calls add deltas, keeping counter merges additive).
     reported_busy_ps: Time,
     reported_span_ps: Time,
+    /// The slice's last dispatch, until it retires to the log.
+    flight: Flight,
+}
+
+/// A slice's last dispatch, *in flight*: a later dispatch on another
+/// slice may still finish before it, so its completions stay out of the
+/// completion log until a dispatch at or after its `done_ps` retires it
+/// ([`Server::retire_until`]).
+#[derive(Clone, Default)]
+struct Flight {
+    done_ps: Time,
+    batch_id: u64,
+    kernel: u32,
+    /// Hashed on the batch plan rather than the fold plan.
+    batch: bool,
+    /// Whether a report's functional phase has hashed the riders.
+    hashed: bool,
+    /// `(completion, tenant id)` of every rider, in `(tenant, seq)` order
+    /// (lane order among equals); empty once retired.
+    riders: Vec<(Completion, u32)>,
+}
+
+impl Flight {
+    /// Whether the batch is still here and finished by `t`.
+    fn due(&self, t: Time) -> bool {
+        !self.riders.is_empty() && self.done_ps <= t
+    }
+
+    /// The log tag of one of its riders.
+    fn tag(&self, tenant: u32) -> Tag {
+        Tag {
+            tenant,
+            kernel: self.kernel,
+            batch: self.batch,
+            hashed: self.hashed,
+        }
+    }
+}
+
+/// What the completion log keeps beside each completion: the ids the
+/// history records, and what the functional phase needs — the engine
+/// and whether the completion is hashed yet.
+#[derive(Clone, Copy)]
+struct Tag {
+    tenant: u32,
+    kernel: u32,
+    batch: bool,
+    hashed: bool,
+}
+
+/// A completion an earlier report handed over, kept for the cumulative
+/// reports after it with its tenant and kernel as ids: `Copy`, so keeping
+/// it allocates nothing per record and dropping it frees nothing.
+#[derive(Clone, Copy)]
+struct Past {
+    tenant: u32,
+    kernel: u32,
+    seq: u64,
+    arrival_ps: Time,
+    start_ps: Time,
+    done_ps: Time,
+    reconfig_ps: Time,
+    exec_ps: Time,
+    batch_id: u64,
+    lanes: u32,
+    slice: u32,
+    output_hash: u64,
+    seed: u64,
+    deadline_met: Option<bool>,
+}
+
+impl Past {
+    fn new(c: &Completion, tag: Tag) -> Self {
+        Past {
+            tenant: tag.tenant,
+            kernel: tag.kernel,
+            seq: c.seq,
+            arrival_ps: c.arrival_ps,
+            start_ps: c.start_ps,
+            done_ps: c.done_ps,
+            reconfig_ps: c.reconfig_ps,
+            exec_ps: c.exec_ps,
+            batch_id: c.batch_id,
+            lanes: c.lanes as u32,
+            slice: c.slice as u32,
+            output_hash: c.output_hash,
+            seed: c.seed,
+            deadline_met: c.deadline_met,
+        }
+    }
+
+    /// The completion again, names looked up by id.
+    fn completion(&self, tenants: &[&str], kernels: &[&str]) -> Completion {
+        Completion {
+            tenant: tenants[self.tenant as usize].to_owned(),
+            seq: self.seq,
+            kernel: kernels[self.kernel as usize].to_owned(),
+            arrival_ps: self.arrival_ps,
+            start_ps: self.start_ps,
+            done_ps: self.done_ps,
+            reconfig_ps: self.reconfig_ps,
+            exec_ps: self.exec_ps,
+            batch_id: self.batch_id,
+            lanes: self.lanes as usize,
+            slice: self.slice as usize,
+            output_hash: self.output_hash,
+            seed: self.seed,
+            deadline_met: self.deadline_met,
+        }
+    }
+}
+
+/// One dispatch in the schedule log, its kernel an id. Its riders'
+/// `(tenant id, seq, retries)` follow those of the dispatches before it
+/// in `Server::dispatch_riders`; reports build the [`DispatchRecord`]s.
+#[derive(Clone, Copy)]
+struct Dispatched {
+    at_ps: Time,
+    slice: usize,
+    kernel: u32,
+    lanes: usize,
+    reconfigured: bool,
+}
+
+/// Where a functional-phase lane's completion is: at an index of the
+/// completion log, or at `(slice, rider)` of an in-flight batch.
+#[derive(Clone, Copy)]
+enum At {
+    Log(usize),
+    Flight(usize, usize),
 }
 
 /// Clones `items` into the order a stable sort by `key` would leave them
@@ -394,6 +543,21 @@ where
 /// The canonical completion order: `(done_ps, tenant, seq)`.
 pub(crate) fn completion_key(c: &Completion) -> (Time, &str, u64) {
     (c.done_ps, &c.tenant, c.seq)
+}
+
+/// The position of the least of `heads` in canonical completion order,
+/// the first among equals, or `None` when every head is `None`: one step
+/// of a merge of canonically ordered lists.
+pub(crate) fn least<'a>(heads: impl Iterator<Item = Option<&'a Completion>>) -> Option<usize> {
+    let mut best: Option<(usize, &Completion)> = None;
+    for (i, head) in heads.enumerate() {
+        if let Some(c) = head {
+            if best.is_none_or(|(_, b)| completion_key(c) < completion_key(b)) {
+                best = Some((i, c));
+            }
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 /// One dispatch in the schedule log — the object the determinism oracle
@@ -493,10 +657,16 @@ pub struct Server {
     tally: ServeTally,
     queued: usize,
     now: Time,
-    batch_seq: u64,
-    completions: Vec<Completion>,
+    /// Completions retired from flight since the last report, in
+    /// canonical order, and their tags.
+    log: Vec<Completion>,
+    log_tags: Vec<Tag>,
+    /// Every completion earlier reports handed over, in canonical order.
+    history: Vec<Past>,
     sheds: Vec<Shed>,
-    dispatches: Vec<DispatchRecord>,
+    /// The schedule log and its riders (see [`Dispatched`]).
+    dispatched: Vec<Dispatched>,
+    dispatch_riders: Vec<(u32, u64, u32)>,
     /// Whether reports run the functional phase. Cleared only by
     /// [`Server::set_timing_only`].
     functional: bool,
@@ -527,6 +697,7 @@ impl Server {
                 reconfigs: 0,
                 reported_busy_ps: 0,
                 reported_span_ps: 0,
+                flight: Flight::default(),
             })
             .collect();
         Ok(Server {
@@ -546,10 +717,12 @@ impl Server {
             tally: ServeTally::default(),
             queued: 0,
             now: 0,
-            batch_seq: 0,
-            completions: Vec::new(),
+            log: Vec::new(),
+            log_tags: Vec::new(),
+            history: Vec::new(),
             sheds: Vec::new(),
-            dispatches: Vec::new(),
+            dispatched: Vec::new(),
+            dispatch_riders: Vec::new(),
             functional: true,
         })
     }
@@ -641,6 +814,7 @@ impl Server {
         // truncated (the old `.min(tiles)` clamp capped every partition
         // at ≤32 lanes and made `max_lanes` above that unreachable).
         let lanes_cap = self.cfg.max_lanes.min(MAX_BATCH_LANES);
+        let id = self.kernels.len() as u32;
         self.kernels.insert(
             name.to_owned(),
             ServedKernel {
@@ -651,7 +825,7 @@ impl Server {
                 cost,
                 lanes_cap,
                 accel,
-                unhashed: [Vec::new(), Vec::new()],
+                id,
             },
         );
         self.queues
@@ -691,8 +865,9 @@ impl Server {
         }
         self.tenants
             .insert(name.to_owned(), TenantState { weight, vwork: 0 });
+        let id = self.tenant_books.len() as u32;
         self.tenant_books
-            .insert(name.to_owned(), TenantBook::new(name));
+            .insert(name.to_owned(), TenantBook::new(name, id));
         self.rebuild_tlb();
         Ok(())
     }
@@ -1099,27 +1274,18 @@ impl Server {
             at_ps,
             reason,
         });
+        let followups = hook(&outcome);
+        if let Outcome::Shed(shed) = outcome {
+            self.sheds.push(shed);
+        }
         // Retries must land strictly after the shed instant, otherwise a
         // persistently full queue could loop at one timestamp forever.
-        self.react(outcome, at_ps.saturating_add(1), hook)
+        self.follow_up(followups, at_ps.saturating_add(1))
     }
 
-    /// Records `outcome`, shows it to the hook, and submits any follow-up
-    /// requests with arrivals clamped to `min_arrival`.
-    fn react<F>(
-        &mut self,
-        outcome: Outcome,
-        min_arrival: Time,
-        hook: &mut F,
-    ) -> Result<(), ServeError>
-    where
-        F: FnMut(&Outcome) -> Vec<Request>,
-    {
-        let followups = hook(&outcome);
-        match outcome {
-            Outcome::Completed(c) => self.completions.push(c),
-            Outcome::Shed(s) => self.sheds.push(s),
-        }
+    /// Submits the follow-up requests a hook returned, with arrivals
+    /// clamped to `min_arrival`.
+    fn follow_up(&mut self, followups: Vec<Request>, min_arrival: Time) -> Result<(), ServeError> {
         for mut f in followups {
             f.arrival_ps = f.arrival_ps.max(min_arrival);
             self.submit(f)?;
@@ -1127,13 +1293,15 @@ impl Server {
         Ok(())
     }
 
-    /// Dispatches one batch on slice `si` at time `t`: charges its timing
-    /// and queues its completions for the functional phase
+    /// Dispatches one batch on slice `si` at time `t`: retires what finished
+    /// by `t` to the completion log, charges the batch's timing, and leaves
+    /// its completions in flight on the slice for the functional phase
     /// ([`Server::report`]).
     fn dispatch<F>(&mut self, si: usize, t: Time, hook: &mut F) -> Result<(), ServeError>
     where
         F: FnMut(&Outcome) -> Vec<Request>,
     {
+        self.retire_until(t);
         let (kernel_name, anchor) =
             pick(self.cfg.policy, &self.queues, &self.tenants).expect("queued > 0");
         let cap = self.kernels[&kernel_name].lanes_cap;
@@ -1143,6 +1311,7 @@ impl Server {
         let k = batch.len();
 
         let ctx = &self.kernels[&kernel_name];
+        let kernel = ctx.id;
         let resident = self.slices[si].resident.as_deref() == Some(kernel_name.as_str());
         let reconfig_ps = if resident {
             0
@@ -1156,6 +1325,12 @@ impl Server {
         let exec_ps = ctx.quote.time_ps(k, tiles);
         let start = t.saturating_add(reconfig_ps);
         let done = start.saturating_add(exec_ps);
+        // The completion log relies on this: what retires at `t` precedes
+        // everything dispatched from `t` on.
+        assert!(
+            done > t,
+            "a dispatch at {t} ps must finish after it starts (a round charges at least one cycle)"
+        );
         // Exclusive requests own the accelerator's register state, so they
         // (and, with a one-lane cap, every request) run on the folded path;
         // everything else rides the bit-sliced batch plan.
@@ -1180,11 +1355,10 @@ impl Server {
             }
         }
 
-        let batch_id = self.batch_seq;
-        self.batch_seq += 1;
+        let batch_id = self.dispatched.len() as u64;
         let slice = &mut self.slices[si];
         if !resident {
-            slice.resident = Some(kernel_name.clone());
+            slice.resident = Some(kernel_name);
             slice.reconfigs += 1;
         }
         slice.free_at = done;
@@ -1213,30 +1387,20 @@ impl Server {
                 .reconfig_ps
                 .add(reconfig_ps);
         }
-
-        // `react` pushes each rider's completion in lane order, and a hook
-        // never completes anything itself.
-        if self.functional {
-            let first = self.completions.len();
-            let ctx = self
-                .kernels
-                .get_mut(&kernel_name)
-                .expect("registered kernel");
-            ctx.unhashed[usize::from(!single_lane)].extend(first..first + k);
-        }
-        self.dispatches.push(DispatchRecord {
-            batch_id,
+        self.dispatched.push(Dispatched {
             at_ps: t,
             slice: si,
-            kernel: kernel_name,
+            kernel,
             lanes: k,
             reconfigured: !resident,
-            requests: batch
-                .iter()
-                .map(|r| (r.tenant.clone(), r.seq, r.retries))
-                .collect(),
         });
 
+        // The retired flight left its buffer behind for this batch.
+        let mut riders = std::mem::take(&mut self.slices[si].flight.riders);
+        debug_assert!(
+            riders.is_empty(),
+            "a slice's last batch retires before it frees"
+        );
         for req in batch {
             let completion = Completion {
                 arrival_ps: req.arrival_ps,
@@ -1267,33 +1431,151 @@ impl Server {
             let book = self.book_mut(&completion.tenant);
             book.tally.completed.inc();
             book.tally.latency_ps.observe(latency_ps);
-            self.react(Outcome::Completed(completion), done, hook)?;
+            let tenant = book.id;
+            self.dispatch_riders
+                .push((tenant, completion.seq, req.retries));
+            let outcome = Outcome::Completed(completion);
+            let followups = hook(&outcome);
+            if let Outcome::Completed(c) = outcome {
+                riders.push((c, tenant));
+            }
+            self.follow_up(followups, done)?;
         }
+        // A stable sort: riders with equal keys keep their lane order.
+        riders
+            .sort_by(|(a, _), (b, _)| (a.tenant.as_str(), a.seq).cmp(&(b.tenant.as_str(), b.seq)));
+        self.slices[si].flight = Flight {
+            done_ps: done,
+            batch_id,
+            kernel,
+            batch: !single_lane,
+            hashed: false,
+            riders,
+        };
         Ok(())
     }
 
-    /// Takes every completion added since the last report into the
-    /// functional phase's passes: grouped by kernel and engine, in
-    /// [`MAX_BATCH_LANES`]-wide chunks, each completion exactly once. A
-    /// timing-only server queues nothing, so it yields no pass.
+    /// Retires every in-flight batch that finished by `t` to the completion
+    /// log, in canonical order: earliest `done_ps` first, and batches
+    /// finishing together merged by `(tenant, seq)`, the earlier dispatch
+    /// first among equals. The log stays final because every dispatch
+    /// from `t` on finishes strictly after `t` (see the assertion in
+    /// [`Server::dispatch`]), and a batch still in flight finishes after
+    /// `t` too.
+    fn retire_until(&mut self, t: Time) {
+        while let Some(done) = self
+            .slices
+            .iter()
+            .filter(|s| s.flight.due(t))
+            .map(|s| s.flight.done_ps)
+            .min()
+        {
+            // The batches finishing at `done`, in dispatch order.
+            let mut tied = [0usize; 8];
+            let mut n = 0;
+            for (i, s) in self.slices.iter().enumerate() {
+                if s.flight.due(t) && s.flight.done_ps == done {
+                    tied[n] = i;
+                    n += 1;
+                }
+            }
+            let tied = &mut tied[..n];
+            tied.sort_unstable_by_key(|&i| self.slices[i].flight.batch_id);
+            if let [only] = *tied {
+                let flight = &mut self.slices[only].flight;
+                let (log, tags) = (&mut self.log, &mut self.log_tags);
+                let tag = flight.tag(0);
+                for (c, tenant) in flight.riders.drain(..) {
+                    log.push(c);
+                    tags.push(Tag { tenant, ..tag });
+                }
+                continue;
+            }
+            // Reversed, each batch pops its riders in order.
+            for &i in tied.iter() {
+                self.slices[i].flight.riders.reverse();
+            }
+            while let Some(j) = least(
+                tied.iter()
+                    .map(|&i| self.slices[i].flight.riders.last().map(|(c, _)| c)),
+            ) {
+                let flight = &mut self.slices[tied[j]].flight;
+                let (c, tenant) = flight.riders.pop().expect("least picks a non-empty batch");
+                self.log_tags.push(flight.tag(tenant));
+                self.log.push(c);
+            }
+        }
+    }
+
+    /// Takes every completion not hashed yet — in the log or in flight —
+    /// into the functional phase's passes: grouped by kernel in name order
+    /// and by engine, in [`MAX_BATCH_LANES`]-wide chunks, each completion
+    /// exactly once. A timing-only server yields no pass.
     pub(crate) fn take_func_passes(&mut self) -> Vec<FuncPass> {
+        if !self.functional {
+            return Vec::new();
+        }
+        // The lane count of each kernel id's `[fold plan, batch plan]`
+        // group, then the index of the group's pass being filled: each
+        // pass's lanes are allocated once, at their final size.
+        let mut next = vec![[0usize; 2]; self.kernels.len()];
+        self.each_unhashed(|kernel, engine, _, _| next[kernel][engine] += 1);
         let mut passes = Vec::new();
-        for k in self.kernels.values_mut() {
-            for (engine, unhashed) in k.unhashed.iter_mut().enumerate() {
-                for chunk in std::mem::take(unhashed).chunks(MAX_BATCH_LANES) {
+        for k in self.kernels.values() {
+            for (engine, group) in next[k.id as usize].iter_mut().enumerate() {
+                let mut left = *group;
+                *group = passes.len();
+                while left > 0 {
+                    let lanes = left.min(MAX_BATCH_LANES);
                     passes.push(FuncPass {
                         accel: Arc::clone(&k.accel),
                         plan: (engine == 1).then(|| Arc::clone(&k.plan)),
                         cycles: k.func_cycles,
-                        lanes: chunk
-                            .iter()
-                            .map(|&i| (i, self.completions[i].seed))
-                            .collect(),
+                        lanes: Vec::with_capacity(lanes),
                     });
+                    left -= lanes;
                 }
             }
         }
+        self.each_unhashed(|kernel, engine, at, seed| {
+            let pass = &mut passes[next[kernel][engine]];
+            pass.lanes.push((at, seed));
+            if pass.lanes.len() == MAX_BATCH_LANES {
+                next[kernel][engine] += 1;
+            }
+        });
+        for tag in &mut self.log_tags {
+            tag.hashed = true;
+        }
+        for s in &mut self.slices {
+            s.flight.hashed = true;
+        }
         passes
+    }
+
+    /// Calls `f(kernel id, engine, place, seed)` for every completion not
+    /// hashed yet, logged ones first; engine 0 is the fold plan, 1 the
+    /// batch plan.
+    fn each_unhashed(&self, mut f: impl FnMut(usize, usize, At, u64)) {
+        for (i, (c, tag)) in self.log.iter().zip(&self.log_tags).enumerate() {
+            if !tag.hashed {
+                f(
+                    tag.kernel as usize,
+                    usize::from(tag.batch),
+                    At::Log(i),
+                    c.seed,
+                );
+            }
+        }
+        for (si, slice) in self.slices.iter().enumerate() {
+            let flight = &slice.flight;
+            if !flight.hashed {
+                for (j, (c, _)) in flight.riders.iter().enumerate() {
+                    let engine = usize::from(flight.batch);
+                    f(flight.kernel as usize, engine, At::Flight(si, j), c.seed);
+                }
+            }
+        }
     }
 
     /// Writes the hashes of this server's `passes` (as
@@ -1312,8 +1594,12 @@ impl Server {
         let count = passes.len() as u64;
         let mut lanes = 0u64;
         for (pass, hashes) in passes.into_iter().zip(hashes) {
-            for (&(i, _), h) in pass.lanes.iter().zip(hashes?) {
-                self.completions[i].output_hash = h;
+            for (&(at, _), h) in pass.lanes.iter().zip(hashes?) {
+                let c = match at {
+                    At::Log(i) => &mut self.log[i],
+                    At::Flight(si, j) => &mut self.slices[si].flight.riders[j].0,
+                };
+                c.output_hash = h;
             }
             lanes += pass.lanes.len() as u64;
         }
@@ -1340,9 +1626,7 @@ impl Server {
         let passes = self.take_func_passes();
         let hashes = run_func_passes(1, passes.iter().collect());
         self.apply_func_hashes(passes, hashes)?;
-        // Sorting before the books close keeps the sort's index buffer
-        // from coexisting with the dispatch-log and registry clones.
-        let completions = clone_sorted_by(&self.completions, completion_key);
+        let completions = self.hand_over();
         let ShardReport { dispatches, probes } = self.close_books();
         let tenants = self
             .tenants
@@ -1384,12 +1668,90 @@ impl Server {
             .sum()
     }
 
+    /// Hands every completion so far to a report, in canonical order and
+    /// each exactly once: the completions of earlier reports, rebuilt from
+    /// the compact history; then the log, moved out, its records joining
+    /// the history; then clones of the batches still in flight (at most one
+    /// per slice), which stay for later reports. Everything in flight
+    /// finishes after everything logged, so the three parts follow each
+    /// other. [`Server::report`] and every cluster shard call it after the
+    /// functional phase, so every completion carries its hash.
+    pub(crate) fn hand_over(&mut self) -> Vec<Completion> {
+        let log = std::mem::take(&mut self.log);
+        let flying = self.in_flight();
+        let reported = self.history.len();
+        let mut out = if reported == 0 {
+            let mut out = log;
+            out.reserve(flying);
+            out
+        } else {
+            let mut out = Vec::with_capacity(reported + log.len() + flying);
+            let (tenants, kernels) = self.names_by_id();
+            out.extend(
+                self.history
+                    .iter()
+                    .map(|p| p.completion(&tenants, &kernels)),
+            );
+            out.extend(log);
+            out
+        };
+        self.history.extend(
+            out[reported..]
+                .iter()
+                .zip(self.log_tags.drain(..))
+                .map(|(c, tag)| Past::new(c, tag)),
+        );
+        // In-flight batches by finishing time, dispatch order among equals;
+        // batches finishing together merge like retiring ones.
+        let mut flights: Vec<&Flight> = self
+            .slices
+            .iter()
+            .map(|s| &s.flight)
+            .filter(|f| !f.riders.is_empty())
+            .collect();
+        flights.sort_unstable_by_key(|f| (f.done_ps, f.batch_id));
+        for group in flights.chunk_by(|a, b| a.done_ps == b.done_ps) {
+            let mut next = [0usize; 8];
+            while let Some(j) = least(
+                group
+                    .iter()
+                    .zip(&next)
+                    .map(|(f, &r)| f.riders.get(r).map(|(c, _)| c)),
+            ) {
+                out.push(group[j].riders[next[j]].0.clone());
+                next[j] += 1;
+            }
+        }
+        out
+    }
+
+    /// Completions still in flight.
+    fn in_flight(&self) -> usize {
+        self.slices.iter().map(|s| s.flight.riders.len()).sum()
+    }
+
+    /// Completions and sheds so far: what a cluster counts for its
+    /// `cluster.requests.*` tallies when no hook sees the outcomes.
+    pub(crate) fn outcome_counts(&self) -> (usize, usize) {
+        (
+            self.history.len() + self.log.len() + self.in_flight(),
+            self.sheds.len(),
+        )
+    }
+
+    /// Every shed so far, in shed order.
+    pub(crate) fn sheds(&self) -> &[Shed] {
+        &self.sheds
+    }
+
     /// Closes a report's books after its functional phase: writes the
     /// tallies, the slice counters since the last report and the snapshot
     /// gauges to the registry, checks the probe laws, and exports what is
     /// new to the global probe. [`Server::report`] and every cluster shard
-    /// run it. Returns all a shard adds to a cluster report.
+    /// run it. Returns all a shard adds to a cluster report, the schedule
+    /// log built from its ids.
     pub(crate) fn close_books(&mut self) -> ShardReport {
+        let dispatches = self.dispatch_records();
         let teardown_ps = self.teardown_ps();
         let probes = self.probes.sink();
         self.tally.flush(probes);
@@ -1430,14 +1792,49 @@ impl Server {
         let probes = self.probes.export();
         freac_probe::assert_ok(probes);
         ShardReport {
-            dispatches: self.dispatches.clone(),
+            dispatches,
             probes: probes.clone(),
         }
     }
 
-    /// Every completion and shed so far, in the order they happened.
-    pub(crate) fn records(&self) -> (&[Completion], &[Shed]) {
-        (&self.completions, &self.sheds)
+    /// Tenant and kernel names, by id.
+    fn names_by_id(&self) -> (Vec<&str>, Vec<&str>) {
+        fn by_id<V>(map: &BTreeMap<String, V>, id: impl Fn(&V) -> u32) -> Vec<&str> {
+            let mut names = vec![""; map.len()];
+            for (name, v) in map {
+                names[id(v) as usize] = name;
+            }
+            names
+        }
+        (
+            by_id(&self.tenant_books, |b| b.id),
+            by_id(&self.kernels, |k| k.id),
+        )
+    }
+
+    /// The schedule log as [`DispatchRecord`]s, in dispatch order.
+    fn dispatch_records(&self) -> Vec<DispatchRecord> {
+        let (tenants, kernels) = self.names_by_id();
+        let mut riders = self.dispatch_riders.iter();
+        self.dispatched
+            .iter()
+            .zip(0..)
+            .map(|(d, batch_id)| DispatchRecord {
+                batch_id,
+                at_ps: d.at_ps,
+                slice: d.slice,
+                kernel: kernels[d.kernel as usize].to_owned(),
+                lanes: d.lanes,
+                reconfigured: d.reconfigured,
+                requests: riders
+                    .by_ref()
+                    .take(d.lanes)
+                    .map(|&(tenant, seq, retries)| {
+                        (tenants[tenant as usize].to_owned(), seq, retries)
+                    })
+                    .collect(),
+            })
+            .collect()
     }
 }
 
@@ -1452,26 +1849,71 @@ pub(crate) struct FuncPass {
     /// and every request under a one-lane cap).
     plan: Option<Arc<ExecPlan>>,
     cycles: u64,
-    /// `(completion index, seed)` of each lane, in lane order.
-    lanes: Vec<(usize, u64)>,
+    /// Where each lane's completion is, and its seed, in lane order.
+    lanes: Vec<(At, u64)>,
 }
 
-/// The buffers a pass refills: one input and one output vector per lane,
-/// kept across passes so steady-state hashing allocates per pass, not
-/// per lane.
+/// What a pass refills: one input and one output vector per lane, and the
+/// plan states passes ran on, one per plan and width, reset to power-on
+/// values for the next pass — so steady-state hashing allocates nothing
+/// per lane or per state, only each pass's hash vector.
 #[derive(Default)]
-pub(crate) struct PassScratch {
+pub(crate) struct PassScratch<'p> {
     inputs: Vec<Vec<Value>>,
     /// Exactly one vector per lane of the current pass: the plans resize
     /// `out` to the lane count, which would drop any surplus.
     out: Vec<Vec<Value>>,
     /// Output vectors parked while a narrower pass runs.
     spare: Vec<Vec<Value>>,
+    /// Batch-plan states, by plan and lane capacity.
+    batch_states: Vec<(&'p ExecPlan, AnyBatchState)>,
+    /// Fold-plan batch executors, by plan and lane capacity.
+    fold_executors: Vec<(&'p FoldPlan, FoldBatchExecutor<'p>)>,
+}
+
+/// The lane capacity of the state a pass of `n` lanes runs on: the
+/// narrowest width [`ExecPlan::new_batch_state_for`] builds that fits, with
+/// the one-lane scalar width folded into the two-lane one.
+fn state_width(n: usize) -> usize {
+    if n <= SCALAR_BATCH_LANES {
+        SCALAR_BATCH_LANES
+    } else {
+        BATCH_WIDTHS
+            .into_iter()
+            .find(|&w| w >= n)
+            .unwrap_or(MAX_BATCH_LANES)
+    }
+}
+
+/// The state in `kept` for `plan` whose lane capacity is `width`, reset to
+/// power-on values, or a `fresh` one kept from now on.
+fn kept_state<'s, 'p, P, S>(
+    kept: &'s mut Vec<(&'p P, S)>,
+    plan: &'p P,
+    width: usize,
+    capacity: impl Fn(&S) -> usize,
+    reset: impl FnOnce(&mut S),
+    fresh: impl FnOnce() -> S,
+) -> &'s mut S {
+    match kept
+        .iter()
+        .position(|(p, s)| std::ptr::eq(*p, plan) && capacity(s) == width)
+    {
+        Some(i) => {
+            let state = &mut kept[i].1;
+            reset(state);
+            state
+        }
+        None => {
+            kept.push((plan, fresh()));
+            &mut kept.last_mut().expect("a state was just kept").1
+        }
+    }
 }
 
 impl FuncPass {
     /// The output hash of every lane, in lane order.
-    fn hashes(&self, scratch: &mut PassScratch) -> Result<Vec<u64>, ServeError> {
+    fn hashes<'p>(&'p self, scratch: &mut PassScratch<'p>) -> Result<Vec<u64>, ServeError> {
         let n = self.lanes.len();
         if scratch.inputs.len() < n {
             scratch.inputs.resize_with(n, Vec::new);
@@ -1487,13 +1929,29 @@ impl FuncPass {
             scratch.out.push(scratch.spare.pop().unwrap_or_default());
         }
         let (inputs, out) = (&scratch.inputs[..n], &mut scratch.out);
+        let width = state_width(n);
         if let Some(plan) = &self.plan {
-            let mut state = plan.new_batch_state_for(n);
+            let state = kept_state(
+                &mut scratch.batch_states,
+                plan.as_ref(),
+                width,
+                AnyBatchState::lane_capacity,
+                |s| plan.reset_batch_state(s),
+                || plan.new_batch_state_for(width),
+            );
             for _ in 0..self.cycles {
-                plan.run_batch_cycle_any(&mut state, inputs, out)?;
+                plan.run_batch_cycle_any(state, inputs, out)?;
             }
         } else {
-            let mut ex = self.accel.fold_plan().batch_executor(n);
+            let fold = self.accel.fold_plan();
+            let ex = kept_state(
+                &mut scratch.fold_executors,
+                fold,
+                width,
+                FoldBatchExecutor::lane_capacity,
+                FoldBatchExecutor::reset,
+                || fold.batch_executor(width),
+            );
             for _ in 0..self.cycles {
                 ex.run_batch_cycle_into(inputs, out)?;
             }
@@ -1505,12 +1963,12 @@ impl FuncPass {
 /// Runs functional passes on `workers` threads — on the calling thread
 /// when `workers` is 1 — and returns each pass's hashes in pass order,
 /// so the result is the same at any worker count.
-pub(crate) fn run_func_passes(
+pub(crate) fn run_func_passes<'p>(
     workers: usize,
-    passes: Vec<&FuncPass>,
+    passes: Vec<&'p FuncPass>,
 ) -> Vec<Result<Vec<u64>, ServeError>> {
     // One scratch per concurrently running pass, reused by later ones.
-    let pool = Mutex::new(Vec::<PassScratch>::new());
+    let pool = Mutex::new(Vec::<PassScratch<'p>>::new());
     map_with(workers, passes, |pass| {
         let mut scratch = pool
             .lock()
@@ -1773,9 +2231,14 @@ mod tests {
     }
 
     fn assert_reference_hashes(s: &Server, r: &ServeReport) {
-        let net = s.kernel_netlist("acc").unwrap();
-        let cycles = s.kernel_func_cycles("acc").unwrap();
-        assert_eq!(cycles, 4);
+        assert_eq!(s.kernel_func_cycles("acc").unwrap(), 4);
+        assert_reference_hashes_of(s, "acc", r);
+    }
+
+    /// Every completion of `r` carries the reference hash of `kernel`.
+    fn assert_reference_hashes_of(s: &Server, kernel: &str, r: &ServeReport) {
+        let net = s.kernel_netlist(kernel).unwrap();
+        let cycles = s.kernel_func_cycles(kernel).unwrap();
         for c in &r.completions {
             assert_eq!(
                 c.output_hash,
@@ -1892,6 +2355,67 @@ mod tests {
         assert_eq!(last.probes.counter("serve.func.passes"), 8);
         assert_eq!(want.probes.counter("serve.func.passes"), 2);
         assert_reference_hashes(&s, &last);
+    }
+
+    #[test]
+    fn batches_finishing_together_merge_by_tenant_and_seq() {
+        // Two one-lane slices under FIFO: `c` claims both at 0 ps, then
+        // `b:0` and `a:0` start together on the freed slices (b first, the
+        // older arrival) and finish together, and so do `b:1` and `a:1`.
+        // The first pair retires to the log at the instant both finish
+        // (a dispatch at exactly their `done_ps`), the second is still in
+        // flight at the report; both must come out in `(tenant, seq)`
+        // order, not in dispatch order.
+        let mut s = server_with(ServeConfig {
+            slices: 2,
+            max_lanes: 1,
+            policy: SchedPolicy::Fifo,
+            ..ServeConfig::default()
+        });
+        s.add_tenant("c", 1).unwrap();
+        for (tenant, seq, at) in [
+            ("c", 0, 0),
+            ("c", 1, 0),
+            ("b", 0, 1),
+            ("a", 0, 2),
+            ("b", 1, 3),
+            ("a", 1, 4),
+        ] {
+            s.submit(Request::new(tenant, seq, "k", at, seq)).unwrap();
+        }
+        let r = s.run_to_completion().unwrap();
+        let anchors: Vec<(&str, u64, usize)> = r
+            .dispatches
+            .iter()
+            .map(|d| (d.requests[0].0.as_str(), d.requests[0].1, d.slice))
+            .collect();
+        assert_eq!(
+            anchors,
+            [
+                ("c", 0, 0),
+                ("c", 1, 1),
+                ("b", 0, 0),
+                ("a", 0, 1),
+                ("b", 1, 0),
+                ("a", 1, 1)
+            ]
+        );
+        let order: Vec<(&str, u64)> = r
+            .completions
+            .iter()
+            .map(|c| (c.tenant.as_str(), c.seq))
+            .collect();
+        assert_eq!(
+            order,
+            [("c", 0), ("c", 1), ("a", 0), ("b", 0), ("a", 1), ("b", 1)]
+        );
+        let done: Vec<Time> = r.completions.iter().map(|c| c.done_ps).collect();
+        assert!(done[0] == done[1] && done[1] < done[2]);
+        assert!(done[2] == done[3] && done[3] < done[4]);
+        assert_eq!(done[4], done[5]);
+        // The middle pair retired at a dispatch at exactly its `done_ps`.
+        assert_eq!(r.dispatches[4].at_ps, done[2]);
+        assert_reference_hashes_of(&s, "k", &r);
     }
 
     #[test]
