@@ -16,7 +16,8 @@
 //!   [`FoldSchedule`];
 //! * [`compile_fold`] — validates a schedule's dependencies once and
 //!   compiles it into a [`FoldPlan`], run one lane at a time by
-//!   [`FoldPlanExecutor`] or many lanes per pass by [`FoldBatchExecutor`].
+//!   [`FoldPlanExecutor`], or many lanes per pass on the batch states of
+//!   its [`FoldPlan::exec_plan`].
 //!   The [`plan`] module docs spell out the pass semantics; the test-suite
 //!   proves folded execution bit-identical to the reference evaluator.
 //!
@@ -55,6 +56,6 @@ pub mod scheduler;
 
 pub use constraints::{FoldConstraints, LutMode};
 pub use error::FoldError;
-pub use plan::{compile_fold, FoldBatchExecutor, FoldPlan, FoldPlanExecutor};
+pub use plan::{compile_fold, FoldPlan, FoldPlanExecutor};
 pub use schedule::{FoldSchedule, FoldStep, ScheduleStats};
 pub use scheduler::{schedule_fold, schedule_fold_with, SchedulePolicy};

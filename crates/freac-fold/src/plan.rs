@@ -9,8 +9,11 @@
 //! availability frontier **once**, reports a read of a value no earlier
 //! step produced as [`FoldError::DependencyViolation`] *before* any cycle
 //! runs, resolves every operand to a dense state-plane slot, and flattens
-//! the pass into an [`ExecPlan`] micro-op stream. [`FoldPlanExecutor`] (one
-//! lane) and [`FoldBatchExecutor`] (many lanes) then run passes with no
+//! the pass into an [`ExecPlan`] micro-op stream. [`FoldPlanExecutor`] runs
+//! one lane's passes; [`FoldPlan::exec_plan`] hands the same stream to the
+//! plan's batch states ([`ExecPlan::new_batch_state_for`],
+//! [`ExecPlan::run_batch_cycle_any`]), which run many lanes per pass, each
+//! exactly as a lone executor would. Either way a pass runs with no
 //! per-cycle allocation and no per-operand branching.
 //!
 //! Pass semantics:
@@ -40,7 +43,7 @@
 //!   step), and its LUTs, MACs, bus reads and bus writes to `.lut_evals`,
 //!   `.mac_issues`, `.bus_reads` and `.bus_writes`.
 
-use freac_netlist::plan::{AnyBatchState, ExecPlan, PlanBuilder, PlanState, Segment};
+use freac_netlist::plan::{ExecPlan, PlanBuilder, PlanState, Segment};
 use freac_netlist::{Netlist, NodeId, NodeKind, Value};
 use freac_probe::CounterRegistry;
 
@@ -63,7 +66,9 @@ pub struct FoldPlan {
 }
 
 impl FoldPlan {
-    /// The underlying execution plan (for batch evaluation or size probes).
+    /// The underlying execution plan: run on its batch states, it passes
+    /// many independent lanes at once, each lane exactly as a
+    /// [`FoldPlanExecutor`] would, but exports no `fold.*` counters.
     pub fn exec_plan(&self) -> &ExecPlan {
         &self.plan
     }
@@ -78,20 +83,6 @@ impl FoldPlan {
         FoldPlanExecutor {
             plan: self,
             state: self.plan.new_state(),
-        }
-    }
-
-    /// Creates a batch executor for up to `max_lanes` concurrent lanes,
-    /// every lane at power-on values: one single-lane state per lane up to
-    /// [`SCALAR_BATCH_LANES`], else the narrowest supported bit-slice
-    /// width that fits ([`ExecPlan::new_batch_state_for`]).
-    ///
-    /// [`SCALAR_BATCH_LANES`]: freac_netlist::SCALAR_BATCH_LANES
-    pub fn batch_executor(&self, max_lanes: usize) -> FoldBatchExecutor<'_> {
-        FoldBatchExecutor {
-            plan: self,
-            state: self.plan.new_batch_state_for(max_lanes),
-            lane_passes: 0,
         }
     }
 
@@ -120,79 +111,6 @@ impl FoldPlan {
             self.bus_writes_per_pass.saturating_mul(passes),
         );
         reg.add(&format!("{prefix}.config_row_reads"), steps);
-    }
-}
-
-/// Runs a [`FoldPlan`] over many independent request lanes per pass, with
-/// the *same counter surface* as [`FoldPlanExecutor`]: one batch pass over
-/// `k` lanes accounts exactly like `k` single-lane passes, so counters
-/// (and every probe invariant over them) are independent of how work was
-/// batched. Outputs are per lane, and tail lanes beyond a partial batch
-/// never contribute to outputs or counters.
-#[derive(Debug)]
-pub struct FoldBatchExecutor<'a> {
-    plan: &'a FoldPlan,
-    state: AnyBatchState,
-    /// Lane-passes executed: the sum of `lanes.len()` over calls.
-    lane_passes: u64,
-}
-
-impl FoldBatchExecutor<'_> {
-    /// Widest batch one pass accepts: the per-lane state count up to
-    /// [`SCALAR_BATCH_LANES`], else a [`BATCH_WIDTHS`] entry.
-    ///
-    /// [`SCALAR_BATCH_LANES`]: freac_netlist::SCALAR_BATCH_LANES
-    /// [`BATCH_WIDTHS`]: freac_netlist::BATCH_WIDTHS
-    pub fn lane_capacity(&self) -> usize {
-        self.state.lane_capacity()
-    }
-
-    /// Lane-passes executed so far (what `.passes` exports): each lane of
-    /// each batch cycle is one pass, exactly as if it had run alone.
-    pub fn lane_passes(&self) -> u64 {
-        self.lane_passes
-    }
-
-    /// Total fold steps executed across all lanes.
-    pub fn steps_executed(&self) -> u64 {
-        self.plan.steps_per_pass.saturating_mul(self.lane_passes)
-    }
-
-    /// Exports execution counters under `prefix` with the exact key set of
-    /// [`FoldPlanExecutor::export_into`]; values equal the merge of one
-    /// single-lane executor per lane.
-    pub fn export_into(&self, reg: &mut CounterRegistry, prefix: &str) {
-        self.plan.export_passes(reg, prefix, self.lane_passes);
-    }
-
-    /// Returns every lane to power-on values and the lane-pass count to 0,
-    /// reusing the state's buffers: the executor then runs and exports
-    /// exactly as a fresh [`FoldPlan::batch_executor`] of its width.
-    pub fn reset(&mut self) {
-        self.plan.plan.reset_batch_state(&mut self.state);
-        self.lane_passes = 0;
-    }
-
-    /// Runs one original clock cycle for every supplied lane at once,
-    /// writing lane `l`'s primary outputs into `out[l]` without
-    /// steady-state allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns input-shape errors (including a batch wider than
-    /// [`FoldBatchExecutor::lane_capacity`]) with counters untouched,
-    /// matching the single-lane executor.
-    pub fn run_batch_cycle_into(
-        &mut self,
-        lanes: &[Vec<Value>],
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<(), FoldError> {
-        self.plan
-            .plan
-            .run_batch_cycle_any(&mut self.state, lanes, out)
-            .map_err(FoldError::Netlist)?;
-        self.lane_passes = self.lane_passes.saturating_add(lanes.len() as u64);
-        Ok(())
     }
 }
 
@@ -637,109 +555,59 @@ mod tests {
     }
 
     #[test]
-    fn batch_executor_matches_merged_single_lane_executors() {
-        // A batch pass over k lanes must be indistinguishable — outputs
-        // AND exported counters — from k single-lane executors merged,
-        // at every supported width and with a partial (tail-bearing)
-        // batch. This is the fold-path tail-lane leak gate.
+    fn exec_plan_batch_states_match_single_lane_executors() {
+        // The fold plan's stream on batch states, per-lane scalar or
+        // bit-sliced with partial (tail-bearing) batches, must match one
+        // single-lane executor per lane, and a reset state must rerun like
+        // a fresh one. The counter's bit output lands in the post-latch
+        // segment, so it pins that segment's bit-sliced run.
         let mut b = CircuitBuilder::new("acc");
         let x = b.word_input("x", 16);
         let (acc, h) = b.word_reg(9, 16);
         let sum = b.add(&acc, &x);
         b.connect_word_reg(h, &sum);
         b.word_output("acc", &acc);
-        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
-        let schedule = schedule_fold(&n, &cons).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
+        let accumulator = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
+        let mut b = CircuitBuilder::new("done");
+        let x = b.word_input("x", 8);
+        let (cnt, h) = b.word_reg(0, 8);
+        let next = b.add(&cnt, &x);
+        b.connect_word_reg(h, &next);
+        b.bit_output("msb", cnt.bit(7));
+        b.word_output("cnt", &cnt);
+        let counter = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
 
-        for &k in &[5usize, 64, 100, 300] {
-            let lanes: Vec<Vec<Value>> = (0..k as u32)
-                .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & 0xFFFF)])
-                .collect();
-            let mut bx = plan.batch_executor(k);
-            assert!(bx.lane_capacity() >= k);
-            let mut singles: Vec<_> = (0..k).map(|_| plan.executor()).collect();
-            let mut out = Vec::new();
-            for cycle in 0..3 {
-                bx.run_batch_cycle_into(&lanes, &mut out).unwrap();
-                assert_eq!(out.len(), k, "outputs must cover exactly the batch");
-                for (l, sx) in singles.iter_mut().enumerate() {
-                    let expect = sx.run_cycle(&lanes[l]).unwrap();
-                    assert_eq!(out[l], expect, "k {k} lane {l} cycle {cycle}");
-                }
-            }
-            let mut ra = CounterRegistry::new();
-            let mut rb = CounterRegistry::new();
-            bx.export_into(&mut ra, "fold");
-            for sx in &singles {
-                sx.export_into(&mut rb, "fold");
-            }
-            assert_eq!(
-                ra.counters().collect::<Vec<_>>(),
-                rb.counters().collect::<Vec<_>>(),
-                "k {k}: batch counters must equal the merged single-lane counters"
-            );
-        }
-    }
-
-    #[test]
-    fn reset_batch_executor_reruns_like_a_fresh_one() {
-        let mut b = CircuitBuilder::new("acc");
-        let x = b.word_input("x", 16);
-        let (acc, h) = b.word_reg(9, 16);
-        let sum = b.add(&acc, &x);
-        b.connect_word_reg(h, &sum);
-        b.word_output("acc", &acc);
-        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
-        let schedule = schedule_fold(&n, &cons).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
-        for &k in &[1usize, 2, 5, 100, 300] {
-            let lanes: Vec<Vec<Value>> = (0..k as u32)
-                .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & 0xFFFF)])
-                .collect();
-            let run = |bx: &mut FoldBatchExecutor<'_>| {
-                let mut out = Vec::new();
-                let outs: Vec<Vec<Vec<Value>>> = (0..3)
-                    .map(|_| {
-                        bx.run_batch_cycle_into(&lanes, &mut out).unwrap();
-                        out.clone()
-                    })
+        for (name, n, mask) in [("acc", &accumulator, 0xFFFF), ("done", &counter, 0xFF)] {
+            let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
+            let plan = compile_fold(n, &schedule_fold(n, &cons).unwrap()).unwrap();
+            let exec = plan.exec_plan();
+            for k in [1usize, 2, 3, 64, 65, 256, 300, 512] {
+                let lanes: Vec<Vec<Value>> = (0..k as u32)
+                    .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & mask)])
                     .collect();
-                let mut reg = CounterRegistry::new();
-                bx.export_into(&mut reg, "fold");
-                (outs, to_counters(&reg))
-            };
-            let mut bx = plan.batch_executor(k);
-            let first = run(&mut bx);
-            bx.reset();
-            assert_eq!(bx.lane_passes(), 0, "k {k}");
-            assert_eq!(run(&mut bx), first, "k {k}");
+                let run = |state: &mut freac_netlist::AnyBatchState| {
+                    (0..3)
+                        .map(|_| {
+                            let mut out = Vec::new();
+                            exec.run_batch_cycle_any(state, &lanes, &mut out).unwrap();
+                            out
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let mut state = exec.new_batch_state_for(k);
+                let first = run(&mut state);
+                let mut singles: Vec<_> = (0..k).map(|_| plan.executor()).collect();
+                for (cycle, out) in first.iter().enumerate() {
+                    assert_eq!(out.len(), k, "outputs must cover exactly the batch");
+                    for (l, sx) in singles.iter_mut().enumerate() {
+                        let expect = sx.run_cycle(&lanes[l]).unwrap();
+                        assert_eq!(out[l], expect, "{name} k {k} lane {l} cycle {cycle}");
+                    }
+                }
+                exec.reset_batch_state(&mut state);
+                assert_eq!(run(&mut state), first, "{name} k {k}: rerun after reset");
+            }
         }
-    }
-
-    /// A registry's counters as owned pairs.
-    fn to_counters(reg: &CounterRegistry) -> Vec<(String, u64)> {
-        reg.counters().map(|(k, v)| (k.to_owned(), v)).collect()
-    }
-
-    #[test]
-    fn batch_executor_errors_leave_counters_untouched() {
-        let mut b = CircuitBuilder::new("t");
-        let a = b.word_input("a", 8);
-        b.word_output("o", &a);
-        let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let cons = FoldConstraints::for_tile(1, LutMode::Lut4);
-        let schedule = schedule_fold(&n, &cons).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
-        let mut bx = plan.batch_executor(64);
-        let mut out = Vec::new();
-        let too_wide: Vec<Vec<Value>> = (0..65u32).map(|l| vec![Value::Word(l)]).collect();
-        assert!(bx.run_batch_cycle_into(&too_wide, &mut out).is_err());
-        assert!(bx.run_batch_cycle_into(&[], &mut out).is_err());
-        assert_eq!(bx.lane_passes(), 0);
-        assert_eq!(bx.steps_executed(), 0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Compiled execution plans: the netlist flattened into an allocation-free
 //! micro-op stream.
 //!
-//! [`Evaluator`](crate::eval::Evaluator) re-dispatches on
-//! [`NodeKind`](crate::graph::NodeKind) for every node of every cycle and
-//! returns a freshly allocated output `Vec` per call. An [`ExecPlan`] pays
-//! that analysis cost once, at compile time — the same pay-once insight the
-//! paper's config-row streaming applies in hardware (one pre-resolved
-//! configuration row per fold step, no per-step decision-making):
+//! [`Evaluator`](crate::eval::Evaluator) re-dispatches on [`NodeKind`]
+//! for every node of every cycle and returns a freshly allocated output
+//! `Vec` per call. An [`ExecPlan`] pays that analysis cost once, at compile
+//! time — the same pay-once insight the paper's config-row streaming
+//! applies in hardware (one pre-resolved configuration row per fold step,
+//! no per-step decision-making):
 //!
 //! * every operand is resolved to a dense *slot* in one of two state
 //!   planes — a bit plane and a `u32` word plane — so there is no

@@ -8,7 +8,7 @@
 //! lanes) both as `run_batch_cycle_any` routes them (per lane) and
 //! through a forced 64-lane sweep.
 //!
-//! Reuses [`FoldCase`](super::fold::FoldCase) generation/shrinking so a
+//! Reuses [`FoldCase`] generation/shrinking so a
 //! divergence shrinks over the same circuit grammar as the fold oracle.
 
 use freac_netlist::eval::Evaluator;

@@ -35,7 +35,7 @@ use super::serve::{kernel_pool, TENANTS};
 /// One request of a case, in pool-index form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderRequest {
-    /// Index into [`TENANTS`].
+    /// Index into the serve oracles' tenant names.
     pub tenant: usize,
     /// Index into the serve oracles' kernel pool.
     pub kernel: usize,
@@ -78,7 +78,8 @@ pub struct OrderCase {
     pub bounds: Vec<u64>,
     /// Bounded runs before the rescale (at most all of them).
     pub rescale_after: usize,
-    /// Index into [`partitions`] of the rescale's target.
+    /// Index into the rescale's target partitions (max-compute,
+    /// end-to-end, a 4/10/6 split).
     pub partition: usize,
     /// Bounded runs before the stolen requests are submitted (at most
     /// all of them).

@@ -45,8 +45,10 @@
 //! rare events (route-cache stats, steals, autoscaling) go to the registry
 //! directly.
 //! A report merges the completions the shards hand over, already in
-//! canonical order, by move, clones each shed once, and exports to the
-//! global probe as a server's does.
+//! canonical order, by move through the server's one canonical merge
+//! (the lower shard first among equal keys), sorts references to the
+//! sheds and clones each once, and exports to the global probe as a
+//! server's does.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -61,8 +63,8 @@ use crate::error::ServeError;
 use crate::pending::PendingSet;
 use crate::request::{Completion, Outcome, Request, Shed, ShedReason};
 use crate::server::{
-    clone_sorted_by, least, run_func_passes, DispatchRecord, FluidEstimate, FuncPass,
-    RequestProfile, ServeConfig, Server, TenantSummary,
+    merge_canonical, run_func_passes, DispatchRecord, FluidEstimate, FuncPass, RequestProfile,
+    ServeConfig, Server, TenantSummary,
 };
 use crate::tally::{Count, Probes};
 
@@ -755,20 +757,29 @@ impl Cluster {
     fn report(&mut self) -> Result<ClusterReport, ServeError> {
         self.flush_tallies();
         self.run_func_phase()?;
-        let completions = merge_completions(
-            self.shards
-                .iter_mut()
-                .map(|s| s.server.hand_over())
-                .collect(),
-        );
+        let mut lists: Vec<Vec<Completion>> = self
+            .shards
+            .iter_mut()
+            .map(|s| s.server.hand_over())
+            .filter(|l| !l.is_empty())
+            .collect();
+        let completions = if lists.len() <= 1 {
+            lists.pop().unwrap_or_default()
+        } else {
+            let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+            let mut runs: Vec<_> = lists.into_iter().map(Vec::into_iter).collect();
+            merge_canonical(&mut runs, |c| c, |_, c| out.push(c));
+            out
+        };
         let mut sheds: Vec<&Shed> = self.router_sheds.iter().collect();
         for sh in &self.shards {
             sheds.extend(sh.server.sheds());
         }
-        let sheds = clone_sorted_by(&sheds, |s: &Shed| {
+        sheds.sort_by_key(|&s| {
             let r = &s.request;
             (s.at_ps, r.tenant.as_str(), r.seq, r.retries)
         });
+        let sheds: Vec<Shed> = sheds.into_iter().cloned().collect();
         let mut probes = self.probes.export().clone();
         let mut shards = Vec::with_capacity(self.shards.len());
         for (i, sh) in self.shards.iter_mut().enumerate() {
@@ -834,42 +845,21 @@ impl Cluster {
                     .iter()
                     .filter(|s| s.request.tenant == *name)
                     .count() as u64;
-                let hist = probes.histogram(&format!("serve.tenant.{name}.latency_ps"));
-                let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
-                TenantSummary {
-                    name: name.clone(),
-                    weight: tenant.weight,
+                TenantSummary::new(
+                    name,
+                    tenant.weight,
                     // Shard `submitted` counts a migrated request twice (a
                     // steal is a fresh submission on the thief); subtract
                     // `stolen` to recover user submissions, then add the
                     // budget sheds no shard ever saw.
-                    submitted: c("submitted") - c("stolen") + router_shed,
-                    completed: c("completed"),
-                    shed: c("shed") + router_shed,
-                    p50_ps: q(0.5),
-                    p95_ps: q(0.95),
-                    p99_ps: q(0.99),
-                    mean_ps: hist.map_or(0.0, freac_probe::Histogram::mean),
-                }
+                    c("submitted") - c("stolen") + router_shed,
+                    c("completed"),
+                    c("shed") + router_shed,
+                    probes.histogram(&format!("serve.tenant.{name}.latency_ps")),
+                )
             })
             .collect()
     }
-}
-
-/// Merges canonically ordered completion lists into one by move, in
-/// canonical order; among equal keys the earlier list goes first, as a
-/// stable sort of their concatenation would leave them.
-fn merge_completions(lists: Vec<Vec<Completion>>) -> Vec<Completion> {
-    let mut lists: Vec<Vec<Completion>> = lists.into_iter().filter(|l| !l.is_empty()).collect();
-    if lists.len() <= 1 {
-        return lists.pop().unwrap_or_default();
-    }
-    let mut out = Vec::with_capacity(lists.iter().map(Vec::len).sum());
-    let mut lists: Vec<_> = lists.into_iter().map(Vec::into_iter).collect();
-    while let Some(i) = least(lists.iter().map(|l| l.as_slice().first())) {
-        out.extend(lists[i].next());
-    }
-    out
 }
 
 /// Canonical ordering of merged terminal events: time, then identity,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use freac_core::CoreError;
-use freac_fold::FoldError;
 use freac_netlist::NetlistError;
 
 /// Anything the serving subsystem can refuse to do.
@@ -31,10 +30,9 @@ pub enum ServeError {
     },
     /// Accelerator mapping or reconfiguration-cost modeling failed.
     Core(CoreError),
-    /// Compiling or batch-executing the kernel's netlist plan failed.
+    /// Compiling the kernel's netlist plan, or batch-executing it or the
+    /// fold plan, failed.
     Netlist(NetlistError),
-    /// Single-lane folded execution failed.
-    Fold(FoldError),
 }
 
 impl fmt::Display for ServeError {
@@ -55,7 +53,6 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Core(e) => write!(f, "core: {e}"),
             ServeError::Netlist(e) => write!(f, "netlist: {e}"),
-            ServeError::Fold(e) => write!(f, "fold: {e}"),
         }
     }
 }
@@ -71,11 +68,5 @@ impl From<CoreError> for ServeError {
 impl From<NetlistError> for ServeError {
     fn from(e: NetlistError) -> Self {
         ServeError::Netlist(e)
-    }
-}
-
-impl From<FoldError> for ServeError {
-    fn from(e: FoldError) -> Self {
-        ServeError::Fold(e)
     }
 }

@@ -20,9 +20,10 @@
 //! | [`sample`]  | representative-interval sampling: medoid and witness windows, replayed as segments on a clone of one template cluster, stand in for the trace |
 //!
 //! The event loop computes the schedule only; each report then computes
-//! every new completion's output hash in full-width passes, on the
-//! bit-sliced plan from `freac_netlist::plan` for batched requests and on
-//! the fold plan for `exclusive` ones (see [`server`]). Reconfiguration and way-reclaim costs come
+//! every new completion's output hash in full-width passes, each one
+//! `freac_netlist::plan` execution plan on its batch states: the kernel's
+//! compiled plan for batched requests, the fold plan's for `exclusive`
+//! ones (see [`server`]). Reconfiguration and way-reclaim costs come
 //! from [`freac_core::reconfig_cost`]; latency is
 //! `queue wait + reconfiguration + fold execution` on the tile clock.
 //! The loop tallies its per-request counters in plain fields, and each

@@ -7,13 +7,13 @@
 //! System"), this module:
 //!
 //! 1. splits the trace into fixed-size windows of `window` requests;
-//! 2. computes a cheap per-window behavior signature ([`sig`]) from the
+//! 2. computes a cheap per-window behavior signature (the `sig` module) from the
 //!    same signals the serving probes export — kernel mix, arrival
 //!    intensity, fluid queue depths, shed/steal pressure, reconfiguration
 //!    churn, way split — in the same pass over the trace that resolves
 //!    each request's tenant and kernel and checks its identity;
 //! 3. clusters the signatures with deterministic seeded k-medoids
-//!    ([`kmedoids`], built on `freac-rand`);
+//!    (the `kmedoids` module, built on `freac-rand`);
 //! 4. simulates each cluster's medoid window and the farthest member of
 //!    each multi-window cluster (the *witness*) at full fidelity. Adjacent
 //!    simulated windows coalesce into one segment, replayed on a clone of

@@ -35,10 +35,12 @@
 //! The event loop computes only the schedule: a dispatch records its
 //! completions with `output_hash` still `0`, and [`Server::report`] runs
 //! one functional phase over every completion added since the last
-//! report, in [`MAX_BATCH_LANES`]-wide passes. That is exact because a
-//! hash is a pure function of `(kernel, seed)`: an exclusive starts a
-//! fresh fold executor at power-on state, and every batch lane has its own
-//! fresh latch state. Were exclusives to carry register state from one
+//! report, in [`MAX_BATCH_LANES`]-wide passes. Each pass runs one
+//! [`ExecPlan`] on one kept, reset batch state: the kernel's compiled
+//! batch plan, or for exclusives and one-lane caps the fold plan's own
+//! stream ([`freac_fold::FoldPlan::exec_plan`]). That is exact because a
+//! hash is a pure function of `(kernel, seed)`: every lane starts from
+//! power-on latch state. Were exclusives to carry register state from one
 //! dispatch to the next, hashes would have to be computed in the loop.
 //!
 //! # Completion log
@@ -50,10 +52,13 @@
 //! every batch finished by `t` to the log, batches finishing together
 //! merged by `(tenant, seq)`. That is exact because every dispatch
 //! finishes strictly after it starts, which the loop asserts. A report
-//! takes the completions through [`Server::hand_over`]: those of earlier
+//! takes the completions through `Server::hand_over`: those of earlier
 //! reports rebuilt from a compact history, the log moved out, and clones
-//! of what is still in flight. The schedule log keeps kernel and tenant
-//! ids, and each report builds its [`DispatchRecord`]s.
+//! of what is still in flight. Retiring, handing over and a cluster's
+//! merge of its shards all go through one merge, `merge_canonical`, so
+//! one rule orders ties: the earlier batch or shard first. The schedule
+//! log keeps kernel and tenant ids, and each report builds its
+//! [`DispatchRecord`]s.
 //!
 //! # Per-request accounting
 //!
@@ -72,7 +77,6 @@
 //! global probe only what was recorded since the previous one, and a
 //! timing-only server exports nothing there.
 
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -81,7 +85,6 @@ use freac_core::{
     HandoffMode, ReconfigCost, RoundQuote, SlicePartition,
 };
 use freac_experiments::parallel::map_with;
-use freac_fold::{FoldBatchExecutor, FoldPlan};
 use freac_kernels::{kernel, Kernel, KernelId, Workload};
 use freac_netlist::{
     compile, AnyBatchState, ExecPlan, Netlist, Value, BATCH_LANES, BATCH_WIDTHS, MAX_BATCH_LANES,
@@ -107,6 +110,9 @@ use crate::tlb::{TenantTlb, TlbSegment};
 /// keeps long kernels affordable while every consumer (phase, verifier,
 /// oracle) hashes the same depth.
 pub const FUNC_CYCLES_CAP: u64 = 4;
+
+/// The most compute slices one server claims ([`ServeConfig::slices`]).
+const MAX_SLICES: usize = 8;
 
 /// Per-request cost profile of a registered kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,9 +211,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<(), ServeError> {
-        if !(1..=8).contains(&self.slices) {
+        if !(1..=MAX_SLICES).contains(&self.slices) {
             return Err(ServeError::BadConfig(format!(
-                "slices must be 1..=8, got {}",
+                "slices must be 1..={MAX_SLICES}, got {}",
                 self.slices
             )));
         }
@@ -518,46 +524,31 @@ enum At {
     Flight(usize, usize),
 }
 
-/// Clones `items` into the order a stable sort by `key` would leave them
-/// in. Only `(key, index)` pairs are sorted — keys are unique once the
-/// index breaks ties, so the unstable sort is exact — and each record is
-/// cloned once, straight into place.
-pub(crate) fn clone_sorted_by<'a, T, R, K>(items: &'a [R], key: impl Fn(&'a T) -> K) -> Vec<T>
-where
-    T: Clone + 'a,
-    R: Borrow<T>,
-    K: Ord,
-{
-    let mut order: Vec<(K, usize)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, item)| (key(item.borrow()), i))
-        .collect();
-    order.sort_unstable();
-    order
-        .into_iter()
-        .map(|(_, i)| items[i].borrow().clone())
-        .collect()
-}
-
-/// The canonical completion order: `(done_ps, tenant, seq)`.
-pub(crate) fn completion_key(c: &Completion) -> (Time, &str, u64) {
-    (c.done_ps, &c.tenant, c.seq)
-}
-
-/// The position of the least of `heads` in canonical completion order,
-/// the first among equals, or `None` when every head is `None`: one step
-/// of a merge of canonically ordered lists.
-pub(crate) fn least<'a>(heads: impl Iterator<Item = Option<&'a Completion>>) -> Option<usize> {
-    let mut best: Option<(usize, &Completion)> = None;
-    for (i, head) in heads.enumerate() {
-        if let Some(c) = head {
-            if best.is_none_or(|(_, b)| completion_key(c) < completion_key(b)) {
-                best = Some((i, c));
+/// Merges canonically ordered runs into `emit`, by move, in canonical
+/// `(done_ps, tenant, seq)` order, with the index of each item's run.
+/// Among equal keys the earlier run goes first, as a stable sort of the
+/// runs' concatenation would leave them: the one tie rule of every
+/// completion merge (retiring, handing over, and the cluster's view).
+pub(crate) fn merge_canonical<T>(
+    runs: &mut [std::vec::IntoIter<T>],
+    completion: impl Fn(&T) -> &Completion,
+    mut emit: impl FnMut(usize, T),
+) {
+    fn key(c: &Completion) -> (Time, &str, u64) {
+        (c.done_ps, &c.tenant, c.seq)
+    }
+    loop {
+        let mut least: Option<(usize, &Completion)> = None;
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(c) = run.as_slice().first().map(&completion) {
+                if least.is_none_or(|(_, l)| key(c) < key(l)) {
+                    least = Some((i, c));
+                }
             }
         }
+        let Some((i, _)) = least else { return };
+        emit(i, runs[i].next().expect("the least run has a head"));
     }
-    best.map(|(i, _)| i)
 }
 
 /// One dispatch in the schedule log — the object the determinism oracle
@@ -601,6 +592,32 @@ pub struct TenantSummary {
     pub p99_ps: f64,
     /// Mean latency, ps.
     pub mean_ps: f64,
+}
+
+impl TenantSummary {
+    /// A summary with the quantiles and mean of `latency_ps`, all 0 when
+    /// the tenant has no latency histogram.
+    pub(crate) fn new(
+        name: &str,
+        weight: u64,
+        submitted: u64,
+        completed: u64,
+        shed: u64,
+        latency_ps: Option<&Histogram>,
+    ) -> Self {
+        let q = |p: f64| latency_ps.and_then(|h| h.quantile(p)).unwrap_or(0.0);
+        TenantSummary {
+            name: name.to_owned(),
+            weight,
+            submitted,
+            completed,
+            shed,
+            p50_ps: q(0.5),
+            p95_ps: q(0.95),
+            p99_ps: q(0.99),
+            mean_ps: latency_ps.map_or(0.0, Histogram::mean),
+        }
+    }
 }
 
 /// The result of draining the server.
@@ -1456,32 +1473,28 @@ impl Server {
     }
 
     /// Retires every in-flight batch that finished by `t` to the completion
-    /// log, in canonical order: earliest `done_ps` first, and batches
-    /// finishing together merged by `(tenant, seq)`, the earlier dispatch
-    /// first among equals. The log stays final because every dispatch
-    /// from `t` on finishes strictly after `t` (see the assertion in
-    /// [`Server::dispatch`]), and a batch still in flight finishes after
-    /// `t` too.
+    /// log, in canonical order: the batches in order of `done_ps`, the
+    /// earlier dispatch first among equals, merged by [`merge_canonical`].
+    /// The log stays final because every dispatch from `t` on finishes
+    /// strictly after `t` (see the assertion in [`Server::dispatch`]), and
+    /// a batch still in flight finishes after `t` too.
     fn retire_until(&mut self, t: Time) {
-        while let Some(done) = self
-            .slices
-            .iter()
-            .filter(|s| s.flight.due(t))
-            .map(|s| s.flight.done_ps)
-            .min()
-        {
-            // The batches finishing at `done`, in dispatch order.
-            let mut tied = [0usize; 8];
-            let mut n = 0;
-            for (i, s) in self.slices.iter().enumerate() {
-                if s.flight.due(t) && s.flight.done_ps == done {
-                    tied[n] = i;
-                    n += 1;
-                }
+        let mut due = [0usize; MAX_SLICES];
+        let mut n = 0;
+        for (i, s) in self.slices.iter().enumerate() {
+            if s.flight.due(t) {
+                due[n] = i;
+                n += 1;
             }
-            let tied = &mut tied[..n];
-            tied.sort_unstable_by_key(|&i| self.slices[i].flight.batch_id);
-            if let [only] = *tied {
+        }
+        let due = &mut due[..n];
+        due.sort_unstable_by_key(|&i| {
+            let f = &self.slices[i].flight;
+            (f.done_ps, f.batch_id)
+        });
+        match *due {
+            [] => return,
+            [only] => {
                 let flight = &mut self.slices[only].flight;
                 let (log, tags) = (&mut self.log, &mut self.log_tags);
                 let tag = flight.tag(0);
@@ -1489,22 +1502,23 @@ impl Server {
                     log.push(c);
                     tags.push(Tag { tenant, ..tag });
                 }
-                continue;
+                return;
             }
-            // Reversed, each batch pops its riders in order.
-            for &i in tied.iter() {
-                self.slices[i].flight.riders.reverse();
-            }
-            while let Some(j) = least(
-                tied.iter()
-                    .map(|&i| self.slices[i].flight.riders.last().map(|(c, _)| c)),
-            ) {
-                let flight = &mut self.slices[tied[j]].flight;
-                let (c, tenant) = flight.riders.pop().expect("least picks a non-empty batch");
-                self.log_tags.push(flight.tag(tenant));
-                self.log.push(c);
-            }
+            _ => {}
         }
+        let mut runs: [_; MAX_SLICES] = std::array::from_fn(|_| Vec::new().into_iter());
+        for (run, &i) in runs.iter_mut().zip(&*due) {
+            *run = std::mem::take(&mut self.slices[i].flight.riders).into_iter();
+        }
+        let (slices, log, tags) = (&self.slices, &mut self.log, &mut self.log_tags);
+        merge_canonical(
+            &mut runs[..n],
+            |(c, _)| c,
+            |j, (c, tenant)| {
+                tags.push(slices[due[j]].flight.tag(tenant));
+                log.push(c);
+            },
+        );
     }
 
     /// Takes every completion not hashed yet — in the log or in flight —
@@ -1611,8 +1625,9 @@ impl Server {
         Ok(())
     }
 
-    /// Runs the functional phase, closes the report's books (see
-    /// [`Server::close_books`]) and assembles the report. Public so a
+    /// Runs the functional phase, closes the report's books (writes the
+    /// loop's tallies to the registry, checks the probe laws and exports
+    /// what is new to the global probe) and assembles the report. Public so a
     /// caller that drives the loop via [`Server::run_until`] can report
     /// after the last step; [`Server::run`] calls it automatically. Every
     /// completion in the report carries its output hash, and reporting
@@ -1633,19 +1648,14 @@ impl Server {
             .iter()
             .map(|(name, ts)| {
                 let keys = &self.tenant_books[name];
-                let hist = probes.histogram(&keys.latency_ps);
-                let q = |p: f64| hist.and_then(|h| h.quantile(p)).unwrap_or(0.0);
-                TenantSummary {
-                    name: name.clone(),
-                    weight: ts.weight,
-                    submitted: probes.counter(&keys.submitted),
-                    completed: probes.counter(&keys.completed),
-                    shed: probes.counter(&keys.shed),
-                    p50_ps: q(0.5),
-                    p95_ps: q(0.95),
-                    p99_ps: q(0.99),
-                    mean_ps: hist.map_or(0.0, freac_probe::Histogram::mean),
-                }
+                TenantSummary::new(
+                    name,
+                    ts.weight,
+                    probes.counter(&keys.submitted),
+                    probes.counter(&keys.completed),
+                    probes.counter(&keys.shed),
+                    probes.histogram(&keys.latency_ps),
+                )
             })
             .collect();
         Ok(ServeReport {
@@ -1701,8 +1711,7 @@ impl Server {
                 .zip(self.log_tags.drain(..))
                 .map(|(c, tag)| Past::new(c, tag)),
         );
-        // In-flight batches by finishing time, dispatch order among equals;
-        // batches finishing together merge like retiring ones.
+        // Clones of the in-flight batches, merged like retiring ones.
         let mut flights: Vec<&Flight> = self
             .slices
             .iter()
@@ -1710,18 +1719,11 @@ impl Server {
             .filter(|f| !f.riders.is_empty())
             .collect();
         flights.sort_unstable_by_key(|f| (f.done_ps, f.batch_id));
-        for group in flights.chunk_by(|a, b| a.done_ps == b.done_ps) {
-            let mut next = [0usize; 8];
-            while let Some(j) = least(
-                group
-                    .iter()
-                    .zip(&next)
-                    .map(|(f, &r)| f.riders.get(r).map(|(c, _)| c)),
-            ) {
-                out.push(group[j].riders[next[j]].0.clone());
-                next[j] += 1;
-            }
-        }
+        let mut runs: Vec<_> = flights
+            .iter()
+            .map(|f| f.riders.clone().into_iter())
+            .collect();
+        merge_canonical(&mut runs, |(c, _)| c, |_, (c, _)| out.push(c));
         out
     }
 
@@ -1865,10 +1867,8 @@ pub(crate) struct PassScratch<'p> {
     out: Vec<Vec<Value>>,
     /// Output vectors parked while a narrower pass runs.
     spare: Vec<Vec<Value>>,
-    /// Batch-plan states, by plan and lane capacity.
+    /// Plan states, batch and fold plans alike, by plan and lane capacity.
     batch_states: Vec<(&'p ExecPlan, AnyBatchState)>,
-    /// Fold-plan batch executors, by plan and lane capacity.
-    fold_executors: Vec<(&'p FoldPlan, FoldBatchExecutor<'p>)>,
 }
 
 /// The lane capacity of the state a pass of `n` lanes runs on: the
@@ -1885,29 +1885,31 @@ fn state_width(n: usize) -> usize {
     }
 }
 
-/// The state in `kept` for `plan` whose lane capacity is `width`, reset to
-/// power-on values, or a `fresh` one kept from now on.
-fn kept_state<'s, 'p, P, S>(
-    kept: &'s mut Vec<(&'p P, S)>,
-    plan: &'p P,
-    width: usize,
-    capacity: impl Fn(&S) -> usize,
-    reset: impl FnOnce(&mut S),
-    fresh: impl FnOnce() -> S,
-) -> &'s mut S {
-    match kept
-        .iter()
-        .position(|(p, s)| std::ptr::eq(*p, plan) && capacity(s) == width)
-    {
-        Some(i) => {
-            let state = &mut kept[i].1;
-            reset(state);
-            state
+impl<'p> PassScratch<'p> {
+    /// Runs `plan` over the first `n` input lanes for `cycles` cycles from
+    /// power-on values, into `out`: on the state kept for `plan` at the
+    /// lane capacity `n` needs, reset, or on a fresh one kept from now on.
+    fn run(&mut self, plan: &'p ExecPlan, n: usize, cycles: u64) -> Result<(), ServeError> {
+        let width = state_width(n);
+        let kept = &mut self.batch_states;
+        let i = match kept
+            .iter()
+            .position(|(p, s)| std::ptr::eq(*p, plan) && s.lane_capacity() == width)
+        {
+            Some(i) => {
+                plan.reset_batch_state(&mut kept[i].1);
+                i
+            }
+            None => {
+                kept.push((plan, plan.new_batch_state_for(width)));
+                kept.len() - 1
+            }
+        };
+        let (state, inputs) = (&mut kept[i].1, &self.inputs[..n]);
+        for _ in 0..cycles {
+            plan.run_batch_cycle_any(state, inputs, &mut self.out)?;
         }
-        None => {
-            kept.push((plan, fresh()));
-            &mut kept.last_mut().expect("a state was just kept").1
-        }
+        Ok(())
     }
 }
 
@@ -1928,35 +1930,12 @@ impl FuncPass {
         while scratch.out.len() < n {
             scratch.out.push(scratch.spare.pop().unwrap_or_default());
         }
-        let (inputs, out) = (&scratch.inputs[..n], &mut scratch.out);
-        let width = state_width(n);
-        if let Some(plan) = &self.plan {
-            let state = kept_state(
-                &mut scratch.batch_states,
-                plan.as_ref(),
-                width,
-                AnyBatchState::lane_capacity,
-                |s| plan.reset_batch_state(s),
-                || plan.new_batch_state_for(width),
-            );
-            for _ in 0..self.cycles {
-                plan.run_batch_cycle_any(state, inputs, out)?;
-            }
-        } else {
-            let fold = self.accel.fold_plan();
-            let ex = kept_state(
-                &mut scratch.fold_executors,
-                fold,
-                width,
-                FoldBatchExecutor::lane_capacity,
-                FoldBatchExecutor::reset,
-                || fold.batch_executor(width),
-            );
-            for _ in 0..self.cycles {
-                ex.run_batch_cycle_into(inputs, out)?;
-            }
-        }
-        Ok(out.iter().map(|o| hash_outputs(o)).collect())
+        let plan = match &self.plan {
+            Some(plan) => plan,
+            None => self.accel.fold_plan().exec_plan(),
+        };
+        scratch.run(plan, n, self.cycles)?;
+        Ok(scratch.out.iter().map(|o| hash_outputs(o)).collect())
     }
 }
 
@@ -2355,6 +2334,53 @@ mod tests {
         assert_eq!(last.probes.counter("serve.func.passes"), 8);
         assert_eq!(want.probes.counter("serve.func.passes"), 2);
         assert_reference_hashes(&s, &last);
+    }
+
+    #[test]
+    fn merge_canonical_puts_the_earlier_run_first_among_equal_keys() {
+        // `slice` names each completion's run; `(5, a, 1)` sits in runs
+        // 0 and 1, so run 0's copy must come out first.
+        let c = |done_ps, tenant: &str, seq, slice| Completion {
+            tenant: tenant.into(),
+            seq,
+            kernel: "k".into(),
+            arrival_ps: 0,
+            start_ps: 0,
+            done_ps,
+            reconfig_ps: 0,
+            exec_ps: 0,
+            batch_id: 0,
+            lanes: 1,
+            slice,
+            output_hash: 0,
+            seed: 0,
+            deadline_met: None,
+        };
+        let mut runs = [
+            vec![c(5, "a", 1, 0), c(7, "b", 0, 0)].into_iter(),
+            vec![c(5, "a", 1, 1), c(6, "a", 2, 1)].into_iter(),
+            vec![c(5, "a", 0, 2)].into_iter(),
+        ];
+        let mut merged = Vec::new();
+        merge_canonical(
+            &mut runs,
+            |c| c,
+            |run, c| {
+                assert_eq!(run, c.slice, "an item comes out with its run's index");
+                merged.push((c.done_ps, c.tenant, c.seq, c.slice));
+            },
+        );
+        let key = |d, t: &str, s, r| (d, t.to_owned(), s, r);
+        assert_eq!(
+            merged,
+            [
+                key(5, "a", 0, 2),
+                key(5, "a", 1, 0),
+                key(5, "a", 1, 1),
+                key(6, "a", 2, 1),
+                key(7, "b", 0, 0),
+            ]
+        );
     }
 
     #[test]
@@ -2934,5 +2960,26 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(matches!(Server::new(cfg), Err(ServeError::BadConfig(_))));
+    }
+
+    #[test]
+    fn slice_count_outside_the_cap_is_rejected() {
+        for slices in [0, MAX_SLICES + 1] {
+            let cfg = ServeConfig {
+                slices,
+                ..ServeConfig::default()
+            };
+            assert!(
+                matches!(Server::new(cfg), Err(ServeError::BadConfig(_))),
+                "slices {slices}"
+            );
+        }
+        for slices in [1, MAX_SLICES] {
+            let cfg = ServeConfig {
+                slices,
+                ..ServeConfig::default()
+            };
+            assert!(Server::new(cfg).is_ok(), "slices {slices}");
+        }
     }
 }
