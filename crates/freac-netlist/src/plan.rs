@@ -37,7 +37,12 @@
 //! three times — for AVX-512 (`avx512f`, `avx512vl`, with AVX2, BMI1/2
 //! and POPCNT), for AVX2, and portably — and each sweep runs the widest
 //! variant the host reports ([`batch_isa`]); all three compute the same
-//! bits. Callers
+//! bits. Word↔bit conversions (`Pack`, `Unpack` runs) transpose 64×64 bit
+//! blocks, all `N` chunks of a slot in lock-step, so one butterfly
+//! network serves 512 lanes. A pass of several cycles on the same inputs
+//! is one call ([`ExecPlan::run_batch_cycles_any`]): the inputs are
+//! checked and packed once and only the last cycle's outputs unpacked.
+//! Callers
 //! that only learn the batch size at runtime dispatch through
 //! [`AnyBatchState`], which runs batches of at most
 //! [`SCALAR_BATCH_LANES`] lanes per lane on the single-vector engine —
@@ -402,26 +407,37 @@ fn refill<T: Copy>(v: &mut Vec<T>, len: usize, value: T) {
     v.resize(len, value);
 }
 
-/// Bit count at which the batch `Pack`/`Unpack` paths switch from
-/// per-lane assembly to a full 64×64 block transpose: the transpose costs
-/// a fixed ~`64 · log2(64)` word ops per block, the per-lane form
-/// `64 · bits`, so the crossover sits near 6–8 bits.
+/// Bit count below which the batch sweep assembles lanes one by one
+/// instead of transposing 64×64 bit blocks: a transpose costs a fixed
+/// `6 · 32` butterfly steps per slot, the per-lane form `64 · bits` per
+/// 64-lane chunk. It applies to `Unpack` runs at every width — the fold
+/// plans' 1–4-op runs sweep 2–3x slower transposed — and to `Pack` only
+/// at `N = 1`: at `N` = 4 and 8 one lock-step transpose serves every
+/// chunk and beats the per-lane form even at 2 bits (KMP, 512 lanes:
+/// about 13 vs 11 ns per lane-cycle).
 const TRANSPOSE_MIN_BITS: usize = 8;
 
-/// In-place 64×64 bit-matrix transpose over the packed lane convention
-/// (bit `j` of `m[i]` is element `(i, j)`): afterwards bit `j` of `m[i]`
-/// holds what bit `i` of `m[j]` held. Recursive block swap (the
-/// Hacker's-Delight butterfly, flipped for LSB-first columns).
+/// In-place 64×64 bit-matrix transpose of `N` matrices in lock-step over
+/// the packed lane convention: matrix `x` is word `x` of every row (bit
+/// `j` of `m[i][x]` is its element `(i, j)`), and afterwards bit `j` of
+/// `m[i][x]` holds what bit `i` of `m[j][x]` held. Recursive block swap
+/// (the Hacker's-Delight butterfly, flipped for LSB-first columns), each
+/// step one `[u64; N]` operation — one `zmm` at `N = 8` — so the `N`
+/// 64-lane chunks of a slot cost one butterfly network, not `N`.
 #[inline(always)]
-fn transpose64(m: &mut [u64; 64]) {
+fn transpose64<const N: usize>(m: &mut [[u64; N]; 64]) {
     let mut j = 32usize;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
     while j != 0 {
         let mut k = 0usize;
         while k < 64 {
-            let t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
+            let (mut lo, mut hi) = (m[k], m[k + j]);
+            for x in 0..N {
+                let t = ((lo[x] >> j) ^ hi[x]) & mask;
+                lo[x] ^= t << j;
+                hi[x] ^= t;
+            }
+            (m[k], m[k + j]) = (lo, hi);
             k = (k + j + 1) & !j;
         }
         j >>= 1;
@@ -574,6 +590,15 @@ impl ExecPlan {
         inputs: &[Value],
         out: &mut Vec<Value>,
     ) -> Result<(), NetlistError> {
+        self.load_inputs(state, inputs)?;
+        self.step(state);
+        self.read_outputs(state, out);
+        Ok(())
+    }
+
+    /// Writes one input vector into `state`'s input slots, checking its
+    /// shape the way the reference evaluator does.
+    fn load_inputs(&self, state: &mut PlanState, inputs: &[Value]) -> Result<(), NetlistError> {
         if inputs.len() != self.inputs.len() {
             return Err(NetlistError::InputCountMismatch {
                 expected: self.inputs.len(),
@@ -587,7 +612,11 @@ impl ExecPlan {
                 _ => return Err(NetlistError::InputTypeMismatch { index: i }),
             }
         }
+        Ok(())
+    }
 
+    /// One cycle on the loaded inputs: main ops, latch, post-latch ops.
+    fn step(&self, state: &mut PlanState) {
         self.exec(&self.ops, &mut state.bits, &mut state.words);
 
         // Two-phase latch: stage every source, then commit, so feedback
@@ -607,7 +636,10 @@ impl ExecPlan {
 
         self.exec(&self.post_ops, &mut state.bits, &mut state.words);
         state.cycles += 1;
+    }
 
+    /// Refills `out` with the primary outputs, in declaration order.
+    fn read_outputs(&self, state: &PlanState, out: &mut Vec<Value>) {
         out.clear();
         for &slot in &self.outputs {
             out.push(match slot {
@@ -615,7 +647,6 @@ impl ExecPlan {
                 Slot::Word(s) => Value::Word(state.words[s as usize]),
             });
         }
-        Ok(())
     }
 
     /// Allocating convenience wrapper over [`ExecPlan::run_cycle_into`].
@@ -652,46 +683,69 @@ impl ExecPlan {
     }
 
     /// Runs one original clock cycle on whichever engine `state` carries:
-    /// the runtime-dispatch face of [`ExecPlan::run_wide_batch_cycle`],
-    /// and of [`ExecPlan::run_cycle_into`] once per lane for a
-    /// [`AnyBatchState::Scalar`] state.
+    /// the one-cycle form of [`ExecPlan::run_batch_cycles_any`].
     ///
     /// # Errors
     ///
-    /// Exactly [`ExecPlan::run_wide_batch_cycle`]'s, with `state`'s
-    /// [`lane_capacity`](AnyBatchState::lane_capacity) as the width. A
-    /// per-lane state checks every lane before running any, so an error
-    /// leaves every lane untouched.
+    /// Exactly [`ExecPlan::run_batch_cycles_any`]'s.
     pub fn run_batch_cycle_any(
         &self,
         state: &mut AnyBatchState,
         lanes: &[Vec<Value>],
         out: &mut Vec<Vec<Value>>,
     ) -> Result<(), NetlistError> {
+        self.run_batch_cycles_any(state, lanes, 1, out)
+    }
+
+    /// Runs `cycles` original clock cycles (at least one: `0` runs one, as
+    /// the serving layer's reference hash counts) on whichever engine
+    /// `state` carries, every cycle on the same inputs, and writes the last
+    /// cycle's outputs: lane `l` consumes `lanes[l]` and its outputs land
+    /// in `out[l]`. A [`AnyBatchState::Scalar`] state runs each lane on
+    /// the single-vector engine; a bit-sliced one runs
+    /// [`ExecPlan::run_wide_batch_cycle`]'s sweep.
+    ///
+    /// Equal to `cycles` calls of [`ExecPlan::run_batch_cycle_any`] —
+    /// outputs and whole state alike — at a fraction of the cost: no op or
+    /// latch writes an input slot, so the inputs are checked and packed
+    /// once, and only the last cycle's outputs are unpacked.
+    ///
+    /// # Errors
+    ///
+    /// Returns input-shape errors for the first offending lane (batch
+    /// size, then each lane's input count, then input types input by
+    /// input), with [`NetlistError::InputCountMismatch`] against `state`'s
+    /// [`lane_capacity`](AnyBatchState::lane_capacity) for an empty or
+    /// over-wide batch. Every lane is checked before any runs, so an error
+    /// leaves `state` untouched.
+    pub fn run_batch_cycles_any(
+        &self,
+        state: &mut AnyBatchState,
+        lanes: &[Vec<Value>],
+        cycles: u64,
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), NetlistError> {
         match state {
-            AnyBatchState::Scalar(s) => self.run_scalar_lanes(s, lanes, out),
-            AnyBatchState::W1(s) => self.run_wide_batch_cycle(s, lanes, out),
-            AnyBatchState::W4(s) => self.run_wide_batch_cycle(s, lanes, out),
-            AnyBatchState::W8(s) => self.run_wide_batch_cycle(s, lanes, out),
+            AnyBatchState::Scalar(s) => self.run_scalar_lanes(s, lanes, cycles, out),
+            AnyBatchState::W1(s) => self.run_wide_batch_cycles(s, lanes, cycles, out),
+            AnyBatchState::W4(s) => self.run_wide_batch_cycles(s, lanes, cycles, out),
+            AnyBatchState::W8(s) => self.run_wide_batch_cycles(s, lanes, cycles, out),
         }
     }
 
-    /// Runs lane `l` through [`ExecPlan::run_cycle_into`] on `states[l]`,
-    /// after checking every lane in the order the bit-sliced prologue does
-    /// (batch size, then each lane's input count, then input types input
-    /// by input), so both report the same first error.
-    fn run_scalar_lanes(
-        &self,
-        states: &mut [PlanState],
-        lanes: &[Vec<Value>],
-        out: &mut Vec<Vec<Value>>,
-    ) -> Result<(), NetlistError> {
-        if lanes.is_empty() || lanes.len() > states.len() {
+    /// Checks a batch for a state of `capacity` lanes in the order both
+    /// engines report errors: batch size, then each lane's input count,
+    /// then input types input by input.
+    fn check_lanes(&self, capacity: usize, lanes: &[Vec<Value>]) -> Result<(), NetlistError> {
+        if lanes.is_empty() || lanes.len() > capacity {
             return Err(NetlistError::InputCountMismatch {
-                expected: states.len(),
+                expected: capacity,
                 found: lanes.len(),
             });
         }
+        // One pass over the lanes: a count error anywhere outranks every
+        // type error, and among type errors the lowest input index wins.
+        let mut first_bad_type = self.inputs.len();
         for lane in lanes {
             if lane.len() != self.inputs.len() {
                 return Err(NetlistError::InputCountMismatch {
@@ -699,18 +753,39 @@ impl ExecPlan {
                     found: lane.len(),
                 });
             }
-        }
-        for (index, &slot) in self.inputs.iter().enumerate() {
-            if lanes
+            if let Some(index) = lane[..first_bad_type]
                 .iter()
-                .any(|lane| lane[index].signal_type() != slot.signal_type())
+                .zip(&self.inputs)
+                .position(|(v, slot)| v.signal_type() != slot.signal_type())
             {
-                return Err(NetlistError::InputTypeMismatch { index });
+                first_bad_type = index;
             }
         }
+        if first_bad_type < self.inputs.len() {
+            return Err(NetlistError::InputTypeMismatch {
+                index: first_bad_type,
+            });
+        }
+        Ok(())
+    }
+
+    /// Runs lane `l` for `cycles` cycles on `states[l]` with the
+    /// single-vector engine, after checking every lane.
+    fn run_scalar_lanes(
+        &self,
+        states: &mut [PlanState],
+        lanes: &[Vec<Value>],
+        cycles: u64,
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), NetlistError> {
+        self.check_lanes(states.len(), lanes)?;
         out.resize_with(lanes.len(), Vec::new);
         for ((state, lane), lane_out) in states.iter_mut().zip(lanes).zip(out.iter_mut()) {
-            self.run_cycle_into(state, lane, lane_out)?;
+            self.load_inputs(state, lane)?;
+            for _ in 0..cycles.max(1) {
+                self.step(state);
+            }
+            self.read_outputs(state, lane_out);
         }
         Ok(())
     }
@@ -731,72 +806,70 @@ impl ExecPlan {
     ///
     /// Returns input-shape errors for the first offending lane, plus
     /// [`NetlistError::InputCountMismatch`] if more than `N * 64` lanes
-    /// are supplied.
+    /// are supplied; an error leaves `state` untouched.
     pub fn run_wide_batch_cycle<const N: usize>(
         &self,
         state: &mut BatchState<N>,
         lanes: &[Vec<Value>],
         out: &mut Vec<Vec<Value>>,
     ) -> Result<(), NetlistError> {
+        self.run_wide_batch_cycles(state, lanes, 1, out)
+    }
+
+    /// The one bit-sliced run body: checks and packs the inputs once,
+    /// sweeps `cycles` cycles (at least one) of main ops, latch and
+    /// post-latch ops, and unpacks the last cycle's outputs.
+    fn run_wide_batch_cycles<const N: usize>(
+        &self,
+        state: &mut BatchState<N>,
+        lanes: &[Vec<Value>],
+        cycles: u64,
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<(), NetlistError> {
         let width = N * BATCH_LANES;
-        if lanes.is_empty() || lanes.len() > width {
-            return Err(NetlistError::InputCountMismatch {
-                expected: width,
-                found: lanes.len(),
-            });
-        }
-        for lane in lanes {
-            if lane.len() != self.inputs.len() {
-                return Err(NetlistError::InputCountMismatch {
-                    expected: self.inputs.len(),
-                    found: lane.len(),
-                });
-            }
-        }
+        self.check_lanes(width, lanes)?;
         for (i, &slot) in self.inputs.iter().enumerate() {
             match slot {
                 Slot::Bit(s) => {
                     let mut w = [0u64; N];
                     for (l, lane) in lanes.iter().enumerate() {
-                        let b = lane[i]
-                            .as_bit()
-                            .ok_or(NetlistError::InputTypeMismatch { index: i })?;
-                        w[l >> 6] |= (b as u64) << (l & 63);
+                        w[l >> 6] |= u64::from(lane[i] == Value::Bit(true)) << (l & 63);
                     }
                     state.bits[s as usize] = w;
                 }
                 Slot::Word(s) => {
                     let base = s as usize * width;
-                    for (l, lane) in lanes.iter().enumerate() {
-                        state.words[base + l] = lane[i]
-                            .as_word()
-                            .ok_or(NetlistError::InputTypeMismatch { index: i })?;
+                    for (w, lane) in state.words[base..].iter_mut().zip(lanes) {
+                        // Checked above: every lane's input `i` is a word.
+                        *w = lane[i].as_word().unwrap_or_default();
                     }
                 }
             }
         }
 
-        self.exec_batch_dispatch(&self.ops, &mut state.bits, &mut state.words);
+        for _ in 0..cycles.max(1) {
+            self.exec_batch_dispatch(&self.ops, &mut state.bits, &mut state.words);
 
-        for (i, &(src, _)) in self.bit_latches.iter().enumerate() {
-            state.bit_stage[i] = state.bits[src as usize];
-        }
-        for (i, &(src, _)) in self.word_latches.iter().enumerate() {
-            let base = src as usize * width;
-            state.word_stage[i * width..(i + 1) * width]
-                .copy_from_slice(&state.words[base..base + width]);
-        }
-        for (i, &(_, dst)) in self.bit_latches.iter().enumerate() {
-            state.bits[dst as usize] = state.bit_stage[i];
-        }
-        for (i, &(_, dst)) in self.word_latches.iter().enumerate() {
-            let base = dst as usize * width;
-            state.words[base..base + width]
-                .copy_from_slice(&state.word_stage[i * width..(i + 1) * width]);
-        }
+            for (i, &(src, _)) in self.bit_latches.iter().enumerate() {
+                state.bit_stage[i] = state.bits[src as usize];
+            }
+            for (i, &(src, _)) in self.word_latches.iter().enumerate() {
+                let base = src as usize * width;
+                state.word_stage[i * width..(i + 1) * width]
+                    .copy_from_slice(&state.words[base..base + width]);
+            }
+            for (i, &(_, dst)) in self.bit_latches.iter().enumerate() {
+                state.bits[dst as usize] = state.bit_stage[i];
+            }
+            for (i, &(_, dst)) in self.word_latches.iter().enumerate() {
+                let base = dst as usize * width;
+                state.words[base..base + width]
+                    .copy_from_slice(&state.word_stage[i * width..(i + 1) * width]);
+            }
 
-        self.exec_batch_dispatch(&self.post_ops, &mut state.bits, &mut state.words);
-        state.cycles += 1;
+            self.exec_batch_dispatch(&self.post_ops, &mut state.bits, &mut state.words);
+            state.cycles += 1;
+        }
 
         out.resize_with(lanes.len(), Vec::new);
         for (l, lane_out) in out.iter_mut().enumerate() {
@@ -952,6 +1025,13 @@ impl ExecPlan {
     /// working set at 64 lanes regardless of `N` instead of streaming
     /// `N * 64`-lane planes through cache once per op.
     ///
+    /// `Pack` ops and runs of `Unpack` ops over one source slot move
+    /// between the planes through [`transpose64`], which transposes the
+    /// slot's `N` 64×64 bit blocks in lock-step: each butterfly step is
+    /// one `[u64; N]` operation. Below [`TRANSPOSE_MIN_BITS`] an `Unpack`
+    /// run at any width, and a `Pack` at `N = 1`, assemble lanes one by
+    /// one instead, where that measured faster.
+    ///
     /// This is the portable body: it, [`ExecPlan::mux_run`] and
     /// [`transpose64`] are always inlined, so each `#[target_feature]`
     /// wrapper below compiles its own copy of the whole sweep.
@@ -1061,79 +1141,76 @@ impl ExecPlan {
                     continue;
                 }
                 OpCode::Pack => {
-                    // One pass per 64-lane chunk: hoist each operand's
-                    // chunk word once, then either transpose the 64×64
-                    // bit block (wide packs — one O(64·log 64) shuffle
-                    // instead of `64 · operand count` bit extracts) or
-                    // assemble each lane's value in a register (narrow
-                    // packs, where the transpose doesn't pay for itself).
-                    // Either way each destination lane is stored exactly
-                    // once — no `operand count + 1` read-modify-write
-                    // sweeps over the destination row.
+                    // Transpose the operands' chunks as one 64×64 bit
+                    // block per 64-lane chunk, all `N` blocks in
+                    // lock-step; only a narrow pack at `N = 1` assembles
+                    // each lane's value in a register instead, where the
+                    // transpose does not pay for itself. Either way each
+                    // destination lane is stored exactly once.
                     let ins = self.pooled(&op);
                     let n = ins.len();
-                    let db = dst * width;
-                    // `w` also offsets the lane-major word plane, so the
-                    // index form beats iterating `bits` here.
-                    #[allow(clippy::needless_range_loop)]
-                    for w in 0..N {
-                        let mut ms = [0u64; 64];
-                        for (k, &slot) in ins.iter().enumerate() {
-                            ms[k] = bits[slot as usize][w];
+                    let out = &mut words[dst * width..(dst + 1) * width];
+                    if N > 1 || n >= TRANSPOSE_MIN_BITS {
+                        let mut m = [[0u64; N]; 64];
+                        for (row, &slot) in m.iter_mut().zip(ins) {
+                            *row = bits[slot as usize];
                         }
-                        let base = db + w * BATCH_LANES;
-                        let out = &mut words[base..base + BATCH_LANES];
-                        if n >= TRANSPOSE_MIN_BITS {
-                            transpose64(&mut ms);
-                            for (o, &m) in out.iter_mut().zip(&ms) {
-                                *o = m as u32;
+                        transpose64(&mut m);
+                        for (j, row) in m.iter().enumerate() {
+                            for x in 0..N {
+                                out[x * BATCH_LANES + j] = row[x] as u32;
                             }
-                        } else {
-                            for (j, o) in out.iter_mut().enumerate() {
-                                let mut packed = 0u32;
-                                for (k, m) in ms[..n].iter().enumerate() {
-                                    packed |= (((m >> j) & 1) as u32) << k;
-                                }
-                                *o = packed;
+                        }
+                    } else {
+                        // `N = 1`: one 64-lane chunk.
+                        let mut ms = [0u64; TRANSPOSE_MIN_BITS];
+                        for (m, &slot) in ms.iter_mut().zip(ins) {
+                            *m = bits[slot as usize][0];
+                        }
+                        for (j, o) in out.iter_mut().enumerate() {
+                            let mut packed = 0u32;
+                            for (k, m) in ms[..n].iter().enumerate() {
+                                packed |= (((m >> j) & 1) as u32) << k;
                             }
+                            *o = packed;
                         }
                     }
                 }
                 OpCode::Unpack => {
                     // Fused run: tech-mapped word logic unpacks *every*
                     // bit of a word in sequence, so consecutive Unpacks
-                    // of one source slot transpose each 64-lane block
-                    // once and hand every op in the run its row — the
-                    // naive form re-reads all lanes once per bit.
+                    // of one source slot transpose the source lanes once
+                    // (every 64-lane chunk in lock-step) and hand every op
+                    // in the run its row — the naive form re-reads all
+                    // lanes once per bit.
                     let src = op.args[0];
                     let mut end = i + 1;
                     while end < len && ops[end].code == OpCode::Unpack && ops[end].args[0] == src {
                         end += 1;
                     }
                     let run = &ops[i..end];
-                    let sb = src as usize * width;
-                    #[allow(clippy::needless_range_loop)]
-                    for w in 0..N {
-                        let base = sb + w * BATCH_LANES;
-                        let lanes = &words[base..base + BATCH_LANES];
-                        if run.len() >= TRANSPOSE_MIN_BITS {
-                            let mut m = [0u64; 64];
-                            for (j, &word) in lanes.iter().enumerate() {
-                                m[j] = word as u64;
+                    let lanes = &words[src as usize * width..(src as usize + 1) * width];
+                    if run.len() >= TRANSPOSE_MIN_BITS {
+                        let mut m = [[0u64; N]; 64];
+                        for (j, row) in m.iter_mut().enumerate() {
+                            for x in 0..N {
+                                row[x] = u64::from(lanes[x * BATCH_LANES + j]);
                             }
-                            transpose64(&mut m);
-                            for o in run {
-                                bits[o.dst as usize][w] = m[o.args[1] as usize];
-                            }
-                        } else {
-                            for o in run {
-                                let bit = o.args[1];
-                                let mut m = 0u64;
-                                for (j, &word) in lanes.iter().enumerate() {
-                                    m |= (((word >> bit) & 1) as u64) << j;
+                        }
+                        transpose64(&mut m);
+                        for o in run {
+                            bits[o.dst as usize] = m[o.args[1] as usize];
+                        }
+                    } else {
+                        for o in run {
+                            let bit = o.args[1];
+                            let mut m = [0u64; N];
+                            for (mw, chunk) in m.iter_mut().zip(lanes.chunks_exact(BATCH_LANES)) {
+                                for (j, &word) in chunk.iter().enumerate() {
+                                    *mw |= u64::from((word >> bit) & 1) << j;
                                 }
-                                bits[o.dst as usize][w] = m;
                             }
+                            bits[o.dst as usize] = m;
                         }
                     }
                     i = end;
@@ -2466,9 +2543,11 @@ mod tests {
                 "no pooled {k}-LUT"
             );
         }
-        let packs = |narrow: bool| {
-            has(&|o| o.code == OpCode::Pack && ((o.n as usize) < TRANSPOSE_MIN_BITS) == narrow)
-        };
+        // Both sides of the 8-bit line, where a per-lane form would stop
+        // and a transpose take over.
+        const CUT: usize = 8;
+        let packs =
+            |narrow: bool| has(&|o| o.code == OpCode::Pack && ((o.n as usize) < CUT) == narrow);
         assert!(
             packs(true) && packs(false),
             "packs on one side of the cut only"
@@ -2486,8 +2565,8 @@ mod tests {
                 *unpack_runs.last_mut().unwrap() += 1;
             }
         }
-        assert!(unpack_runs.iter().any(|&r| r < TRANSPOSE_MIN_BITS));
-        assert!(unpack_runs.iter().any(|&r| r >= TRANSPOSE_MIN_BITS));
+        assert!(unpack_runs.iter().any(|&r| r < CUT), "no short Unpack run");
+        assert!(unpack_runs.iter().any(|&r| r >= CUT), "no long Unpack run");
         let word_run = raw.ops.windows(2).any(|w| {
             w.iter()
                 .all(|o| matches!(o.code, OpCode::Mac | OpCode::CopyWord))
@@ -2511,24 +2590,178 @@ mod tests {
         }
     }
 
-    #[test]
-    fn transpose64_is_a_transpose() {
-        let mut m = [0u64; 64];
-        for (i, row) in m.iter_mut().enumerate() {
-            *row = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(i as u32);
-        }
-        let orig = m;
-        transpose64(&mut m);
-        for (i, &row) in m.iter().enumerate() {
-            for (j, &orow) in orig.iter().enumerate() {
-                assert_eq!((row >> j) & 1, (orow >> i) & 1, "element ({i}, {j})");
+    /// `plan`'s inputs for `lanes` lanes: a random value of each input's
+    /// type per lane.
+    fn random_lanes(plan: &ExecPlan, lanes: usize, rng: &mut freac_rand::Rng64) -> Vec<Vec<Value>> {
+        (0..lanes)
+            .map(|_| {
+                plan.inputs
+                    .iter()
+                    .map(|slot| match slot {
+                        Slot::Bit(_) => Value::Bit(rng.bool()),
+                        Slot::Word(_) => Value::Word(rng.next_u32()),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `n` compiled in fold style: every node but the primary outputs in
+    /// the main segment, level by level, and the outputs after the latch,
+    /// so they read the new state.
+    fn post_latch_plan(n: &Netlist) -> ExecPlan {
+        let mut pb = PlanBuilder::new(n).unwrap();
+        let outputs = n.primary_outputs();
+        for level in level_graph(n).unwrap().by_level() {
+            for id in level.into_iter().filter(|id| !outputs.contains(id)) {
+                pb.emit(id, Segment::Main);
             }
         }
-        // An involution: transposing twice restores the matrix.
+        pb.latch_all();
+        for &o in outputs {
+            pb.emit(o, Segment::Post);
+        }
+        pb.finish()
+    }
+
+    #[test]
+    fn multi_cycle_pass_equals_repeated_cycles() {
+        let mut rng = freac_rand::Rng64::new(0x6d75_6c74_695f_6379);
+        let mapped = |n: Netlist| compile(&tech_map(&n, TechMapOptions::lut4()).unwrap()).unwrap();
+        let (plans, widths, depths): (Vec<(ExecPlan, &str)>, &[usize], &[u64]) = if cfg!(miri) {
+            (
+                vec![(post_latch_plan(&every_op_circuit()), "every_op post")],
+                &[1, 3, 65],
+                &[1, 2],
+            )
+        } else {
+            (
+                vec![
+                    (mapped(aes_round_circuit()), "aes"),
+                    (mapped(gemm_pe_circuit()), "gemm"),
+                    (post_latch_plan(&every_op_circuit()), "every_op post"),
+                    (
+                        post_latch_plan(
+                            &tech_map(&gemm_pe_circuit(), TechMapOptions::lut4()).unwrap(),
+                        ),
+                        "gemm post",
+                    ),
+                ],
+                &[1, 2, 3, 64, 65, 300, 512],
+                &[1, 2, 4],
+            )
+        };
+        for (plan, label) in &plans {
+            assert!(
+                label.ends_with("post") != plan.post_ops.is_empty(),
+                "{label}: post-latch segment"
+            );
+            for &lanes in widths {
+                let inputs = random_lanes(plan, lanes, &mut rng);
+                // Start from a state some earlier cycles moved off power-on.
+                let prior = random_lanes(plan, lanes, &mut rng);
+                let mut start = plan.new_batch_state_for(lanes);
+                let mut out = Vec::new();
+                plan.run_batch_cycle_any(&mut start, &prior, &mut out)
+                    .unwrap();
+                for &k in depths {
+                    let at = format!("{label}, {lanes} lanes, {k} cycles");
+                    let (mut one, mut many) = (start.clone(), start.clone());
+                    let (mut one_out, mut many_out) = (Vec::new(), Vec::new());
+                    for _ in 0..k {
+                        plan.run_batch_cycle_any(&mut one, &inputs, &mut one_out)
+                            .unwrap();
+                    }
+                    plan.run_batch_cycles_any(&mut many, &inputs, k, &mut many_out)
+                        .unwrap();
+                    assert_eq!(many_out, one_out, "{at}: outputs");
+                    assert!(many == one, "{at}: states differ");
+                    // And both equal each lane run alone on the
+                    // single-vector engine, so a sweep fault that both
+                    // calls share cannot hide.
+                    for (l, got) in many_out.iter().enumerate() {
+                        let mut alone = plan.new_state();
+                        let mut alone_out = Vec::new();
+                        plan.run_cycle_into(&mut alone, &prior[l], &mut alone_out)
+                            .unwrap();
+                        for _ in 0..k {
+                            plan.run_cycle_into(&mut alone, &inputs[l], &mut alone_out)
+                                .unwrap();
+                        }
+                        assert_eq!(
+                            got, &alone_out,
+                            "{at}: lane {l} against the single-vector engine"
+                        );
+                    }
+                }
+                // Zero cycles run one, as the reference hash counts.
+                let (mut one, mut zero) = (start.clone(), start.clone());
+                plan.run_batch_cycle_any(&mut one, &inputs, &mut out)
+                    .unwrap();
+                let mut zero_out = Vec::new();
+                plan.run_batch_cycles_any(&mut zero, &inputs, 0, &mut zero_out)
+                    .unwrap();
+                assert_eq!(zero_out, out, "{label}, {lanes} lanes, 0 cycles");
+                assert!(
+                    zero == one,
+                    "{label}, {lanes} lanes, 0 cycles: states differ"
+                );
+
+                // A bad lane: the one-cycle call's error, and no trace.
+                let mut bad = inputs.clone();
+                let last = bad.last_mut().unwrap();
+                let flipped = match last.last() {
+                    Some(Value::Word(_)) => Value::Bit(true),
+                    Some(Value::Bit(_)) => Value::Word(1),
+                    None => continue,
+                };
+                *last.last_mut().unwrap() = flipped;
+                let mut state = start.clone();
+                let want = plan.run_batch_cycle_any(&mut state, &bad, &mut out);
+                assert!(want.is_err(), "{label}, {lanes} lanes: bad lane accepted");
+                assert!(state == start, "{label}, {lanes} lanes: refused cycle ran");
+                assert_eq!(
+                    plan.run_batch_cycles_any(&mut state, &bad, 4, &mut out),
+                    want,
+                    "{label}, {lanes} lanes"
+                );
+                assert!(state == start, "{label}, {lanes} lanes: refused pass ran");
+            }
+        }
+    }
+
+    /// Transposes `N` random 64×64 blocks in lock-step and checks each
+    /// against its own element-wise transpose: a transpose that mixed up
+    /// chunks, or skipped any, fails on the blocks differing.
+    fn check_lock_step_transpose<const N: usize>(rng: &mut freac_rand::Rng64) {
+        let orig: [[u64; N]; 64] = std::array::from_fn(|_| std::array::from_fn(|_| rng.next_u64()));
+        let mut m = orig;
         transpose64(&mut m);
-        assert_eq!(m, orig);
+        for x in 0..N {
+            for (i, row) in m.iter().enumerate() {
+                for (j, orow) in orig.iter().enumerate() {
+                    assert_eq!(
+                        (row[x] >> j) & 1,
+                        (orow[x] >> i) & 1,
+                        "N={N} chunk {x} element ({i}, {j})"
+                    );
+                }
+            }
+        }
+        // An involution: transposing twice restores every chunk.
+        transpose64(&mut m);
+        assert_eq!(m, orig, "N={N}");
+    }
+
+    #[test]
+    fn lock_step_transpose_transposes_every_chunk() {
+        let mut rng = freac_rand::Rng64::new(0x7472_616e_7370_6f73);
+        let rounds = if cfg!(miri) { 1 } else { 4 };
+        for _ in 0..rounds {
+            check_lock_step_transpose::<1>(&mut rng);
+            check_lock_step_transpose::<4>(&mut rng);
+            check_lock_step_transpose::<8>(&mut rng);
+        }
     }
 
     #[test]

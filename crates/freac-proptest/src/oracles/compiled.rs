@@ -6,13 +6,18 @@
 //! from power-on and the wider sweeps reproduce the 64-lane outputs
 //! lane-for-lane, and for small batches (1 to [`SCALAR_BATCH_LANES`]
 //! lanes) both as `run_batch_cycle_any` routes them (per lane) and
-//! through a forced 64-lane sweep.
+//! through a forced 64-lane sweep. A second arm checks multi-cycle
+//! passes: `run_batch_cycles_any` over 1 to 512 lanes and 1 to 4 cycles
+//! must equal each lane run alone, cycle by cycle, on the single-vector
+//! engine.
 //!
 //! Reuses [`FoldCase`] generation/shrinking so a
 //! divergence shrinks over the same circuit grammar as the fold oracle.
 
 use freac_netlist::eval::Evaluator;
-use freac_netlist::plan::{compile, BATCH_LANES, BATCH_WIDTHS, SCALAR_BATCH_LANES};
+use freac_netlist::plan::{
+    compile, BATCH_LANES, BATCH_WIDTHS, MAX_BATCH_LANES, SCALAR_BATCH_LANES,
+};
 use freac_netlist::techmap::{tech_map, TechMapOptions};
 use freac_netlist::Value;
 use freac_rand::Rng64;
@@ -225,6 +230,111 @@ fn check_small_batches(
                 routed.cycles(),
                 sliced.cycles()
             ));
+        }
+    }
+    Ok(())
+}
+
+/// A multi-cycle pass: a grammar circuit (its stimulus seeds the lanes),
+/// a batch of 1 to [`MAX_BATCH_LANES`] lanes and a depth of 1 to 4 cycles.
+#[derive(Debug, Clone)]
+pub struct CyclesCase {
+    /// Circuit, mapping flavor and stimulus.
+    pub case: FoldCase,
+    /// Lanes in the batch.
+    pub lanes: usize,
+    /// Cycles one pass runs.
+    pub cycles: u64,
+}
+
+/// Draws a random [`CyclesCase`].
+pub fn generate_cycles(rng: &mut Rng64) -> CyclesCase {
+    CyclesCase {
+        case: generate(rng),
+        lanes: 1 + rng.index(MAX_BATCH_LANES),
+        cycles: 1 + rng.index(4) as u64,
+    }
+}
+
+/// Shrink candidates: smaller circuits and stimuli, fewer lanes, fewer
+/// cycles.
+pub fn shrink_cycles(c: &CyclesCase) -> Vec<CyclesCase> {
+    let mut out: Vec<CyclesCase> = shrink(&c.case)
+        .into_iter()
+        .map(|case| CyclesCase { case, ..c.clone() })
+        .collect();
+    for lanes in [1, c.lanes / 2] {
+        if lanes >= 1 && lanes < c.lanes {
+            out.push(CyclesCase { lanes, ..c.clone() });
+        }
+    }
+    if c.cycles > 1 {
+        out.push(CyclesCase {
+            cycles: c.cycles - 1,
+            ..c.clone()
+        });
+    }
+    out
+}
+
+/// Multi-cycle arm: one `run_batch_cycles_any` pass from power-on, on
+/// the state `new_batch_state_for` picks for the lane count, must leave
+/// every lane's outputs — and the state's cycle count — where `cycles`
+/// `run_cycle_into` calls on that lane alone leave them, on both the raw
+/// circuit and its mapping.
+///
+/// # Errors
+///
+/// Returns a description of the first divergence.
+pub fn check_cycles(c: &CyclesCase) -> Result<(), String> {
+    let case = &c.case;
+    let netlist = case.circuit.build();
+    let opts = if case.lut5 {
+        TechMapOptions::lut5()
+    } else {
+        TechMapOptions::lut4()
+    };
+    let mapped = tech_map(&netlist, opts).map_err(|e| format!("tech_map refused: {e}"))?;
+    let mask = case.circuit.input_limit() - 1;
+    let (x0, y0) = case.stimulus[0];
+    let lanes: Vec<Vec<Value>> = (0..c.lanes as u32)
+        .map(|l| {
+            let (x, y) = case
+                .stimulus
+                .get(l as usize)
+                .copied()
+                .unwrap_or((x0.wrapping_mul(l.wrapping_add(3)), y0.wrapping_add(l * 7)));
+            vec![Value::Word(x & mask), Value::Word(y & mask)]
+        })
+        .collect();
+    for (label, n) in [("direct", &netlist), ("mapped", &mapped)] {
+        let plan = compile(n).map_err(|e| format!("{label}: compile refused: {e}"))?;
+        let mut state = plan.new_batch_state_for(c.lanes);
+        let mut out = Vec::new();
+        plan.run_batch_cycles_any(&mut state, &lanes, c.cycles, &mut out)
+            .map_err(|e| format!("{label}: {}-cycle pass failed: {e}", c.cycles))?;
+        if state.cycles() != c.cycles || out.len() != c.lanes {
+            return Err(format!(
+                "{label}: pass counted {} cycles and {} lanes, expected {} and {}",
+                state.cycles(),
+                out.len(),
+                c.cycles,
+                c.lanes
+            ));
+        }
+        let mut alone_out = Vec::new();
+        for (l, lane) in lanes.iter().enumerate() {
+            let mut alone = plan.new_state();
+            for cycle in 0..c.cycles {
+                plan.run_cycle_into(&mut alone, lane, &mut alone_out)
+                    .map_err(|e| format!("{label}: lane {l} cycle {cycle} failed: {e}"))?;
+            }
+            if out[l] != alone_out {
+                return Err(format!(
+                    "{label}: {} lanes, {} cycles, lane {l} ({lane:?}): pass {:?} != lane alone {alone_out:?}",
+                    c.lanes, c.cycles, out[l]
+                ));
+            }
         }
     }
     Ok(())

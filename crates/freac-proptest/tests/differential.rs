@@ -30,6 +30,18 @@ fn compiled_plan_differential() {
 }
 
 #[test]
+fn compiled_plan_differential_multi_cycle() {
+    // One multi-cycle pass over 1-512 lanes and 1-4 cycles must equal
+    // every lane run alone, cycle by cycle, on the single-vector engine.
+    check(
+        "compiled/cycles",
+        compiled::generate_cycles,
+        compiled::shrink_cycles,
+        compiled::check_cycles,
+    );
+}
+
+#[test]
 fn optimize_preserves_function() {
     // Every pass alone and both pipeline levels: optimized ≡ raw on random
     // circuits — pre-mapping, post-mapping, compiled, and 64-lane batch —

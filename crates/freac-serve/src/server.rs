@@ -245,8 +245,8 @@ impl ServeConfig {
 struct ServedKernel {
     accel: Arc<Accelerator>,
     /// Compiled batch plan over the mapped netlist (per lane or
-    /// bit-sliced at whatever width the dispatch needs, via
-    /// [`ExecPlan::run_batch_cycle_any`]). Shared: plan execution is
+    /// bit-sliced at whatever width the pass needs, via
+    /// [`ExecPlan::run_batch_cycles_any`]). Shared: plan execution is
     /// `&self`, so a cluster compiles each kernel once and every shard —
     /// and every clone of the cluster, sampled segments included — runs
     /// the same `Arc`.
@@ -1842,7 +1842,8 @@ impl Server {
 
 /// One pass of the functional phase: up to [`MAX_BATCH_LANES`]
 /// completions of one kernel on one engine, run from power-on state over
-/// the kernel's functional depth. A pass owns what it reads and its hashes
+/// the kernel's functional depth in one multi-cycle plan call
+/// ([`PassScratch::run`]). A pass owns what it reads and its hashes
 /// are a pure function of its seeds, so the passes of any number of
 /// servers can run on any threads in any order.
 pub(crate) struct FuncPass {
@@ -1887,8 +1888,11 @@ fn state_width(n: usize) -> usize {
 
 impl<'p> PassScratch<'p> {
     /// Runs `plan` over the first `n` input lanes for `cycles` cycles from
-    /// power-on values, into `out`: on the state kept for `plan` at the
-    /// lane capacity `n` needs, reset, or on a fresh one kept from now on.
+    /// power-on values, into `out`, as one
+    /// [`ExecPlan::run_batch_cycles_any`] call — inputs packed once, only
+    /// the last cycle's outputs unpacked — on the state kept for `plan` at
+    /// the lane capacity `n` needs, reset, or on a fresh one kept from now
+    /// on.
     fn run(&mut self, plan: &'p ExecPlan, n: usize, cycles: u64) -> Result<(), ServeError> {
         let width = state_width(n);
         let kept = &mut self.batch_states;
@@ -1905,10 +1909,7 @@ impl<'p> PassScratch<'p> {
                 kept.len() - 1
             }
         };
-        let (state, inputs) = (&mut kept[i].1, &self.inputs[..n]);
-        for _ in 0..cycles {
-            plan.run_batch_cycle_any(state, inputs, &mut self.out)?;
-        }
+        plan.run_batch_cycles_any(&mut kept[i].1, &self.inputs[..n], cycles, &mut self.out)?;
         Ok(())
     }
 }
