@@ -34,6 +34,18 @@ pub enum FoldError {
         /// The operand that had not been computed yet.
         operand: NodeId,
     },
+    /// A schedule step lists a node where it cannot run: a bus read of a
+    /// node that is not a primary input, a `luts`/`macs`/`bus_writes`
+    /// entry naming a node of another kind, or a node id past the netlist.
+    MisplacedNode {
+        /// Index of the step.
+        step: usize,
+        /// The step's list that names the node: `"bus_reads"`, `"luts"`,
+        /// `"macs"` or `"bus_writes"`.
+        list: &'static str,
+        /// The misplaced node.
+        node: NodeId,
+    },
     /// A structural netlist error surfaced while folding.
     Netlist(NetlistError),
 }
@@ -53,6 +65,18 @@ impl fmt::Display for FoldError {
                 f,
                 "schedule evaluates node {node} before its operand {operand}"
             ),
+            FoldError::MisplacedNode { step, list, node } => {
+                let want = match *list {
+                    "bus_reads" => "a primary input",
+                    "luts" => "a LUT",
+                    "macs" => "a MAC",
+                    _ => "a primary word output",
+                };
+                write!(
+                    f,
+                    "fold step {step} lists node {node} in `{list}`, but it is not {want} of the netlist"
+                )
+            }
             FoldError::Netlist(e) => write!(f, "netlist error while folding: {e}"),
         }
     }
@@ -90,6 +114,12 @@ mod tests {
             max: 4,
         };
         assert!(e.to_string().contains("8-input"));
+        let e = FoldError::MisplacedNode {
+            step: 3,
+            list: "macs",
+            node: NodeId(9),
+        };
+        assert!(e.to_string().contains("not a MAC"));
         let e: FoldError = NetlistError::BadLutSize(9).into();
         assert!(matches!(e, FoldError::Netlist(_)));
         assert!(std::error::Error::source(&e).is_some());

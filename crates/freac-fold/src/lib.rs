@@ -14,10 +14,8 @@
 //!   from the number of micro compute clusters grouped into the tile;
 //! * [`schedule_fold`] — a criticality-driven list scheduler producing a
 //!   [`FoldSchedule`];
-//! * [`compile_fold`] — validates a schedule's dependencies once and
-//!   compiles it into a [`FoldPlan`], run one lane at a time by
-//!   [`FoldPlanExecutor`], or many lanes per pass on the batch states of
-//!   its [`FoldPlan::exec_plan`].
+//! * [`compile_fold`] — validates a schedule once and compiles it into a
+//!   [`FoldPlan`], run one lane at a time by [`FoldPlanExecutor`].
 //!   The [`plan`] module docs spell out the pass semantics; the test-suite
 //!   proves folded execution bit-identical to the reference evaluator.
 //!

@@ -9,12 +9,9 @@
 //! availability frontier **once**, reports a read of a value no earlier
 //! step produced as [`FoldError::DependencyViolation`] *before* any cycle
 //! runs, resolves every operand to a dense state-plane slot, and flattens
-//! the pass into an [`ExecPlan`] micro-op stream. [`FoldPlanExecutor`] runs
-//! one lane's passes; [`FoldPlan::exec_plan`] hands the same stream to the
-//! plan's batch states ([`ExecPlan::new_batch_state_for`],
-//! [`ExecPlan::run_batch_cycle_any`]), which run many lanes per pass, each
-//! exactly as a lone executor would. Either way a pass runs with no
-//! per-cycle allocation and no per-operand branching.
+//! the pass into an [`ExecPlan`] micro-op stream. [`FoldPlanExecutor`]
+//! runs one lane's passes with no per-cycle allocation and no per-operand
+//! branching.
 //!
 //! Pass semantics:
 //!
@@ -30,20 +27,20 @@
 //!   before the first);
 //! * free plumbing (pack/unpack/bit-output chains) is not scheduled: it is
 //!   evaluated at its first reference and the value is reused for the rest
-//!   of the segment. Every slot is written at most once per segment, so one
+//!   of the pass. Every slot is written at most once per pass, so one
 //!   evaluation serves every later reference;
-//! * at the end of the pass every sequential element latches its D input,
-//!   computed from the old state. Only then are primary outputs resolved:
-//!   a word output holds the value its bus-write stored, and bit-output
-//!   chains observe the *new* register state — their ops land in the plan's
-//!   post-latch segment;
+//! * primary outputs are resolved before the latch, as the reference
+//!   evaluator and [`compile`](freac_netlist::compile) resolve them: a
+//!   word output holds the value its bus-write stored, and bit-output
+//!   chains observe the *old* register state. Then every sequential
+//!   element latches its D input, computed from the old state;
 //! * each pass counts once in `.passes` and adds the schedule's totals to
 //!   the other counters: its length to `.steps_executed`,
 //!   `.expected_steps` and `.config_row_reads` (one configuration row per
 //!   step), and its LUTs, MACs, bus reads and bus writes to `.lut_evals`,
 //!   `.mac_issues`, `.bus_reads` and `.bus_writes`.
 
-use freac_netlist::plan::{ExecPlan, PlanBuilder, PlanState, Segment};
+use freac_netlist::plan::{ExecPlan, PlanBuilder, PlanState};
 use freac_netlist::{Netlist, NodeId, NodeKind, Value};
 use freac_probe::CounterRegistry;
 
@@ -66,13 +63,6 @@ pub struct FoldPlan {
 }
 
 impl FoldPlan {
-    /// The underlying execution plan: run on its batch states, it passes
-    /// many independent lanes at once, each lane exactly as a
-    /// [`FoldPlanExecutor`] would, but exports no `fold.*` counters.
-    pub fn exec_plan(&self) -> &ExecPlan {
-        &self.plan
-    }
-
     /// Fold steps one pass executes (the fold count N).
     pub fn steps_per_pass(&self) -> u64 {
         self.steps_per_pass
@@ -179,18 +169,15 @@ impl FoldPlanExecutor<'_> {
 ///
 /// # Errors
 ///
-/// Returns [`FoldError::DependencyViolation`] if the schedule reads a value
-/// before any step produces it: `node` is the consumer (a scheduled LUT,
-/// MAC or bus write, a plumbing node, a sequential element's latch, or a
-/// primary output) and `operand` the unavailable value. A word output that
-/// no step bus-writes is reported as `{ node: o, operand: o }`. Structural
-/// netlist errors are propagated.
-///
-/// # Panics
-///
-/// Panics if a scheduled bus read targets a node that is not a primary
-/// input, or a `luts`/`macs`/`bus_writes` entry names a node of the wrong
-/// kind — programming errors in the scheduler.
+/// Returns [`FoldError::MisplacedNode`] if a step lists a node where it
+/// cannot run: a bus read of a node that is not a primary input, a
+/// `luts`/`macs`/`bus_writes` entry naming a node of another kind, or a
+/// node id past the netlist. Returns [`FoldError::DependencyViolation`] if
+/// the schedule reads a value before any step produces it: `node` is the
+/// consumer (a scheduled LUT, MAC or bus write, a plumbing node, a
+/// sequential element's latch, or a primary output) and `operand` the
+/// unavailable value. A word output that no step bus-writes is reported as
+/// `{ node: o, operand: o }`. Structural netlist errors are propagated.
 pub fn compile_fold(netlist: &Netlist, schedule: &FoldSchedule) -> Result<FoldPlan, FoldError> {
     let mut b = PlanBuilder::new(netlist).map_err(FoldError::Netlist)?;
     let nodes = netlist.nodes();
@@ -204,117 +191,69 @@ pub fn compile_fold(netlist: &Netlist, schedule: &FoldSchedule) -> Result<FoldPl
             avail[pi.index()] = true;
         }
     }
-    // Free-plumbing memo, one per segment: pre-latch chains and post-latch
-    // chains observe different sequential state, so they never share.
-    let mut emitted_main = vec![false; netlist.len()];
-    let mut emitted_post = vec![false; netlist.len()];
+    // The free-plumbing memo: every slot is written at most once per pass,
+    // so one emission serves every later reference.
+    let mut emitted = vec![false; netlist.len()];
 
-    for step in schedule.steps() {
+    for (s, step) in schedule.steps().iter().enumerate() {
         for &id in &step.bus_reads {
-            assert!(pis.contains(&id), "bus read targets a primary input");
+            if !pis.contains(&id) {
+                return Err(FoldError::MisplacedNode {
+                    step: s,
+                    list: "bus_reads",
+                    node: id,
+                });
+            }
             // The plan's input prologue writes the slot; the read only
             // opens availability at this step.
             avail[id.index()] = true;
         }
-        for &id in &step.luts {
-            let NodeKind::Lut(_) = nodes[id.index()].kind else {
-                unreachable!("scheduled LUT step contains only LUT nodes");
-            };
-            for &inp in &nodes[id.index()].inputs {
-                resolve_emit(
-                    inp,
-                    id,
-                    Segment::Main,
-                    &mut b,
-                    netlist,
-                    &avail,
-                    &mut emitted_main,
-                )?;
+        let lists = [
+            ("luts", &step.luts),
+            ("macs", &step.macs),
+            ("bus_writes", &step.bus_writes),
+        ];
+        for (list, ids) in lists {
+            for &id in ids {
+                let node = match nodes.get(id.index()) {
+                    Some(node) if listable(list, &node.kind) => node,
+                    _ => {
+                        return Err(FoldError::MisplacedNode {
+                            step: s,
+                            list,
+                            node: id,
+                        })
+                    }
+                };
+                for &inp in &node.inputs {
+                    resolve_emit(inp, id, &mut b, netlist, &avail, &mut emitted)?;
+                }
+                b.emit(id);
+                avail[id.index()] = true;
             }
-            b.emit(id, Segment::Main);
-            avail[id.index()] = true;
-        }
-        for &id in &step.macs {
-            let NodeKind::Mac = nodes[id.index()].kind else {
-                unreachable!("scheduled MAC step contains only MAC nodes");
-            };
-            for &inp in &nodes[id.index()].inputs {
-                resolve_emit(
-                    inp,
-                    id,
-                    Segment::Main,
-                    &mut b,
-                    netlist,
-                    &avail,
-                    &mut emitted_main,
-                )?;
-            }
-            b.emit(id, Segment::Main);
-            avail[id.index()] = true;
-        }
-        for &id in &step.bus_writes {
-            let NodeKind::WordOutput { .. } = nodes[id.index()].kind else {
-                unreachable!("scheduled bus write targets a primary word output");
-            };
-            resolve_emit(
-                nodes[id.index()].inputs[0],
-                id,
-                Segment::Main,
-                &mut b,
-                netlist,
-                &avail,
-                &mut emitted_main,
-            )?;
-            b.emit(id, Segment::Main);
-            avail[id.index()] = true;
         }
     }
 
-    // Latch sequential elements at the end of the pass: their D chains run
-    // pre-latch (reading old state), then the plan's two-phase latch
-    // commits.
+    // The end of the pass, all before the latch: sequential elements' D
+    // chains and the primary outputs read the pass's values and the old
+    // state. A word output holds what its bus-write stored; bit-output
+    // chains are free plumbing, resolved here.
     for (i, node) in nodes.iter().enumerate() {
         if node.kind.is_sequential() {
             resolve_emit(
                 node.inputs[0],
                 NodeId(i as u32),
-                Segment::Main,
                 &mut b,
                 netlist,
                 &avail,
-                &mut emitted_main,
+                &mut emitted,
             )?;
         }
     }
-    b.latch_all();
-
-    // Primary outputs: scheduled word outputs already hold their written
-    // value; everything else is free plumbing resolved after the latch, so
-    // those chains go to the post-latch segment.
     for &o in netlist.primary_outputs() {
-        match nodes[o.index()].kind {
-            NodeKind::WordOutput { .. } => {
-                if !avail[o.index()] {
-                    return Err(FoldError::DependencyViolation {
-                        node: o,
-                        operand: o,
-                    });
-                }
-            }
-            _ => {
-                resolve_emit(
-                    nodes[o.index()].inputs[0],
-                    o,
-                    Segment::Post,
-                    &mut b,
-                    netlist,
-                    &avail,
-                    &mut emitted_post,
-                )?;
-                b.emit(o, Segment::Post);
-            }
-        }
+        resolve_emit(o, o, &mut b, netlist, &avail, &mut emitted)?;
     }
+    b.latch_all();
 
     let stats = schedule.stats();
     let bus_reads_per_pass: usize = schedule.steps().iter().map(|s| s.bus_reads.len()).sum();
@@ -329,17 +268,26 @@ pub fn compile_fold(netlist: &Netlist, schedule: &FoldSchedule) -> Result<FoldPl
     })
 }
 
+/// Whether a node of `kind` may be listed in a step's `list` (`"luts"`,
+/// `"macs"` or `"bus_writes"`).
+fn listable(list: &str, kind: &NodeKind) -> bool {
+    match list {
+        "luts" => matches!(kind, NodeKind::Lut(_)),
+        "macs" => matches!(kind, NodeKind::Mac),
+        _ => matches!(kind, NodeKind::WordOutput { .. }),
+    }
+}
+
 /// Resolves the operand `id` of `consumer` at this point of the pass:
 /// scheduled values (LUTs, MACs, inputs, word outputs) must already be
 /// available, else the read is a [`FoldError::DependencyViolation`];
 /// constants and sequential state need nothing; free-plumbing chains
-/// (pack/unpack/bit-output) are emitted into `segment` at their first
-/// reference and recorded in `emitted`, since every slot is written at
-/// most once per segment and one emission serves every later reader.
+/// (pack/unpack/bit-output) are emitted at their first reference and
+/// recorded in `emitted`, since every slot is written at most once per
+/// pass and one emission serves every later reader.
 fn resolve_emit(
     id: NodeId,
     consumer: NodeId,
-    segment: Segment,
     b: &mut PlanBuilder<'_>,
     netlist: &Netlist,
     avail: &[bool],
@@ -362,29 +310,19 @@ fn resolve_emit(
             }
         }
         // Constants live in the initial planes; sequential nodes' slots
-        // hold old state pre-latch and new state post-latch, exactly what
-        // each segment should observe.
+        // hold the old state until the latch at the end of the pass.
         NodeKind::ConstBit(_)
         | NodeKind::ConstWord(_)
         | NodeKind::Ff { .. }
         | NodeKind::WordReg { .. } => Ok(()),
-        NodeKind::Pack | NodeKind::BitOutput { .. } => {
+        NodeKind::Pack | NodeKind::Unpack { .. } | NodeKind::BitOutput { .. } => {
             if emitted[id.index()] {
                 return Ok(());
             }
             for &inp in &node.inputs {
-                resolve_emit(inp, id, segment, b, netlist, avail, emitted)?;
+                resolve_emit(inp, id, b, netlist, avail, emitted)?;
             }
-            b.emit(id, segment);
-            emitted[id.index()] = true;
-            Ok(())
-        }
-        NodeKind::Unpack { .. } => {
-            if emitted[id.index()] {
-                return Ok(());
-            }
-            resolve_emit(node.inputs[0], id, segment, b, netlist, avail, emitted)?;
-            b.emit(id, segment);
+            b.emit(id);
             emitted[id.index()] = true;
             Ok(())
         }
@@ -506,11 +444,10 @@ mod tests {
     #[test]
     fn bit_output_with_state_compiles_correctly() {
         // A bit output fed through free plumbing from sequential state
-        // exercises the post-latch segment: it resolves *after* latching,
-        // so it shows the state the reference evaluator (which resolves
-        // outputs before the latch) only shows one cycle later. The
-        // bus-written word output is read within the pass, before the
-        // latch, and tracks the reference cycle for cycle.
+        // resolves before the latch, like the bus-written word output: both
+        // track the reference evaluator cycle for cycle. The counter's msb
+        // rises at cycle 2 (0, 100, 200), so an output read one cycle
+        // ahead would differ there.
         let mut b = CircuitBuilder::new("done");
         let x = b.word_input("x", 8);
         let (cnt, h) = b.word_reg(0, 8);
@@ -519,18 +456,16 @@ mod tests {
         b.bit_output("msb", cnt.bit(7));
         b.word_output("cnt", &cnt);
         let n = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let schedule = schedule_fold(&n, &FoldConstraints::for_tile(1, LutMode::Lut4)).unwrap();
-        let plan = compile_fold(&n, &schedule).unwrap();
-        let mut px = plan.executor();
         let mut ev = Evaluator::new(&n);
-        let inputs = [Value::Word(100)];
-        let mut reference = ev.run_cycle(&inputs).unwrap();
-        for c in 0..6 {
-            let folded = px.run_cycle(&inputs).unwrap();
-            let next = ev.run_cycle(&inputs).unwrap();
-            assert_eq!(folded[1], reference[1], "cycle {c}: word output");
-            assert_eq!(folded[0], next[0], "cycle {c}: post-latch bit output");
-            reference = next;
+        let msb: Vec<Value> = (0..3)
+            .map(|_| ev.run_cycle(&[Value::Word(100)]).unwrap()[0])
+            .collect();
+        assert_eq!(
+            msb,
+            [Value::Bit(false), Value::Bit(false), Value::Bit(true)]
+        );
+        for clusters in [1, 2] {
+            compiled_equals_reference(&n, &[Value::Word(100)], 6, clusters);
         }
     }
 
@@ -555,95 +490,21 @@ mod tests {
     }
 
     #[test]
-    fn exec_plan_batch_states_match_single_lane_executors() {
-        // The fold plan's stream on batch states, per-lane scalar or
-        // bit-sliced with partial (tail-bearing) batches, must match one
-        // single-lane executor per lane, and a reset state must rerun like
-        // a fresh one. The counter's bit output lands in the post-latch
-        // segment, so it pins that segment's bit-sliced run.
-        let mut b = CircuitBuilder::new("acc");
-        let x = b.word_input("x", 16);
-        let (acc, h) = b.word_reg(9, 16);
-        let sum = b.add(&acc, &x);
-        b.connect_word_reg(h, &sum);
-        b.word_output("acc", &acc);
-        let accumulator = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-        let mut b = CircuitBuilder::new("done");
-        let x = b.word_input("x", 8);
-        let (cnt, h) = b.word_reg(0, 8);
-        let next = b.add(&cnt, &x);
-        b.connect_word_reg(h, &next);
-        b.bit_output("msb", cnt.bit(7));
-        b.word_output("cnt", &cnt);
-        let counter = tech_map(&b.finish().unwrap(), TechMapOptions::lut4()).unwrap();
-
-        for (name, n, mask) in [("acc", &accumulator, 0xFFFF), ("done", &counter, 0xFF)] {
-            let cons = FoldConstraints::for_tile(2, LutMode::Lut4);
-            let plan = compile_fold(n, &schedule_fold(n, &cons).unwrap()).unwrap();
-            let exec = plan.exec_plan();
-            for k in [1usize, 2, 3, 64, 65, 256, 300, 512] {
-                let lanes: Vec<Vec<Value>> = (0..k as u32)
-                    .map(|l| vec![Value::Word(l.wrapping_mul(73).wrapping_add(3) & mask)])
-                    .collect();
-                let run = |state: &mut freac_netlist::AnyBatchState| {
-                    (0..3)
-                        .map(|_| {
-                            let mut out = Vec::new();
-                            exec.run_batch_cycle_any(state, &lanes, &mut out).unwrap();
-                            out
-                        })
-                        .collect::<Vec<_>>()
-                };
-                let mut state = exec.new_batch_state_for(k);
-                let first = run(&mut state);
-                let mut singles: Vec<_> = (0..k).map(|_| plan.executor()).collect();
-                for (cycle, out) in first.iter().enumerate() {
-                    assert_eq!(out.len(), k, "outputs must cover exactly the batch");
-                    for (l, sx) in singles.iter_mut().enumerate() {
-                        let expect = sx.run_cycle(&lanes[l]).unwrap();
-                        assert_eq!(out[l], expect, "{name} k {k} lane {l} cycle {cycle}");
-                    }
-                }
-                exec.reset_batch_state(&mut state);
-                assert_eq!(run(&mut state), first, "{name} k {k}: rerun after reset");
-            }
-        }
-    }
-
-    #[test]
     fn bad_schedule_rejected_at_compile_time() {
         // A schedule that evaluates the consumer before its producer must
         // fail in compile_fold, before any cycle runs, naming the consumer
         // and the operand it read too early.
-        let mut b = CircuitBuilder::new("t");
-        let a = b.word_input("a", 2);
-        let x = b.xor(a.bit(0), a.bit(1));
-        let nx = b.not(x);
-        b.bit_output("nx", nx);
-        let n = b.finish().unwrap();
-        // The LUT nodes in creation order: xor, then not.
-        let luts: Vec<NodeId> = n
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, nd)| matches!(nd.kind, NodeKind::Lut(_)))
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        let (xor, not) = (luts[0], luts[1]);
+        let (n, word_in, xor, not) = xor_not();
         assert_eq!(n.nodes()[not.index()].inputs, vec![xor]);
-        let word_in = n.primary_inputs()[0];
         let steps = vec![
             FoldStep {
                 luts: vec![not],
-                macs: vec![],
                 bus_reads: vec![word_in],
-                bus_writes: vec![],
+                ..FoldStep::default()
             },
             FoldStep {
                 luts: vec![xor],
-                macs: vec![],
-                bus_reads: vec![],
-                bus_writes: vec![],
+                ..FoldStep::default()
             },
         ];
         let bad = FoldSchedule::new(steps, 0, 8);
@@ -654,6 +515,148 @@ mod tests {
                 operand: xor
             }
         );
+    }
+
+    /// A two-bit circuit `nx = !(a0 ^ a1)`, its word input and its two
+    /// LUTs (xor, then not), for malformed schedules.
+    fn xor_not() -> (Netlist, NodeId, NodeId, NodeId) {
+        let mut b = CircuitBuilder::new("t");
+        let a = b.word_input("a", 2);
+        let x = b.xor(a.bit(0), a.bit(1));
+        let nx = b.not(x);
+        b.bit_output("nx", nx);
+        let n = b.finish().unwrap();
+        let luts: Vec<NodeId> = n
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, nd)| matches!(nd.kind, NodeKind::Lut(_)))
+            .map(|(i, _)| NodeId(i as u32))
+            .collect();
+        let word_in = n.primary_inputs()[0];
+        (n, word_in, luts[0], luts[1])
+    }
+
+    /// `compile_fold`'s error on a one-step schedule of `step`, after a
+    /// well-formed first step that reads the input and evaluates both
+    /// LUTs.
+    fn second_step_error(
+        n: &Netlist,
+        word_in: NodeId,
+        luts: [NodeId; 2],
+        step: FoldStep,
+    ) -> FoldError {
+        let first = FoldStep {
+            luts: luts.to_vec(),
+            bus_reads: vec![word_in],
+            ..FoldStep::default()
+        };
+        compile_fold(n, &FoldSchedule::new(vec![first, step], 0, 8)).unwrap_err()
+    }
+
+    #[test]
+    fn bus_read_of_a_non_input_is_rejected() {
+        let (n, word_in, xor, not) = xor_not();
+        let step = FoldStep {
+            bus_reads: vec![xor],
+            ..FoldStep::default()
+        };
+        assert_eq!(
+            second_step_error(&n, word_in, [xor, not], step),
+            FoldError::MisplacedNode {
+                step: 1,
+                list: "bus_reads",
+                node: xor
+            }
+        );
+    }
+
+    #[test]
+    fn entry_of_the_wrong_kind_is_rejected() {
+        let (n, word_in, xor, not) = xor_not();
+        let out = n.primary_outputs()[0];
+        for (step, list, node) in [
+            (
+                FoldStep {
+                    luts: vec![word_in],
+                    ..FoldStep::default()
+                },
+                "luts",
+                word_in,
+            ),
+            (
+                FoldStep {
+                    macs: vec![xor],
+                    ..FoldStep::default()
+                },
+                "macs",
+                xor,
+            ),
+            (
+                FoldStep {
+                    bus_writes: vec![out],
+                    ..FoldStep::default()
+                },
+                "bus_writes",
+                out,
+            ),
+        ] {
+            assert_eq!(
+                second_step_error(&n, word_in, [xor, not], step),
+                FoldError::MisplacedNode {
+                    step: 1,
+                    list,
+                    node
+                },
+                "{list}"
+            );
+        }
+    }
+
+    #[test]
+    fn node_past_the_netlist_is_rejected() {
+        let (n, word_in, xor, not) = xor_not();
+        let past = NodeId(n.len() as u32);
+        for (step, list) in [
+            (
+                FoldStep {
+                    bus_reads: vec![past],
+                    ..FoldStep::default()
+                },
+                "bus_reads",
+            ),
+            (
+                FoldStep {
+                    luts: vec![past],
+                    ..FoldStep::default()
+                },
+                "luts",
+            ),
+            (
+                FoldStep {
+                    macs: vec![past],
+                    ..FoldStep::default()
+                },
+                "macs",
+            ),
+            (
+                FoldStep {
+                    bus_writes: vec![past],
+                    ..FoldStep::default()
+                },
+                "bus_writes",
+            ),
+        ] {
+            assert_eq!(
+                second_step_error(&n, word_in, [xor, not], step),
+                FoldError::MisplacedNode {
+                    step: 1,
+                    list,
+                    node: past
+                },
+                "{list}"
+            );
+        }
     }
 
     #[test]

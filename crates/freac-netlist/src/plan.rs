@@ -98,17 +98,6 @@ impl Slot {
     }
 }
 
-/// Which op stream an emitted micro-op joins: the main (pre-latch) stream
-/// or the post-latch stream (folded bit-output plumbing resolves after the
-/// latch and so reads *new* sequential state).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Segment {
-    /// Executed before sequential elements latch.
-    Main,
-    /// Executed after sequential elements latch.
-    Post,
-}
-
 /// Micro-op opcodes. Operand meaning per code is documented on [`Op`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -219,11 +208,8 @@ impl LutForm {
 /// one compiled plan serves any number of concurrent executions.
 #[derive(Debug, Clone)]
 pub struct ExecPlan {
-    /// Pre-latch micro-ops.
+    /// Micro-ops, all run before the latch.
     ops: Vec<Op>,
-    /// Post-latch micro-ops (fold-order output plumbing; empty for plans
-    /// compiled in topological order).
-    post_ops: Vec<Op>,
     /// Slot-index pool for `PooledLut`/`Pack` operand lists.
     operands: Vec<u32>,
     /// Flattened truth-table words (`TruthTable::words`) of the pooled
@@ -559,9 +545,9 @@ impl ExecPlan {
         self.bit_latches.is_empty() && self.word_latches.is_empty()
     }
 
-    /// Total micro-ops in the flattened streams (compile-time size probe).
+    /// Total micro-ops in the flattened stream (compile-time size probe).
     pub fn micro_ops(&self) -> usize {
-        self.ops.len() + self.post_ops.len()
+        self.ops.len()
     }
 
     /// Primary inputs expected per cycle.
@@ -615,7 +601,7 @@ impl ExecPlan {
         Ok(())
     }
 
-    /// One cycle on the loaded inputs: main ops, latch, post-latch ops.
+    /// One cycle on the loaded inputs: the ops, then the latch.
     fn step(&self, state: &mut PlanState) {
         self.exec(&self.ops, &mut state.bits, &mut state.words);
 
@@ -633,8 +619,6 @@ impl ExecPlan {
         for (i, &(_, dst)) in self.word_latches.iter().enumerate() {
             state.words[dst as usize] = state.word_stage[i];
         }
-
-        self.exec(&self.post_ops, &mut state.bits, &mut state.words);
         state.cycles += 1;
     }
 
@@ -817,8 +801,8 @@ impl ExecPlan {
     }
 
     /// The one bit-sliced run body: checks and packs the inputs once,
-    /// sweeps `cycles` cycles (at least one) of main ops, latch and
-    /// post-latch ops, and unpacks the last cycle's outputs.
+    /// sweeps `cycles` cycles (at least one) of ops and latch, and unpacks
+    /// the last cycle's outputs.
     fn run_wide_batch_cycles<const N: usize>(
         &self,
         state: &mut BatchState<N>,
@@ -866,8 +850,6 @@ impl ExecPlan {
                 state.words[base..base + width]
                     .copy_from_slice(&state.word_stage[i * width..(i + 1) * width]);
             }
-
-            self.exec_batch_dispatch(&self.post_ops, &mut state.bits, &mut state.words);
             state.cycles += 1;
         }
 
@@ -1306,8 +1288,7 @@ pub struct PlanBuilder<'a> {
     /// [`LutForm`], which both shrinks the pool and lets the batch engine
     /// sweep them as one fused run.
     table_index: HashMap<TruthTable, u32>,
-    main: Vec<Op>,
-    post: Vec<Op>,
+    ops: Vec<Op>,
     operands: Vec<u32>,
     tables: Vec<u64>,
     lut_forms: Vec<LutForm>,
@@ -1359,8 +1340,7 @@ impl<'a> PlanBuilder<'a> {
             slots,
             zero,
             table_index: HashMap::new(),
-            main: Vec::new(),
-            post: Vec::new(),
+            ops: Vec::new(),
             operands: Vec::new(),
             tables: Vec::new(),
             lut_forms: Vec::new(),
@@ -1407,11 +1387,11 @@ impl<'a> PlanBuilder<'a> {
         off
     }
 
-    /// Emits the micro-op computing node `id` into `segment`. Source
-    /// nodes — inputs, constants, sequential elements — need no op (their
-    /// slots are written by the input prologue, the initial planes, or the
-    /// latch phase) and emit nothing.
-    pub fn emit(&mut self, id: NodeId, segment: Segment) {
+    /// Emits the micro-op computing node `id`. Source nodes — inputs,
+    /// constants, sequential elements — need no op (their slots are written
+    /// by the input prologue, the initial planes, or the latch phase) and
+    /// emit nothing.
+    pub fn emit(&mut self, id: NodeId) {
         let node = &self.netlist.nodes()[id.index()];
         let n = node.inputs.len();
         let mut op = Op {
@@ -1469,10 +1449,7 @@ impl<'a> PlanBuilder<'a> {
                 op.args[0] = self.raw(node.inputs[0]);
             }
         }
-        match segment {
-            Segment::Main => self.main.push(op),
-            Segment::Post => self.post.push(op),
-        }
+        self.ops.push(op);
     }
 
     /// Records the latch pair of every sequential node (source = its D
@@ -1507,8 +1484,7 @@ impl<'a> PlanBuilder<'a> {
             .map(|&po| self.slots[po.index()])
             .collect();
         ExecPlan {
-            ops: self.main,
-            post_ops: self.post,
+            ops: self.ops,
             operands: self.operands,
             tables: self.tables,
             lut_forms: self.lut_forms,
@@ -1598,7 +1574,7 @@ pub fn compile(netlist: &Netlist) -> Result<ExecPlan, NetlistError> {
         let mut block: Vec<NodeId> = level.into_iter().filter(|id| live[id.index()]).collect();
         block.sort_by_key(region_key);
         for id in block {
-            b.emit(id, Segment::Main);
+            b.emit(id);
         }
     }
     b.latch_all();
@@ -2112,47 +2088,6 @@ mod tests {
     }
 
     #[test]
-    fn post_latch_segment_reads_new_state() {
-        // A toggling flip-flop whose bit output is emitted after the latch,
-        // as fold order does: every engine must output the *new* state.
-        let mut b = CircuitBuilder::new("toggle");
-        let (q, h) = b.ff(false);
-        let nq = b.not(q);
-        b.connect_ff(h, nq);
-        b.bit_output("q", q);
-        let n = b.finish().unwrap();
-        let mut pb = PlanBuilder::new(&n).unwrap();
-        for (i, node) in n.nodes().iter().enumerate() {
-            if matches!(node.kind, NodeKind::Lut(_)) {
-                pb.emit(NodeId(i as u32), Segment::Main);
-            }
-        }
-        pb.latch_all();
-        for &o in n.primary_outputs() {
-            pb.emit(o, Segment::Post);
-        }
-        let plan = pb.finish();
-        assert_eq!(plan.post_ops.len(), 1);
-        let want: Vec<Value> = (0..4).map(|c| Value::Bit(c % 2 == 0)).collect();
-        let mut state = plan.new_state();
-        let mut out = Vec::new();
-        for w in &want {
-            plan.run_cycle_into(&mut state, &[], &mut out).unwrap();
-            assert_eq!(out, [*w]);
-        }
-        for lanes in [1, SCALAR_BATCH_LANES, 64, 300] {
-            let batch = vec![Vec::new(); lanes];
-            let mut state = plan.new_batch_state_for(lanes);
-            let mut batch_out = Vec::new();
-            for w in &want {
-                plan.run_batch_cycle_any(&mut state, &batch, &mut batch_out)
-                    .unwrap();
-                assert!(batch_out.iter().all(|o| o == &[*w]), "{lanes} lanes");
-            }
-        }
-    }
-
-    #[test]
     fn scalar_lanes_check_every_lane_before_running_any() {
         // Input 0 is a word, input 1 a bit; the register makes a lane that
         // ran visibly different from one that did not.
@@ -2501,16 +2436,14 @@ mod tests {
                 *w = rng.next_u32();
             }
             let mut dispatched = portable.clone();
-            for (stream, ops) in [("main", &plan.ops), ("post", &plan.post_ops)] {
-                plan.exec_batch(ops, &mut portable.bits, &mut portable.words);
-                plan.exec_batch_dispatch(ops, &mut dispatched.bits, &mut dispatched.words);
-                let at = format!("{label} N={N} round {round} {stream} ops ({})", batch_isa());
-                assert!(portable.bits == dispatched.bits, "{at}: bit planes differ");
-                assert!(
-                    portable.words == dispatched.words,
-                    "{at}: word planes differ"
-                );
-            }
+            plan.exec_batch(&plan.ops, &mut portable.bits, &mut portable.words);
+            plan.exec_batch_dispatch(&plan.ops, &mut dispatched.bits, &mut dispatched.words);
+            let at = format!("{label} N={N} round {round} ({})", batch_isa());
+            assert!(portable.bits == dispatched.bits, "{at}: bit planes differ");
+            assert!(
+                portable.words == dispatched.words,
+                "{at}: word planes differ"
+            );
         }
     }
 
@@ -2606,21 +2539,16 @@ mod tests {
             .collect()
     }
 
-    /// `n` compiled in fold style: every node but the primary outputs in
-    /// the main segment, level by level, and the outputs after the latch,
-    /// so they read the new state.
-    fn post_latch_plan(n: &Netlist) -> ExecPlan {
+    /// `n` compiled in fold style: every node emitted level by level in
+    /// node order, dead logic and outputs included, with no reordering.
+    fn level_order_plan(n: &Netlist) -> ExecPlan {
         let mut pb = PlanBuilder::new(n).unwrap();
-        let outputs = n.primary_outputs();
         for level in level_graph(n).unwrap().by_level() {
-            for id in level.into_iter().filter(|id| !outputs.contains(id)) {
-                pb.emit(id, Segment::Main);
+            for id in level {
+                pb.emit(id);
             }
         }
         pb.latch_all();
-        for &o in outputs {
-            pb.emit(o, Segment::Post);
-        }
         pb.finish()
     }
 
@@ -2630,7 +2558,10 @@ mod tests {
         let mapped = |n: Netlist| compile(&tech_map(&n, TechMapOptions::lut4()).unwrap()).unwrap();
         let (plans, widths, depths): (Vec<(ExecPlan, &str)>, &[usize], &[u64]) = if cfg!(miri) {
             (
-                vec![(post_latch_plan(&every_op_circuit()), "every_op post")],
+                vec![(
+                    level_order_plan(&every_op_circuit()),
+                    "every_op level order",
+                )],
                 &[1, 3, 65],
                 &[1, 2],
             )
@@ -2639,12 +2570,15 @@ mod tests {
                 vec![
                     (mapped(aes_round_circuit()), "aes"),
                     (mapped(gemm_pe_circuit()), "gemm"),
-                    (post_latch_plan(&every_op_circuit()), "every_op post"),
                     (
-                        post_latch_plan(
+                        level_order_plan(&every_op_circuit()),
+                        "every_op level order",
+                    ),
+                    (
+                        level_order_plan(
                             &tech_map(&gemm_pe_circuit(), TechMapOptions::lut4()).unwrap(),
                         ),
-                        "gemm post",
+                        "gemm level order",
                     ),
                 ],
                 &[1, 2, 3, 64, 65, 300, 512],
@@ -2652,10 +2586,6 @@ mod tests {
             )
         };
         for (plan, label) in &plans {
-            assert!(
-                label.ends_with("post") != plan.post_ops.is_empty(),
-                "{label}: post-latch segment"
-            );
             for &lanes in widths {
                 let inputs = random_lanes(plan, lanes, &mut rng);
                 // Start from a state some earlier cycles moved off power-on.

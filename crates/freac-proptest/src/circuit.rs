@@ -88,7 +88,9 @@ impl CircuitSpec {
     }
 
     /// Lowers the spec to a netlist with inputs `x`, `y` and outputs
-    /// `out` (the last word) and `prev` (the one before it).
+    /// `out` (the last word) and `prev` (the one before it), plus, with
+    /// the register, the bit output `msb`: the register's top bit, read
+    /// straight from state.
     pub fn build(&self) -> Netlist {
         let w = self.width;
         let mut b = CircuitBuilder::new("random");
@@ -96,7 +98,7 @@ impl CircuitSpec {
         let reg = if self.with_reg {
             let (q, h) = b.word_reg(0, w);
             words.push(q.clone());
-            Some(h)
+            Some((q, h))
         } else {
             None
         };
@@ -145,12 +147,16 @@ impl CircuitSpec {
             words.push(word);
         }
         let last = words.last().expect("at least the inputs exist").clone();
-        if let Some(h) = reg {
+        let msb = reg.map(|(q, h)| {
             b.connect_word_reg(h, &last);
-        }
+            q.bit(w - 1)
+        });
         b.word_output("out", &last);
         let prev = words[words.len().saturating_sub(2)].clone();
         b.word_output("prev", &prev);
+        if let Some(msb) = msb {
+            b.bit_output("msb", msb);
+        }
         b.finish().expect("generated circuit is structurally valid")
     }
 
@@ -196,7 +202,11 @@ mod tests {
         let outs = ev
             .run_cycle(&[Value::Word(1), Value::Word(2)])
             .expect("two word inputs");
-        assert_eq!(outs.len(), 2, "out and prev");
+        assert_eq!(
+            outs.len(),
+            2 + usize::from(spec.with_reg),
+            "out, prev and the register's msb"
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!
 //! The epoch loop runs on the calling thread. [`ClusterConfig::workers`]
 //! is the thread count of the report's functional phase: every shard's
-//! pending output hashes are split into pure passes (one kernel, one
-//! engine, at most 512 lanes), which run on that many threads and come
+//! pending output hashes are split into pure passes (one kernel, at most
+//! 512 lanes), which run on that many threads and come
 //! back in pass order, each shard counting its own passes — so the report
 //! is byte-identical at any worker count, which the cluster proptest
 //! oracle asserts. Stepping shards in parallel was tried and removed: the

@@ -30,8 +30,7 @@ pub enum ServeError {
     },
     /// Accelerator mapping or reconfiguration-cost modeling failed.
     Core(CoreError),
-    /// Compiling the kernel's netlist plan, or batch-executing it or the
-    /// fold plan, failed.
+    /// Compiling or batch-executing the kernel's netlist plan failed.
     Netlist(NetlistError),
 }
 

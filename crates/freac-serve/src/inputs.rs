@@ -62,7 +62,7 @@ pub fn hash_outputs(values: &[Value]) -> u64 {
 /// The golden result for a request: run the reference evaluator for
 /// `cycles` on the synthesized inputs and hash the final outputs. Sampled
 /// verification in the load generator compares this against the hash the
-/// serving path produced via the compiled batch plan or folded executor.
+/// serving path produced via the kernel's compiled batch plan.
 ///
 /// # Errors
 ///

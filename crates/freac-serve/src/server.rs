@@ -35,12 +35,13 @@
 //! The event loop computes only the schedule: a dispatch records its
 //! completions with `output_hash` still `0`, and [`Server::report`] runs
 //! one functional phase over every completion added since the last
-//! report, in [`MAX_BATCH_LANES`]-wide passes. Each pass runs one
-//! [`ExecPlan`] on one kept, reset batch state: the kernel's compiled
-//! batch plan, or for exclusives and one-lane caps the fold plan's own
-//! stream ([`freac_fold::FoldPlan::exec_plan`]). That is exact because a
-//! hash is a pure function of `(kernel, seed)`: every lane starts from
-//! power-on latch state. Were exclusives to carry register state from one
+//! report, in [`MAX_BATCH_LANES`]-wide passes. Each pass runs the
+//! kernel's compiled batch plan on one kept, reset batch state, whatever
+//! the dispatch: exclusives and one-lane caps differ from coalesced
+//! batches in timing only. That is exact because a hash is a pure function
+//! of `(kernel, seed)`: every lane starts from power-on latch state, and
+//! the batch plan computes what the folded circuit does, outputs read
+//! before the latch. Were exclusives to carry register state from one
 //! dispatch to the next, hashes would have to be computed in the loop.
 //!
 //! # Completion log
@@ -182,8 +183,8 @@ pub struct ServeConfig {
     /// [`MAX_BATCH_LANES`], the widest bit-sliced sweep). Batches wider
     /// than the partition's tile count execute in compute waves rather
     /// than being truncated. `1` turns the batch coalescer off: every
-    /// request then rides alone on the folded path, the single-lane
-    /// baseline the `serve` bench compares against.
+    /// request then rides alone, the single-lane baseline the `serve`
+    /// bench compares against.
     pub max_lanes: usize,
     /// How way handoffs are charged: the conservative whole-claim flush,
     /// or the invalidation-based coherence protocol (targeted
@@ -405,8 +406,6 @@ struct Flight {
     done_ps: Time,
     batch_id: u64,
     kernel: u32,
-    /// Hashed on the batch plan rather than the fold plan.
-    batch: bool,
     /// Whether a report's functional phase has hashed the riders.
     hashed: bool,
     /// `(completion, tenant id)` of every rider, in `(tenant, seq)` order
@@ -425,20 +424,17 @@ impl Flight {
         Tag {
             tenant,
             kernel: self.kernel,
-            batch: self.batch,
             hashed: self.hashed,
         }
     }
 }
 
 /// What the completion log keeps beside each completion: the ids the
-/// history records, and what the functional phase needs — the engine
-/// and whether the completion is hashed yet.
+/// history records, and whether the functional phase has hashed it yet.
 #[derive(Clone, Copy)]
 struct Tag {
     tenant: u32,
     kernel: u32,
-    batch: bool,
     hashed: bool,
 }
 
@@ -1349,8 +1345,8 @@ impl Server {
             "a dispatch at {t} ps must finish after it starts (a round charges at least one cycle)"
         );
         // Exclusive requests own the accelerator's register state, so they
-        // (and, with a one-lane cap, every request) run on the folded path;
-        // everything else rides the bit-sliced batch plan.
+        // (and, with a one-lane cap, every request) ride alone. That is
+        // timing only: every lane hashes on the kernel's batch plan.
         let single_lane = batch[0].exclusive || cap == 1;
 
         // Accounting: execution is split evenly across the riders. A
@@ -1465,7 +1461,6 @@ impl Server {
             done_ps: done,
             batch_id,
             kernel,
-            batch: !single_lane,
             hashed: false,
             riders,
         };
@@ -1522,40 +1517,39 @@ impl Server {
     }
 
     /// Takes every completion not hashed yet — in the log or in flight —
-    /// into the functional phase's passes: grouped by kernel in name order
-    /// and by engine, in [`MAX_BATCH_LANES`]-wide chunks, each completion
-    /// exactly once. A timing-only server yields no pass.
+    /// into the functional phase's passes: grouped by kernel in name order,
+    /// in [`MAX_BATCH_LANES`]-wide chunks, each completion exactly once. A
+    /// timing-only server yields no pass.
     pub(crate) fn take_func_passes(&mut self) -> Vec<FuncPass> {
         if !self.functional {
             return Vec::new();
         }
-        // The lane count of each kernel id's `[fold plan, batch plan]`
-        // group, then the index of the group's pass being filled: each
-        // pass's lanes are allocated once, at their final size.
-        let mut next = vec![[0usize; 2]; self.kernels.len()];
-        self.each_unhashed(|kernel, engine, _, _| next[kernel][engine] += 1);
+        // The lane count of each kernel id's group, then the index of the
+        // group's pass being filled: each pass's lanes are allocated once,
+        // at their final size.
+        let mut next = vec![0usize; self.kernels.len()];
+        self.each_unhashed(|kernel, _, _| next[kernel] += 1);
         let mut passes = Vec::new();
         for k in self.kernels.values() {
-            for (engine, group) in next[k.id as usize].iter_mut().enumerate() {
-                let mut left = *group;
-                *group = passes.len();
-                while left > 0 {
-                    let lanes = left.min(MAX_BATCH_LANES);
-                    passes.push(FuncPass {
-                        accel: Arc::clone(&k.accel),
-                        plan: (engine == 1).then(|| Arc::clone(&k.plan)),
-                        cycles: k.func_cycles,
-                        lanes: Vec::with_capacity(lanes),
-                    });
-                    left -= lanes;
-                }
+            let group = &mut next[k.id as usize];
+            let mut left = *group;
+            *group = passes.len();
+            while left > 0 {
+                let lanes = left.min(MAX_BATCH_LANES);
+                passes.push(FuncPass {
+                    accel: Arc::clone(&k.accel),
+                    plan: Arc::clone(&k.plan),
+                    cycles: k.func_cycles,
+                    lanes: Vec::with_capacity(lanes),
+                });
+                left -= lanes;
             }
         }
-        self.each_unhashed(|kernel, engine, at, seed| {
-            let pass = &mut passes[next[kernel][engine]];
+        self.each_unhashed(|kernel, at, seed| {
+            let pass = &mut passes[next[kernel]];
             pass.lanes.push((at, seed));
             if pass.lanes.len() == MAX_BATCH_LANES {
-                next[kernel][engine] += 1;
+                next[kernel] += 1;
             }
         });
         for tag in &mut self.log_tags {
@@ -1567,26 +1561,19 @@ impl Server {
         passes
     }
 
-    /// Calls `f(kernel id, engine, place, seed)` for every completion not
-    /// hashed yet, logged ones first; engine 0 is the fold plan, 1 the
-    /// batch plan.
-    fn each_unhashed(&self, mut f: impl FnMut(usize, usize, At, u64)) {
+    /// Calls `f(kernel id, place, seed)` for every completion not hashed
+    /// yet, logged ones first.
+    fn each_unhashed(&self, mut f: impl FnMut(usize, At, u64)) {
         for (i, (c, tag)) in self.log.iter().zip(&self.log_tags).enumerate() {
             if !tag.hashed {
-                f(
-                    tag.kernel as usize,
-                    usize::from(tag.batch),
-                    At::Log(i),
-                    c.seed,
-                );
+                f(tag.kernel as usize, At::Log(i), c.seed);
             }
         }
         for (si, slice) in self.slices.iter().enumerate() {
             let flight = &slice.flight;
             if !flight.hashed {
                 for (j, (c, _)) in flight.riders.iter().enumerate() {
-                    let engine = usize::from(flight.batch);
-                    f(flight.kernel as usize, engine, At::Flight(si, j), c.seed);
+                    f(flight.kernel as usize, At::Flight(si, j), c.seed);
                 }
             }
         }
@@ -1841,25 +1828,23 @@ impl Server {
 }
 
 /// One pass of the functional phase: up to [`MAX_BATCH_LANES`]
-/// completions of one kernel on one engine, run from power-on state over
-/// the kernel's functional depth in one multi-cycle plan call
+/// completions of one kernel, run on its batch plan from power-on state
+/// over the kernel's functional depth in one multi-cycle plan call
 /// ([`PassScratch::run`]). A pass owns what it reads and its hashes
 /// are a pure function of its seeds, so the passes of any number of
 /// servers can run on any threads in any order.
 pub(crate) struct FuncPass {
     accel: Arc<Accelerator>,
-    /// The batch plan, or `None` for the fold plan (exclusive requests,
-    /// and every request under a one-lane cap).
-    plan: Option<Arc<ExecPlan>>,
+    plan: Arc<ExecPlan>,
     cycles: u64,
     /// Where each lane's completion is, and its seed, in lane order.
     lanes: Vec<(At, u64)>,
 }
 
 /// What a pass refills: one input and one output vector per lane, and the
-/// plan states passes ran on, one per plan and width, reset to power-on
-/// values for the next pass — so steady-state hashing allocates nothing
-/// per lane or per state, only each pass's hash vector.
+/// batch-plan states passes ran on, one per plan and width, reset to
+/// power-on values for the next pass — so steady-state hashing allocates
+/// nothing per lane or per state, only each pass's hash vector.
 #[derive(Default)]
 pub(crate) struct PassScratch<'p> {
     inputs: Vec<Vec<Value>>,
@@ -1868,7 +1853,7 @@ pub(crate) struct PassScratch<'p> {
     out: Vec<Vec<Value>>,
     /// Output vectors parked while a narrower pass runs.
     spare: Vec<Vec<Value>>,
-    /// Plan states, batch and fold plans alike, by plan and lane capacity.
+    /// Batch-plan states, by plan and lane capacity.
     batch_states: Vec<(&'p ExecPlan, AnyBatchState)>,
 }
 
@@ -1931,11 +1916,7 @@ impl FuncPass {
         while scratch.out.len() < n {
             scratch.out.push(scratch.spare.pop().unwrap_or_default());
         }
-        let plan = match &self.plan {
-            Some(plan) => plan,
-            None => self.accel.fold_plan().exec_plan(),
-        };
-        scratch.run(plan, n, self.cycles)?;
+        scratch.run(&self.plan, n, self.cycles)?;
         Ok(scratch.out.iter().map(|o| hash_outputs(o)).collect())
     }
 }
@@ -2245,9 +2226,56 @@ mod tests {
         let exclusives = r.probes.counter("serve.batches.single_lane");
         assert!(exclusives >= 64, "{exclusives} exclusives completed");
         assert_reference_hashes(&s, &r);
-        // One fold pass hashes every exclusive, one batch pass the rest.
-        assert_eq!(r.probes.counter("serve.func.passes"), 2);
+        // One batch-plan pass hashes exclusives and the rest alike.
+        assert_eq!(r.probes.counter("serve.func.passes"), 1);
         assert_eq!(r.probes.counter("serve.func.lanes"), 100);
+    }
+
+    /// An 8-bit counter: each cycle latches `cnt + x`, and its bit output
+    /// reads the register's msb through plumbing alone, so it shows the
+    /// state from before the cycle's latch.
+    fn msb_counter(name: &str) -> Netlist {
+        let mut b = CircuitBuilder::new(name);
+        let x = b.word_input("x", 8);
+        let (cnt, h) = b.word_reg(0, 8);
+        let next = b.add(&cnt, &x);
+        b.connect_word_reg(h, &next);
+        b.bit_output("msb", cnt.bit(7));
+        b.word_output("cnt", &cnt);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn state_fed_bit_output_hashes_alike_however_served() {
+        // Exclusive requests, batched requests, and a one-lane cap: every
+        // completion carries the reference hash, whatever rode with it.
+        let heavy = RequestProfile {
+            cycles_per_item: 4,
+            ..profile()
+        };
+        for (max_lanes, exclusive) in [(BATCH_LANES, true), (BATCH_LANES, false), (1, false)] {
+            let mut s = Server::new(ServeConfig {
+                slices: 1,
+                max_lanes,
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            s.register_kernel("done", &msb_counter("done"), heavy)
+                .unwrap();
+            s.add_tenant("a", 1).unwrap();
+            for i in 0..40 {
+                let mut r = Request::new("a", i, "done", 0, 2_000 + i);
+                r.exclusive = exclusive;
+                s.submit(r).unwrap();
+            }
+            let r = s.run_to_completion().unwrap();
+            let at = format!("max_lanes {max_lanes}, exclusive {exclusive}");
+            assert_eq!(r.completions.len(), 40, "{at}");
+            let alone = r.probes.counter("serve.batches.single_lane");
+            assert_eq!(alone == 40, exclusive || max_lanes == 1, "{at}");
+            assert_eq!(s.kernel_func_cycles("done").unwrap(), 4);
+            assert_reference_hashes_of(&s, "done", &r);
+        }
     }
 
     #[test]
@@ -2330,10 +2358,9 @@ mod tests {
         assert_eq!(last.completions, want.completions);
         assert_eq!(last.dispatches, want.dispatches);
         assert_eq!(last.probes.counter("serve.func.lanes"), 100);
-        // One fold and one batch pass per wave, against two in all for
-        // the single run.
-        assert_eq!(last.probes.counter("serve.func.passes"), 8);
-        assert_eq!(want.probes.counter("serve.func.passes"), 2);
+        // One pass per wave, against one in all for the single run.
+        assert_eq!(last.probes.counter("serve.func.passes"), 4);
+        assert_eq!(want.probes.counter("serve.func.passes"), 1);
         assert_reference_hashes(&s, &last);
     }
 

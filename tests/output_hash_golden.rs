@@ -35,17 +35,17 @@ const SINGLE_LANE_DIGEST: u64 = 0x09a2_efbf_1a6c_31fe;
 const CLUSTER_DIGEST: u64 = 0x91b6_e0dc_35f3_281b;
 
 /// Probe-export digest of the batching-on server run.
-const BATCHED_PROBES_DIGEST: u64 = 0x0dd9_809b_663c_8245;
+const BATCHED_PROBES_DIGEST: u64 = 0x3edc_9225_56fa_a6a7;
 /// Probe-export digest of the batching-off server run.
 const SINGLE_LANE_PROBES_DIGEST: u64 = 0x7073_b4aa_65af_9fed;
 /// Probe-export digest of the 4-shard cluster run, at 1 and at 4 workers.
-const CLUSTER_PROBES_DIGEST: u64 = 0x53e2_e1c9_8133_b22d;
+const CLUSTER_PROBES_DIGEST: u64 = 0xd8cf_9c63_cc7b_fb7a;
 /// Probe-export digest of both reports of the server reported twice.
-const TWICE_REPORTED_PROBES_DIGEST: u64 = 0x14f3_8d20_8565_1576;
+const TWICE_REPORTED_PROBES_DIGEST: u64 = 0x3804_55e9_c6c0_fd48;
 /// Digests of the first and second report of the cluster reported twice.
 const TWICE_REPORTED_CLUSTER_DIGESTS: [u64; 2] = [0x79f3_42a2_5580_323a, 0xfa8d_9b77_de6b_e82d];
 /// Probe-export digest of both reports of the cluster reported twice.
-const TWICE_REPORTED_CLUSTER_PROBES_DIGEST: u64 = 0x1ef8_2cda_d34e_4850;
+const TWICE_REPORTED_CLUSTER_PROBES_DIGEST: u64 = 0x12c0_2f7c_27f1_009d;
 
 /// FNV-1a over byte strings, fed in order.
 struct Fnv(u64);
